@@ -5,12 +5,7 @@ Shows what a replaced turn looks like and which features the transform
 leaves untouched, then measures the empirical replacement rate.
 """
 
-from robusthcn.corpus import (
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-)
+from robusthcn.corpus import prepare
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
@@ -18,10 +13,9 @@ from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout, length_bou
 
 def main():
     domain = generate_toy_domain(seed=7, n_dialogs=40, n_actions=9)
-    vocab = build_vocabulary([domain.train, domain.dev, domain.test])
-    actions = extract_action_set(domain.train + domain.dev + domain.test, domain.lexicon)
-    feats = [featurize_dialog(d, vocab, actions, domain.lexicon)
-             for d in assign_actions(domain.train, actions, domain.lexicon)]
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    vocab, actions = data.vocab, data.action_set
+    feats = data.featurize(domain.train)
 
     bounds = length_bounds_from(feats)
     config = TurnDropoutConfig(ratio=0.4, length_bounds=bounds, unk_prob=0.5, seed=3)

@@ -16,23 +16,10 @@ from robusthcn.augment import (
     load_ood_pool,
     load_segment_pool,
 )
-from robusthcn.corpus import (
-    Dialog,
-    Turn,
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-    tokenize,
-)
+from robusthcn.corpus import prepare
 from robusthcn.evaluation import evaluate_model
 from robusthcn.models import ModelConfig
-from robusthcn.toy import (
-    SEGMENT_INTERJECTIONS,
-    generate_foreign_dialogs,
-    generate_toy_domain,
-    segment_pool_text,
-)
+from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
 from robusthcn.train import TrainConfig, train_model
 
 SEED = 20250809
@@ -49,20 +36,12 @@ def main():
     print("augmented test: %d IND / %d SEG / %d OOD turns\n"
           % (stats.ind_turns, stats.segment_turns, stats.inserted_turns))
 
-    segment_corpus = [
-        Dialog(id=i, turns=(Turn(user_tokens=tuple(tokenize(u)), system_utterance=""),))
-        for i, u in enumerate(SEGMENT_INTERJECTIONS)
-    ]
-    vocab = build_vocabulary([domain.train, domain.dev, domain.test, foreign, segment_corpus])
-    actions = extract_action_set(domain.train + domain.dev + domain.test, domain.lexicon)
-    n_context = len(domain.lexicon.slot_types) + 1
-
-    def feats(dialogs):
-        return [featurize_dialog(d, vocab, actions, domain.lexicon)
-                for d in assign_actions(dialogs, actions, domain.lexicon)]
-
-    train_f, dev_f = feats(domain.train), feats(domain.dev)
-    plain_f, aug_f = feats(domain.test), feats(test_aug)
+    # the shared vocabulary also embeds the foreign words and interjections
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test],
+                   [foreign, segments.as_dialogs()])
+    vocab, actions = data.vocab, data.action_set
+    train_f, dev_f = data.featurize(domain.train), data.featurize(domain.dev)
+    plain_f, aug_f = data.featurize(domain.test), data.featurize(test_aug)
     model_config = ModelConfig("HCN", embedding_size=32, dialog_hidden_size=64,
                                predictor_hidden_size=64)
 
@@ -71,7 +50,7 @@ def main():
         started = time.time()
         tc = TrainConfig(turn_dropout_ratio=ratio, max_epochs=80, patience=15, seed=SEED)
         model, history = train_model(model_config, tc, train_f, dev_f, vocab, actions,
-                                     n_context)
+                                     data.n_context)
         plain = evaluate_model(model, plain_f, vocab, actions)
         augd = evaluate_model(model, aug_f, vocab, actions)
         rows.append((name, plain, augd))

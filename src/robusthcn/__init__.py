@@ -22,6 +22,7 @@ from .corpus import (
     ContextFeatures,
     Dialog,
     EmbeddingTable,
+    Featurizer,
     Lexicon,
     OodLabel,
     Turn,
@@ -33,6 +34,7 @@ from .corpus import (
     featurize_dialog,
     featurize_turn,
     parse_dialogs,
+    prepare,
     track_context,
     write_dialogs,
 )

@@ -62,6 +62,11 @@ class SegmentPool:
         if any(len(u) == 0 for u in self.interjections):
             raise PoolError("segment pool contains an empty interjection")
 
+    def as_dialogs(self):
+        """One single-turn dialog per interjection, for building a vocabulary."""
+        return [Dialog(id=i, turns=(Turn(user_tokens=u, system_utterance=""),))
+                for i, u in enumerate(self.interjections)]
+
 
 def load_ood_pool(foreign_dialogs, source=""):
     """First user utterance of each foreign dialog, deduplicated in order.

@@ -13,14 +13,9 @@ import os
 import sys
 
 from . import __version__, augment as aug, corpus, evaluation, models, toy
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, resolve_training
 from .seeding import derive_seed
-from .train import (
-    DEFAULT_STAGE2_GRID,
-    TrainConfig,
-    grid_search,
-    train_model,
-)
+from .train import DEFAULT_STAGE2_GRID, grid_search, train_model
 
 CORPUS_FORMAT = 1
 LABEL_FORMAT = 1
@@ -53,18 +48,21 @@ def _load_lexicon(path, flag):
     return corpus.Lexicon.from_lines(_read_text(path, flag).split("\n"))
 
 
+def _write_toy_files(out, domain, foreign):
+    os.makedirs(out, exist_ok=True)
+    for name, dialogs in (("train", domain.train), ("dev", domain.dev),
+                          ("test", domain.test), ("ood_pool", foreign)):
+        corpus.write_dialog_file(os.path.join(out, name + ".txt"), dialogs)
+    domain.lexicon.to_file(os.path.join(out, "lexicon.txt"))
+    _write_text(os.path.join(out, "segment_pool.txt"), toy.segment_pool_text())
+
+
 def cmd_toy(args):
     domain = toy.generate_toy_domain(args.seed, args.n_dialogs, args.n_actions)
     foreign = toy.generate_foreign_dialogs(derive_seed(args.seed, "foreign"),
                                            args.foreign_per_domain)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    corpus.write_dialog_file(os.path.join(out, "train.txt"), domain.train)
-    corpus.write_dialog_file(os.path.join(out, "dev.txt"), domain.dev)
-    corpus.write_dialog_file(os.path.join(out, "test.txt"), domain.test)
-    corpus.write_dialog_file(os.path.join(out, "ood_pool.txt"), foreign)
-    domain.lexicon.to_file(os.path.join(out, "lexicon.txt"))
-    _write_text(os.path.join(out, "segment_pool.txt"), toy.segment_pool_text())
+    _write_toy_files(out, domain, foreign)
     print("toy domain written to %s (train=%d dev=%d test=%d, pool dialogs=%d)"
           % (out, len(domain.train), len(domain.dev), len(domain.test), len(foreign)))
     return 0
@@ -101,94 +99,57 @@ def cmd_augment(args):
     return 0
 
 
-def _build_domain(args, fallback, train_dialogs, dev_dialogs):
-    """Vocabulary, action set and featurizer inputs shared by train/gridsearch."""
-    lexicon = _load_lexicon(args.lexicon, "--lexicon")
-    vocab_corpora = [train_dialogs, dev_dialogs]
-    for path in args.vocab_corpus:
-        vocab_corpora.append(_load_dialogs(path, "--vocab-corpus"))
-    action_corpora = [train_dialogs, dev_dialogs]
-    for path in args.actions_corpus:
-        action_corpora.append(_load_dialogs(path, "--actions-corpus"))
-    vocab = corpus.build_vocabulary(vocab_corpora)
-    action_set = corpus.extract_action_set(
-        [d for c in action_corpora for d in c], lexicon, fallback
-    )
-    return lexicon, vocab, action_set
-
-
-def _featurize_corpus(dialogs, vocab, action_set, lexicon):
-    assigned = corpus.assign_actions(dialogs, action_set, lexicon)
-    return [corpus.featurize_dialog(d, vocab, action_set, lexicon) for d in assigned]
-
-
-class _Resolved:
-    """Flag value if given, else config-file value, else registry default."""
-
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config or RunConfig()
-
-    def get(self, flag_name, key):
-        value = getattr(self.args, flag_name)
-        return value if value is not None else self.config.get(key)
-
-    def seed(self, flag_name, stage):
-        value = getattr(self.args, flag_name)
-        return value if value is not None else self.config.seed_for(stage)
+# flag -> configuration key; training flags default to None so the
+# precedence is flag > --config file > built-in default
+_TRAINING_FLAGS = {
+    "variant": "model.variant",
+    "fallback": "corpus.fallback_template",
+    "seed": "train.seed",
+    "learning_rate": "train.learning_rate",
+    "patience": "train.patience",
+    "word_dropout": "train.word_dropout",
+    "max_epochs": "train.max_epochs",
+    "td_ratio": "turn_dropout.ratio",
+    "embedding_size": "model.embedding_size",
+    "latent_size": "model.latent_size",
+    "embeddings": "model.embedding_file",
+}
 
 
 def _training_setup(args):
-    config = RunConfig.load(args.config) if args.config else None
-    resolved = _Resolved(args, config)
-    variant = resolved.get("variant", "model.variant")
-    fallback = resolved.get("fallback", "corpus.fallback_template")
+    """Resolved configuration and featurized train/dev sets for train/gridsearch."""
+    config = RunConfig.load(args.config) if args.config else RunConfig()
+    overrides = {key: getattr(args, flag, None) for flag, key in _TRAINING_FLAGS.items()}
+    if args.plain_dev_selection:
+        overrides["train.dev_turn_dropout"] = False
+    config = config.with_overrides(overrides)
+    model_config, train_config = resolve_training(config)
 
     train_dialogs = _load_dialogs(args.train, "--train")
     dev_dialogs = _load_dialogs(args.dev, "--dev")
-    lexicon, vocab, action_set = _build_domain(args, fallback, train_dialogs, dev_dialogs)
-    train_feats = _featurize_corpus(train_dialogs, vocab, action_set, lexicon)
-    dev_feats = _featurize_corpus(dev_dialogs, vocab, action_set, lexicon)
-
-    seed = resolved.seed("seed", "train")
-    ratio = resolved.get("td_ratio", "turn_dropout.ratio")
-    if ratio is None:
-        ratio = TrainConfig.for_variant(variant).turn_dropout_ratio
-    train_config = TrainConfig(
-        learning_rate=resolved.get("learning_rate", "train.learning_rate"),
-        patience=resolved.get("patience", "train.patience"),
-        word_dropout=resolved.get("word_dropout", "train.word_dropout"),
-        turn_dropout_ratio=ratio,
-        turn_dropout_unk_prob=resolved.config.get("turn_dropout.unk_prob"),
-        max_epochs=resolved.get("max_epochs", "train.max_epochs"),
-        seed=seed,
-        dev_turn_dropout=(not args.plain_dev_selection)
-        and resolved.config.get("train.dev_turn_dropout"),
+    data = corpus.prepare(
+        _load_lexicon(args.lexicon, "--lexicon"),
+        [train_dialogs, dev_dialogs]
+        + [_load_dialogs(path, "--actions-corpus") for path in args.actions_corpus],
+        [_load_dialogs(path, "--vocab-corpus") for path in args.vocab_corpus],
+        fallback=config.get("corpus.fallback_template"),
     )
-    return resolved, variant, lexicon, vocab, action_set, train_feats, dev_feats, train_config
+    return (config, data, model_config, train_config,
+            data.featurize(train_dialogs), data.featurize(dev_dialogs))
+
+
+def _embedding_table(config, vocab):
+    path = config.get("model.embedding_file")
+    if not path:
+        return None
+    return corpus.load_embedding_table(path, vocab, seed=config.seed_for("train"))
 
 
 def cmd_train(args):
-    (resolved, variant, lexicon, vocab, action_set, train_feats, dev_feats,
-     train_config) = _training_setup(args)
-
-    model_config = models.ModelConfig(
-        variant=variant,
-        embedding_size=resolved.get("embedding_size", "model.embedding_size"),
-        latent_size=(resolved.get("latent_size", "model.latent_size")
-                     if variant == "VHCN" else None),
-        dialog_hidden_size=resolved.config.get("model.dialog_hidden_size"),
-        predictor_hidden_size=resolved.config.get("model.predictor_hidden_size"),
-    )
-    embedding_path = resolved.get("embeddings", "model.embedding_file")
-    embedding_table = None
-    if embedding_path:
-        _read_text(embedding_path, "--embeddings")
-        embedding_table = corpus.load_embedding_table(embedding_path, vocab,
-                                                      seed=train_config.seed)
+    config, data, model_config, train_config, train_feats, dev_feats = _training_setup(args)
     model, history = train_model(
-        model_config, train_config, train_feats, dev_feats, vocab, action_set,
-        n_context=len(lexicon.slot_types) + 1, embedding_table=embedding_table,
+        model_config, train_config, train_feats, dev_feats, data.vocab, data.action_set,
+        data.n_context, embedding_table=_embedding_table(config, data.vocab),
     )
     extra = {
         "train.seed": str(train_config.seed),
@@ -196,13 +157,13 @@ def cmd_train(args):
         "train.word_dropout": str(train_config.word_dropout),
         "train.learning_rate": str(train_config.learning_rate),
     }
-    models.save_checkpoint(args.out_checkpoint, model, lexicon, extra=extra)
+    models.save_checkpoint(args.out_checkpoint, model, data.lexicon, extra=extra)
     if args.history_out:
         lines = history.to_lines()
         lines.extend("# config.%s = %s" % (k, v) for k, v in sorted(extra.items()))
         _write_text(args.history_out, "\n".join(lines) + "\n")
     print("trained %s: best dev acc %.4f at epoch %d (%d epochs, %.1fs)"
-          % (variant, history.best_dev_acc, history.best_epoch,
+          % (model_config.variant, history.best_dev_acc, history.best_epoch,
              len(history.epochs), history.wall_time_s))
     return 0
 
@@ -224,14 +185,13 @@ def _parse_stage1(text):
 
 
 def cmd_gridsearch(args):
-    (resolved, variant, lexicon, vocab, action_set, train_feats, dev_feats,
-     base_train) = _training_setup(args)
+    _, data, model_config, base_train, train_feats, dev_feats = _training_setup(args)
     stage1 = _parse_stage1(args.stage1_grid)
     stage2 = [float(x) for x in args.stage2_grid.split(",") if x.strip()]
     result = grid_search(
-        variant, stage1, stage2, train_feats, dev_feats, vocab, action_set,
-        n_context=len(lexicon.slot_types) + 1, base_train_config=base_train,
-        jobs=args.jobs,
+        model_config.variant, stage1, stage2, train_feats, dev_feats, data.vocab,
+        data.action_set, n_context=data.n_context, base_model_config=model_config,
+        base_train_config=base_train, jobs=args.jobs,
     )
     lines = result.to_lines()
     lines.append("# config.seed = %d" % base_train.seed)
@@ -242,13 +202,8 @@ def cmd_gridsearch(args):
     return 0
 
 
-def _evaluate_to_record(model, loaded, dialogs, labels, prefix):
-    assigned = corpus.assign_actions(dialogs, loaded.action_set, loaded.lexicon)
-    if labels is not None:
-        assigned = aug.apply_labels(assigned, labels)
-    feats = [corpus.featurize_dialog(d, loaded.vocab, loaded.action_set, loaded.lexicon)
-             for d in assigned]
-    row = evaluation.evaluate_model(model, feats, loaded.vocab, loaded.action_set)
+def _evaluate_to_record(model, data, dialogs, prefix):
+    row = evaluation.evaluate_model(model, data.featurize(dialogs), data.vocab, data.action_set)
     return row.to_kv(prefix + ".")
 
 
@@ -257,17 +212,18 @@ def cmd_evaluate(args):
         raise CliError("at least one of --test or --plain-test is required")
     loaded = models.load_checkpoint(args.checkpoint)
     model = models.model_from_checkpoint(loaded)
+    data = corpus.Featurizer(loaded.lexicon, loaded.vocab, loaded.action_set)
     lines = ["model = %s" % args.model_name]
     lines.extend("config.checkpoint.%s = %s" % (k, v) for k, v in sorted(loaded.extra.items()))
     if args.test is not None:
         dialogs = _load_dialogs(args.test, "--test")
-        labels = None
         if args.labels:
             labels = aug.parse_labels(_read_text(args.labels, "--labels"))
-        lines.extend(_evaluate_to_record(model, loaded, dialogs, labels, "augmented"))
+            dialogs = aug.apply_labels(dialogs, labels)
+        lines.extend(_evaluate_to_record(model, data, dialogs, "augmented"))
     if args.plain_test is not None:
         dialogs = _load_dialogs(args.plain_test, "--plain-test")
-        lines.extend(_evaluate_to_record(model, loaded, dialogs, None, "plain"))
+        lines.extend(_evaluate_to_record(model, data, dialogs, "plain"))
     _write_text(args.report_out, "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -290,6 +246,7 @@ def run_pipeline(config, out_dir):
     try:
         os.makedirs(out_dir, exist_ok=True)
         fallback = config.get("corpus.fallback_template")
+        model_config, train_config = resolve_training(config)
 
         stage = "data"
         if config.get("data.train"):
@@ -306,20 +263,13 @@ def run_pipeline(config, out_dir):
                 foreign.extend(_load_dialogs(path.strip(), "data.ood_pool"))
             segment_text = _read_text(config.get("data.segment_pool"), "data.segment_pool")
         else:
-            data_dir = os.path.join(out_dir, "data")
             toy_seed = config.seed_for("toy")
             domain = toy.generate_toy_domain(toy_seed, config.get("toy.n_dialogs"),
                                              config.get("toy.n_actions"))
             foreign = toy.generate_foreign_dialogs(derive_seed(toy_seed, "foreign"))
             lexicon = domain.lexicon
             segment_text = toy.segment_pool_text()
-            os.makedirs(data_dir, exist_ok=True)
-            corpus.write_dialog_file(os.path.join(data_dir, "train.txt"), domain.train)
-            corpus.write_dialog_file(os.path.join(data_dir, "dev.txt"), domain.dev)
-            corpus.write_dialog_file(os.path.join(data_dir, "test.txt"), domain.test)
-            corpus.write_dialog_file(os.path.join(data_dir, "ood_pool.txt"), foreign)
-            lexicon.to_file(os.path.join(data_dir, "lexicon.txt"))
-            _write_text(os.path.join(data_dir, "segment_pool.txt"), segment_text)
+            _write_toy_files(os.path.join(out_dir, "data"), domain, foreign)
             train_dialogs, dev_dialogs, test_dialogs = domain.train, domain.dev, domain.test
 
         stage = "augment"
@@ -339,64 +289,30 @@ def run_pipeline(config, out_dir):
         _write_text(os.path.join(out_dir, "augment_stats.txt"), "\n".join(stats_lines) + "\n")
 
         stage = "featurize"
-        segment_corpus = [
-            corpus.Dialog(id=i, turns=(corpus.Turn(user_tokens=u, system_utterance=""),))
-            for i, u in enumerate(segment_pool.interjections)
-        ]
-        vocab = corpus.build_vocabulary(
-            [train_dialogs, dev_dialogs, test_dialogs, foreign, segment_corpus]
-        )
-        action_set = corpus.extract_action_set(
-            list(train_dialogs) + list(dev_dialogs) + list(test_dialogs), lexicon, fallback
-        )
-        n_context = len(lexicon.slot_types) + 1
-        train_feats = _featurize_corpus(train_dialogs, vocab, action_set, lexicon)
-        dev_feats = _featurize_corpus(dev_dialogs, vocab, action_set, lexicon)
-        test_plain_feats = _featurize_corpus(test_dialogs, vocab, action_set, lexicon)
-        test_aug_feats = _featurize_corpus(test_aug, vocab, action_set, lexicon)
+        data = corpus.prepare(lexicon, [train_dialogs, dev_dialogs, test_dialogs],
+                              [foreign, segment_pool.as_dialogs()], fallback=fallback)
+        train_feats = data.featurize(train_dialogs)
+        dev_feats = data.featurize(dev_dialogs)
+        test_plain_feats = data.featurize(test_dialogs)
+        test_aug_feats = data.featurize(test_aug)
 
         stage = "train"
-        variant = config.get("model.variant")
-        model_config = models.ModelConfig(
-            variant=variant,
-            embedding_size=config.get("model.embedding_size"),
-            latent_size=config.get("model.latent_size") if variant == "VHCN" else None,
-            dialog_hidden_size=config.get("model.dialog_hidden_size"),
-            predictor_hidden_size=config.get("model.predictor_hidden_size"),
-        )
-        ratio = config.get("turn_dropout.ratio")
-        if ratio is None:
-            ratio = TrainConfig.for_variant(variant).turn_dropout_ratio
-        train_config = TrainConfig(
-            learning_rate=config.get("train.learning_rate"),
-            patience=config.get("train.patience"),
-            word_dropout=config.get("train.word_dropout"),
-            turn_dropout_ratio=ratio,
-            turn_dropout_unk_prob=config.get("turn_dropout.unk_prob"),
-            max_epochs=config.get("train.max_epochs"),
-            seed=config.seed_for("train"),
-            dev_turn_dropout=config.get("train.dev_turn_dropout"),
-        )
-        embedding_table = None
-        if config.get("model.embedding_file"):
-            embedding_table = corpus.load_embedding_table(
-                config.get("model.embedding_file"), vocab, seed=config.seed_for("train")
-            )
         model, history = train_model(
-            model_config, train_config, train_feats, dev_feats, vocab, action_set,
-            n_context, embedding_table=embedding_table,
+            model_config, train_config, train_feats, dev_feats, data.vocab, data.action_set,
+            data.n_context, embedding_table=_embedding_table(config, data.vocab),
         )
         models.save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, lexicon)
         _write_text(os.path.join(out_dir, "history.txt"),
                     "\n".join(history.to_lines() + config.echo_lines("# config.")) + "\n")
 
         stage = "evaluate"
-        model_name = ("TD-" if train_config.turn_dropout_ratio > 0 else "") + variant
+        model_name = ("TD-" if train_config.turn_dropout_ratio > 0 else "") + model_config.variant
         lines = ["model = %s" % model_name]
-        row = evaluation.evaluate_model(model, test_aug_feats, vocab, action_set)
+        row = evaluation.evaluate_model(model, test_aug_feats, data.vocab, data.action_set)
         lines.extend(row.to_kv("augmented."))
         if config.get("pipeline.eval_plain"):
-            plain_row = evaluation.evaluate_model(model, test_plain_feats, vocab, action_set)
+            plain_row = evaluation.evaluate_model(model, test_plain_feats, data.vocab,
+                                                  data.action_set)
             lines.extend(plain_row.to_kv("plain."))
         lines.extend(config.echo_lines())
         report_path = os.path.join(out_dir, "report.txt")
@@ -432,8 +348,7 @@ def cmd_pipeline(args):
 
 
 def _add_domain_flags(sub):
-    # training-related defaults stay None so the precedence is
-    # flag > --config file > built-in default
+    # see _TRAINING_FLAGS for the configuration key behind each flag
     sub.add_argument("--variant", choices=models.VARIANTS, default=None)
     sub.add_argument("--config", default=None, help="key = value configuration file")
     sub.add_argument("--train", required=True, help="training transcript file")
@@ -442,7 +357,8 @@ def _add_domain_flags(sub):
     sub.add_argument("--vocab-corpus", action="append", default=[],
                      help="extra transcript whose tokens join the unified vocabulary")
     sub.add_argument("--actions-corpus", action="append", default=[],
-                     help="extra transcript whose templates join the action set")
+                     help="extra transcript whose templates join the action set "
+                          "and whose tokens join the vocabulary")
     sub.add_argument("--fallback", default=None, help="fallback system utterance")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--learning-rate", type=float, default=None)
@@ -548,11 +464,9 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (CliError, ConfigError, corpus.ParseError, aug.PoolError,
-            models.CheckpointError, models.HashMismatchError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, ConfigError, corpus.ParseError, corpus.UnknownActionError,
+            aug.PoolError, models.CheckpointError, models.HashMismatchError,
+            ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -10,7 +10,9 @@ explicitly.
 from __future__ import annotations
 
 from .corpus import DEFAULT_FALLBACK_TEMPLATE
+from .models import ModelConfig
 from .seeding import derive_seed
+from .train import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -36,7 +38,6 @@ KNOWN_KEYS = {
     "augment.seed": (int, None),
     "turn_dropout.ratio": (float, None),
     "turn_dropout.unk_prob": (float, 0.5),
-    "turn_dropout.seed": (int, None),
     "model.variant": (str, "HCN"),
     "model.embedding_size": (int, None),
     "model.latent_size": (int, None),
@@ -138,3 +139,40 @@ class RunConfig:
                 continue
             lines.append("%s%s = %s" % (prefix, key, value))
         return lines
+
+
+def resolve_training(config):
+    """The (ModelConfig, TrainConfig) pair a configuration describes.
+
+    Values that do not apply to the chosen variant (a latent size outside
+    VHCN, an embedding file outside HCN) are rejected rather than dropped.
+    ``model.embedding_file`` is validated here but loaded by the caller,
+    because the table is aligned with the vocabulary.
+    """
+    variant = config.get("model.variant")
+    if variant != "HCN" and config.get("model.embedding_file"):
+        raise ConfigError("model.embedding_file applies to HCN only, not %s "
+                          "(HHCN and VHCN train their own embeddings)" % variant)
+    train_values = dict(
+        learning_rate=config.get("train.learning_rate"),
+        patience=config.get("train.patience"),
+        word_dropout=config.get("train.word_dropout"),
+        turn_dropout_unk_prob=config.get("turn_dropout.unk_prob"),
+        max_epochs=config.get("train.max_epochs"),
+        seed=config.seed_for("train"),
+        dev_turn_dropout=config.get("train.dev_turn_dropout"),
+    )
+    if config.get("turn_dropout.ratio") is not None:
+        train_values["turn_dropout_ratio"] = config.get("turn_dropout.ratio")
+    try:
+        model_config = ModelConfig(
+            variant=variant,
+            embedding_size=config.get("model.embedding_size"),
+            latent_size=config.get("model.latent_size"),
+            dialog_hidden_size=config.get("model.dialog_hidden_size"),
+            predictor_hidden_size=config.get("model.predictor_hidden_size"),
+        )
+        train_config = TrainConfig.for_variant(variant, **train_values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return model_config, train_config

@@ -44,7 +44,9 @@ class ParseError(ValueError):
 
 
 class UnknownActionError(KeyError):
-    pass
+    def __str__(self):
+        # KeyError quotes its argument; this one carries a message
+        return str(self.args[0]) if self.args else ""
 
 
 def tokenize(text):
@@ -480,11 +482,42 @@ def featurize_dialog(dialog, vocab, action_set, lexicon):
 
 
 @dataclass(frozen=True)
+class Featurizer:
+    """The vocabulary and action set shared by every split of one run."""
+
+    lexicon: Lexicon
+    vocab: Vocabulary
+    action_set: ActionSet
+
+    @property
+    def n_context(self):
+        return len(self.lexicon.slot_types) + 1
+
+    def featurize(self, dialogs):
+        """Resolve each turn's action, then build the model inputs."""
+        return [featurize_dialog(d, self.vocab, self.action_set, self.lexicon)
+                for d in assign_actions(dialogs, self.action_set, self.lexicon)]
+
+
+def prepare(lexicon, action_corpora, vocab_corpora=(), fallback=DEFAULT_FALLBACK_TEMPLATE):
+    """Featurizer over dialog collections.
+
+    Every corpus in ``action_corpora`` contributes both its system
+    templates to the action set and its tokens to the vocabulary;
+    ``vocab_corpora`` (e.g. OOD pools a model should still embed)
+    contribute tokens only.
+    """
+    action_corpora = list(action_corpora)
+    vocab = build_vocabulary(action_corpora + list(vocab_corpora))
+    action_set = extract_action_set([d for c in action_corpora for d in c], lexicon, fallback)
+    return Featurizer(lexicon=lexicon, vocab=vocab, action_set=action_set)
+
+
+@dataclass(frozen=True)
 class EmbeddingTable:
-    """Per-token vectors aligned with a vocabulary; frozen tables never train."""
+    """Per-token vectors aligned with a vocabulary."""
 
     vectors: np.ndarray
-    frozen: bool = True
 
     @property
     def dimension(self):
@@ -495,13 +528,13 @@ class EmbeddingTable:
             raise ValueError("embedding table must be 2-D")
 
 
-def random_embedding_table(vocab, dimension, seed, scale=0.1, frozen=True):
+def random_embedding_table(vocab, dimension, seed, scale=0.1):
     """Gaussian fallback table, derived per token so it is vocabulary-order independent."""
     rows = [
         stream(seed, "embedding", tok).normal(0.0, scale, dimension).astype(np.float32)
         for tok in vocab.itos
     ]
-    return EmbeddingTable(vectors=np.stack(rows), frozen=frozen)
+    return EmbeddingTable(vectors=np.stack(rows))
 
 
 def write_embedding_file(path, vocab, table):
@@ -511,7 +544,7 @@ def write_embedding_file(path, vocab, table):
             fh.write(tok + " " + " ".join("%.8f" % v for v in row) + "\n")
 
 
-def load_embedding_table(path, vocab, seed=0, scale=0.1, frozen=True):
+def load_embedding_table(path, vocab, seed=0, scale=0.1):
     """Read an embedding file and align it with ``vocab``.
 
     Tokens missing from the file get deterministic random vectors; file
@@ -534,4 +567,4 @@ def load_embedding_table(path, vocab, seed=0, scale=0.1, frozen=True):
             rows.append(by_token[tok])
         else:
             rows.append(stream(seed, "embedding", tok).normal(0.0, scale, dim).astype(np.float32))
-    return EmbeddingTable(vectors=np.stack(rows), frozen=frozen)
+    return EmbeddingTable(vectors=np.stack(rows))

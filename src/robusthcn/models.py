@@ -41,6 +41,12 @@ DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
 DEFAULT_LATENT_SIZE = 8
 
 
+# header scalars load_checkpoint reads
+_HEADER_SCALARS = ("variant", "n_context", "embedding_size", "latent_size",
+                   "dialog_hidden_size", "predictor_hidden_size", "fallback_action_id",
+                   "vocab_hash", "action_hash")
+
+
 class HashMismatchError(ValueError):
     pass
 
@@ -56,7 +62,6 @@ class ModelConfig:
     latent_size: int | None = None
     dialog_hidden_size: int = 128
     predictor_hidden_size: int = 128
-    embedding_file: str | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -396,7 +401,12 @@ def load_checkpoint(path):
         else:
             scalars[key] = value
 
-    vocab = Vocabulary(vocab_tokens or ())
+    missing = [key for key in _HEADER_SCALARS if key not in scalars]
+    if vocab_tokens is None:
+        missing.insert(0, "vocab")
+    if missing:
+        raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
+    vocab = Vocabulary(vocab_tokens)
     if tuple(vocab.itos) != tuple(vocab_tokens):
         raise CheckpointError("checkpoint vocabulary is not in canonical order")
     action_set = ActionSet(

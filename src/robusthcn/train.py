@@ -39,7 +39,6 @@ class TrainConfig:
     turn_dropout_ratio: float = 0.0
     turn_dropout_unk_prob: float = 0.5
     max_epochs: int = 200
-    batch_dialogs: int = 1
     clip_norm: float = 5.0
     seed: int = 0
     dev_turn_dropout: bool = True
@@ -47,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         for name in ("word_dropout", "turn_dropout_ratio", "turn_dropout_unk_prob"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -243,13 +244,8 @@ class GridSearchResult:
 def _run_grid_cell(args):
     (variant, emb, latent, ratio, stage, base_model_cfg, base_train_cfg,
      train_dialogs, dev_dialogs, vocab, action_set, n_context, dtype) = args
-    model_cfg = ModelConfig(
-        variant=variant,
-        embedding_size=emb,
-        latent_size=latent,
-        dialog_hidden_size=base_model_cfg.dialog_hidden_size,
-        predictor_hidden_size=base_model_cfg.predictor_hidden_size,
-    )
+    model_cfg = dc_replace(base_model_cfg, variant=variant, embedding_size=emb,
+                           latent_size=latent)
     train_cfg = dc_replace(base_train_cfg, turn_dropout_ratio=ratio)
     started = time.perf_counter()
     _, history = train_model(model_cfg, train_cfg, train_dialogs, dev_dialogs,
@@ -279,9 +275,7 @@ def grid_search(variant, stage1_grid, stage2_grid, train_dialogs, dev_dialogs, v
     """
     if not stage1_grid or not stage2_grid:
         raise ValueError("grids must be non-empty")
-    base_model_cfg = base_model_config or ModelConfig(
-        variant=variant, latent_size=8 if variant == "VHCN" else None
-    )
+    base_model_cfg = base_model_config or ModelConfig(variant)
     base_train_cfg = base_train_config or TrainConfig()
 
     def run_cells(specs):
@@ -308,13 +302,9 @@ def grid_search(variant, stage1_grid, stage2_grid, train_dialogs, dev_dialogs, v
     cells.extend(stage2_cells)
     best2 = min(stage2_cells, key=lambda c: (-c.dev_acc, c.turn_dropout_ratio))
 
-    model_config = ModelConfig(
-        variant=variant,
-        embedding_size=best1.embedding_size,
-        latent_size=best1.latent_size,
-        dialog_hidden_size=base_model_cfg.dialog_hidden_size,
-        predictor_hidden_size=base_model_cfg.predictor_hidden_size,
-    )
+    model_config = dc_replace(base_model_cfg, variant=variant,
+                              embedding_size=best1.embedding_size,
+                              latent_size=best1.latent_size)
     train_config = dc_replace(base_train_cfg, turn_dropout_ratio=best2.turn_dropout_ratio)
     return GridSearchResult(
         cells=cells,

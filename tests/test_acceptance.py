@@ -20,26 +20,12 @@ from robusthcn.augment import (
     load_segment_pool,
     sample_ood_block,
 )
-from robusthcn.corpus import (
-    Dialog,
-    OodLabel,
-    Turn,
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-    tokenize,
-)
+from robusthcn.corpus import Dialog, OodLabel, Turn, prepare
 from robusthcn.cli import main as cli_main
 from robusthcn.evaluation import evaluate_model, ood_f1, per_utterance_accuracy
 from robusthcn.models import MODE_INFER, MODE_TRAIN, ModelConfig, dialog_loss
 from robusthcn.seeding import derive_seed, stream
-from robusthcn.toy import (
-    SEGMENT_INTERJECTIONS,
-    generate_foreign_dialogs,
-    generate_toy_domain,
-    segment_pool_text,
-)
+from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
 from robusthcn.train import TrainConfig, train_model
 from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout
 
@@ -59,19 +45,9 @@ def criterion(number, title):
 
 
 def _featurize_all(domain, extra_vocab_corpora=()):
-    vocab = build_vocabulary(
-        [domain.train, domain.dev, domain.test, *extra_vocab_corpora]
-    )
-    actions = extract_action_set(
-        domain.train + domain.dev + domain.test, domain.lexicon
-    )
-    n_context = len(domain.lexicon.slot_types) + 1
-
-    def feats(dialogs):
-        return [featurize_dialog(d, vocab, actions, domain.lexicon)
-                for d in assign_actions(dialogs, actions, domain.lexicon)]
-
-    return vocab, actions, n_context, feats
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test],
+                   extra_vocab_corpora)
+    return data.vocab, data.action_set, data.n_context, data.featurize
 
 
 def test_criterion_1_gradient_correctness():
@@ -212,12 +188,8 @@ def test_criterion_5_mechanism_reproduction_desk_scale():
         test_aug, stats = augment_corpus(domain.test, aug_config, pool, segments)
         assert stats.inserted_turns > 0 and stats.segment_turns > 0
 
-        segment_corpus = [
-            Dialog(id=i, turns=(Turn(user_tokens=tuple(tokenize(u)), system_utterance=""),))
-            for i, u in enumerate(SEGMENT_INTERJECTIONS)
-        ]
         vocab, actions, n_context, feats = _featurize_all(
-            domain, extra_vocab_corpora=[foreign, segment_corpus]
+            domain, extra_vocab_corpora=[foreign, segments.as_dialogs()]
         )
         train_f, dev_f = feats(domain.train), feats(domain.dev)
         plain_f, aug_f = feats(domain.test), feats(test_aug)
@@ -291,26 +263,16 @@ def test_criterion_6_conditional_babi_task6():
         aug_config = AugmentationConfig(p_ood_start=0.2, p_ood_cont=0.4, seed=606)
         test_aug, _ = augment_corpus(test_d, aug_config, pool, segments)
 
-        segment_corpus = [
-            Dialog(id=i, turns=(Turn(user_tokens=u, system_utterance=""),))
-            for i, u in enumerate(segments.interjections)
-        ]
-        vocab = build_vocabulary([train_d, dev_d, test_d, foreign, segment_corpus])
-        actions = extract_action_set(train_d + dev_d + test_d, lexicon)
-        n_context = len(lexicon.slot_types) + 1
-
-        def feats(dialogs):
-            return [featurize_dialog(d, vocab, actions, lexicon)
-                    for d in assign_actions(dialogs, actions, lexicon)]
-
-        train_f, dev_f = feats(train_d), feats(dev_d)
-        plain_f, aug_f = feats(test_d), feats(test_aug)
+        data = prepare(lexicon, [train_d, dev_d, test_d], [foreign, segments.as_dialogs()])
+        train_f, dev_f = data.featurize(train_d), data.featurize(dev_d)
+        plain_f, aug_f = data.featurize(test_d), data.featurize(test_aug)
 
         config = ModelConfig("HCN")
         rows = {}
         for ratio in (0.0, 0.4):
             tc = TrainConfig(turn_dropout_ratio=ratio, max_epochs=60, patience=20, seed=607)
-            model, _ = train_model(config, tc, train_f, dev_f, vocab, actions, n_context)
+            model, _ = train_model(config, tc, train_f, dev_f, data.vocab, data.action_set,
+                                   data.n_context)
             rows[ratio] = (evaluate_model(model, plain_f), evaluate_model(model, aug_f))
 
         _, aug_no_td = rows[0.0]

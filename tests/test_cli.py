@@ -1,9 +1,11 @@
 import pytest
 
+from robusthcn import cli, train
 from robusthcn.cli import main
 from robusthcn.config import ConfigError, RunConfig
-from robusthcn.corpus import parse_dialogs
+from robusthcn.corpus import load_embedding_table, parse_dialogs
 from robusthcn.evaluation import parse_report
+from robusthcn.models import load_checkpoint
 
 
 def _run(*argv):
@@ -189,3 +191,136 @@ def test_config_overrides_and_defaults():
     assert config.seed_for("augment") != config.seed_for("train")
     pinned = config.with_overrides({"augment.seed": 123})
     assert pinned.seed_for("augment") == 123
+
+
+def _domain_flags(toy_files):
+    return ["--train", str(toy_files / "train.txt"), "--dev", str(toy_files / "dev.txt"),
+            "--lexicon", str(toy_files / "lexicon.txt")]
+
+
+def test_train_max_epochs_zero_is_an_error(toy_files, tmp_path, capsys):
+    code = _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "0",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_evaluate_unknown_action_is_an_error(toy_files, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
+                "--out-checkpoint", str(ckpt)) == 0
+    capsys.readouterr()
+    # the foreign pool's system turns are outside the checkpoint's action set
+    code = _run("evaluate", "--checkpoint", str(ckpt),
+                "--plain-test", str(toy_files / "ood_pool.txt"),
+                "--report-out", str(tmp_path / "r.txt"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown action template")
+
+
+@pytest.mark.parametrize("variant", ["HHCN", "VHCN"])
+def test_train_rejects_embeddings_outside_hcn(toy_files, tmp_path, capsys, variant):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("1 2\nhello 0.1 0.2\n")
+    code = _run("train", "--variant", variant, *_domain_flags(toy_files),
+                "--embeddings", str(emb), "--max-epochs", "1",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert "error: model.embedding_file applies to HCN only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN"])
+def test_train_rejects_latent_size_outside_vhcn(toy_files, tmp_path, capsys, variant):
+    code = _run("train", "--variant", variant, *_domain_flags(toy_files),
+                "--latent-size", "4", "--max-epochs", "1",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert "error: latent_size is only valid for VHCN" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_latent_size_outside_vhcn(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("model.variant = HHCN\nmodel.latent_size = 4\ntoy.n_dialogs = 24\n"
+                      "toy.n_actions = 8\ntrain.max_epochs = 1\n")
+    code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert "error: stage setup: latent_size is only valid for VHCN" in capsys.readouterr().err
+
+
+def test_train_loads_hcn_embeddings(toy_files, tmp_path):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 6\n<unk> 1 2 3 4 5 6\nzzz-not-in-vocab 0 0 0 0 0 0\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--seed", "3",
+                "--embedding-size", "6", "--embeddings", str(emb), "--max-epochs", "1",
+                "--out-checkpoint", str(ckpt)) == 0
+    loaded = load_checkpoint(ckpt)
+    expected = load_embedding_table(emb, loaded.vocab, seed=3)
+    assert (loaded.arrays["embedding"] == expected.vectors).all()
+    assert loaded.arrays["embedding"][0].tolist() == [1, 2, 3, 4, 5, 6]
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_train_and_pipeline_resolve_the_same_configs(toy_files, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(model_config, train_config, *args, **kwargs):
+        seen.append((model_config, train_config))
+        raise _Captured
+
+    monkeypatch.setattr(cli, "train_model", capture)
+    config = tmp_path / "run.cfg"
+    config.write_text("run.seed = 5\ntoy.n_dialogs = 24\ntoy.n_actions = 8\n"
+                      "model.variant = VHCN\nmodel.latent_size = 4\n"
+                      "model.dialog_hidden_size = 16\nturn_dropout.unk_prob = 0.3\n"
+                      "train.dev_turn_dropout = false\ntrain.learning_rate = 0.002\n")
+    with pytest.raises(_Captured):
+        _run("train", "--config", str(config), *_domain_flags(toy_files),
+             "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    with pytest.raises(_Captured):
+        _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert len(seen) == 2
+    assert seen[0] == seen[1]
+    model_config, train_config = seen[0]
+    assert (model_config.latent_size, model_config.dialog_hidden_size) == (4, 16)
+    assert train_config.dev_turn_dropout is False
+
+
+def test_plain_dev_selection_flag_maps_to_the_config_key(toy_files, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(model_config, train_config, *args, **kwargs):
+        seen.append(train_config)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "train_model", capture)
+    for extra in ([], ["--plain-dev-selection"]):
+        with pytest.raises(_Captured):
+            _run("train", "--variant", "HCN", *_domain_flags(toy_files), *extra,
+                 "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert [c.dev_turn_dropout for c in seen] == [True, False]
+
+
+def test_gridsearch_reads_model_sizes_from_config(toy_files, tmp_path, monkeypatch):
+    seen = []
+
+    def fake_train(model_config, train_config, *args, **kwargs):
+        seen.append(model_config)
+        history = train.TrainHistory(best_epoch=0)
+        history.epochs.append(train.EpochRecord(epoch=0, train_loss=1.0, dev_acc=0.5,
+                                                kl_mean=0.0))
+        return None, history
+
+    monkeypatch.setattr(train, "train_model", fake_train)
+    config = tmp_path / "grid.cfg"
+    config.write_text("model.dialog_hidden_size = 16\nmodel.predictor_hidden_size = 12\n")
+    assert _run("gridsearch", "--config", str(config), "--variant", "HCN",
+                *_domain_flags(toy_files), "--stage1-grid", "8,12", "--stage2-grid", "0.2",
+                "--results-out", str(tmp_path / "grid.tsv")) == 0
+    assert len(seen) == 3
+    assert all((c.dialog_hidden_size, c.predictor_hidden_size) == (16, 12) for c in seen)

@@ -17,6 +17,7 @@ from robusthcn.corpus import (
     featurize_turn,
     load_embedding_table,
     parse_dialogs,
+    prepare,
     random_embedding_table,
     tokenize,
     track_context,
@@ -316,6 +317,34 @@ def test_featurize_requires_assigned_actions(small_domain):
     turn = Turn(user_tokens=("hi",), system_utterance="good bye")
     with pytest.raises(UnknownActionError):
         featurize_turn(turn, (), vocab, actions, domain.lexicon)
+
+
+def test_prepare_matches_the_step_by_step_sequence(small_domain):
+    domain, vocab, actions, dialogs = small_domain
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    assert data.vocab == vocab
+    assert data.action_set == actions
+    assert data.n_context == len(domain.lexicon.slot_types) + 1
+    got = data.featurize(domain.train)
+    assert len(got) == len(dialogs)
+    for featurized, dialog in zip(got, dialogs):
+        expected = featurize_dialog(dialog, vocab, actions, domain.lexicon)
+        assert len(featurized) == len(expected)
+        for a, b in zip(featurized, expected):
+            assert a.target == b.target and a.f_ctx == b.f_ctx and a.ood_label is b.ood_label
+            np.testing.assert_array_equal(a.f_turn, b.f_turn)
+            np.testing.assert_array_equal(a.prev_action, b.prev_action)
+
+
+def test_prepare_vocab_corpora_add_tokens_not_actions():
+    domain = generate_toy_domain(17, 40, 8)
+    extra = parse_dialogs("1 zzzforeign words\tzzzforeign reply\n")
+    data = prepare(domain.lexicon, [domain.train], [extra], fallback="custom fallback")
+    assert "zzzforeign" in data.vocab
+    assert not any("zzzforeign" in t for t in data.action_set.templates)
+    assert data.action_set.fallback_template == "custom fallback"
+    with pytest.raises(UnknownActionError):
+        data.featurize(extra)
 
 
 # ----------------------------------------------------------- embeddings io

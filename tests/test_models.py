@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from robusthcn import nn
-from robusthcn.corpus import (
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-)
+from robusthcn.corpus import build_vocabulary, prepare
 from robusthcn.models import (
+    CheckpointError,
     HashMismatchError,
     MODE_INFER,
     MODE_TRAIN,
@@ -235,21 +231,15 @@ def test_frozen_embedding_gets_zero_gradient():
 @pytest.fixture(scope="module")
 def toy_trained(tmp_path_factory):
     domain = generate_toy_domain(31, 40, 8)
-    vocab = build_vocabulary([domain.train, domain.dev, domain.test])
-    actions = extract_action_set(domain.train + domain.dev + domain.test, domain.lexicon)
-    train_feats = [
-        featurize_dialog(d, vocab, actions, domain.lexicon)
-        for d in assign_actions(domain.train, actions, domain.lexicon)
-    ]
-    dev_feats = [
-        featurize_dialog(d, vocab, actions, domain.lexicon)
-        for d in assign_actions(domain.dev, actions, domain.lexicon)
-    ]
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    vocab, actions = data.vocab, data.action_set
+    train_feats = data.featurize(domain.train)
+    dev_feats = data.featurize(domain.dev)
     config = ModelConfig("HCN", embedding_size=12, dialog_hidden_size=16,
                          predictor_hidden_size=16)
     tc = TrainConfig(turn_dropout_ratio=0.0, max_epochs=8, patience=8, seed=5)
     model, history = train_model(config, tc, train_feats, dev_feats, vocab, actions,
-                                 n_context=len(domain.lexicon.slot_types) + 1)
+                                 n_context=data.n_context)
     return domain, vocab, actions, model, dev_feats
 
 
@@ -278,6 +268,24 @@ def test_checkpoint_detects_tampering(tmp_path, toy_trained):
     sample = vocab.itos[5].encode()
     path.write_bytes(blob.replace(b"vocab_hash", b"vocab_hash", 1).replace(sample, b"@" * len(sample), 1))
     with pytest.raises(Exception):
+        load_checkpoint(path)
+
+
+def test_header_only_checkpoint_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(b"robusthcn-checkpoint 1\nend_header\n")
+    with pytest.raises(CheckpointError, match="lacks vocab"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_scalars_is_a_checkpoint_error(tmp_path, toy_trained):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    header, _, payload = path.read_bytes().partition(b"end_header\n")
+    kept = [line for line in header.split(b"\n") if not line.startswith(b"fallback_action_id")]
+    path.write_bytes(b"\n".join(kept) + b"end_header\n" + payload)
+    with pytest.raises(CheckpointError, match="fallback_action_id"):
         load_checkpoint(path)
 
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from robusthcn.corpus import (
-    EmbeddingTable,
-    UNK_INDEX,
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-)
+from robusthcn.corpus import EmbeddingTable, UNK_INDEX, prepare
 from robusthcn.models import ModelConfig, predict_dialog
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
@@ -27,15 +20,9 @@ from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout
 @pytest.fixture(scope="module")
 def toy():
     domain = generate_toy_domain(41, 24, 8)
-    vocab = build_vocabulary([domain.train, domain.dev, domain.test])
-    actions = extract_action_set(domain.train + domain.dev + domain.test, domain.lexicon)
-    nctx = len(domain.lexicon.slot_types) + 1
-
-    def feats(dialogs):
-        return [featurize_dialog(d, vocab, actions, domain.lexicon)
-                for d in assign_actions(dialogs, actions, domain.lexicon)]
-
-    return domain, vocab, actions, nctx, feats(domain.train), feats(domain.dev)
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    return (domain, data.vocab, data.action_set, data.n_context,
+            data.featurize(domain.train), data.featurize(domain.dev))
 
 
 SMALL = dict(embedding_size=16, dialog_hidden_size=32, predictor_hidden_size=32)

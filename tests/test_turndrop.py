@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from robusthcn.corpus import (
-    UNK_INDEX,
-    assign_actions,
-    build_vocabulary,
-    extract_action_set,
-    featurize_dialog,
-)
+from robusthcn.corpus import UNK_INDEX, prepare
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.turndrop import (
@@ -21,11 +15,8 @@ from robusthcn.turndrop import (
 @pytest.fixture(scope="module")
 def featurized():
     domain = generate_toy_domain(29, 40, 8)
-    vocab = build_vocabulary([domain.train, domain.dev, domain.test])
-    actions = extract_action_set(domain.train + domain.dev + domain.test, domain.lexicon)
-    dialogs = assign_actions(domain.train, actions, domain.lexicon)
-    feats = [featurize_dialog(d, vocab, actions, domain.lexicon) for d in dialogs]
-    return vocab, actions, feats
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    return data.vocab, data.action_set, data.featurize(domain.train)
 
 
 def test_synth_all_unk_when_unk_prob_one(featurized):
