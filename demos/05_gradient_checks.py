@@ -10,7 +10,7 @@ import numpy as np
 
 from robusthcn import nn
 from robusthcn.corpus import ActionSet, ContextFeatures, TurnFeatures, Vocabulary
-from robusthcn.models import MODE_INFER, MODE_TRAIN, Model, ModelConfig, dialog_loss
+from robusthcn.models import Model, ModelConfig, dialog_loss
 from robusthcn.seeding import stream
 
 
@@ -60,11 +60,11 @@ def main():
             noise = ReplayNoise([stream(1, "n", i).standard_normal(3) for i in range(2)])
 
             def fn():
-                loss, _ = dialog_loss(model, dialog, MODE_TRAIN, noise.reset())
+                loss, _ = dialog_loss(model, dialog, noise.reset())
                 return loss
         else:
             def fn():
-                loss, _ = dialog_loss(model, dialog, MODE_INFER)
+                loss, _ = dialog_loss(model, dialog)
                 return loss
 
         params = [p for p in model.parameters() if p.trainable]
@@ -79,7 +79,7 @@ def main():
     opt = nn.Adam([p], learning_rate=0.05)
     for step in range(51):
         opt.zero_grad()
-        diff = nn.sub(p, nn.as_tensor(target))
+        diff = nn.add(p, nn.as_tensor(-target))
         loss = nn.vsum(nn.mul(diff, diff))
         nn.backward(loss)
         opt.step()

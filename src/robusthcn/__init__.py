@@ -32,10 +32,8 @@ from .corpus import (
     delexicalize,
     extract_action_set,
     featurize_dialog,
-    featurize_turn,
     parse_dialogs,
     prepare,
-    track_context,
     write_dialogs,
 )
 from .evaluation import MetricsRow, evaluate_model, ood_f1, per_utterance_accuracy

@@ -184,8 +184,16 @@ def _parse_stage1(text):
     return cells
 
 
+# the stage-1 grid sets the sizes, and grid cells train from random embeddings
+_GRID_OWNED_KEYS = ("model.embedding_file", "model.embedding_size", "model.latent_size")
+
+
 def cmd_gridsearch(args):
-    _, data, model_config, base_train, train_feats, dev_feats = _training_setup(args)
+    config, data, model_config, base_train, train_feats, dev_feats = _training_setup(args)
+    owned = [key for key in _GRID_OWNED_KEYS if config.get(key) is not None]
+    if owned:
+        raise CliError("gridsearch does not take %s from --config "
+                       "(--stage1-grid sets the model sizes)" % ", ".join(owned))
     stage1 = _parse_stage1(args.stage1_grid)
     stage2 = [float(x) for x in args.stage2_grid.split(",") if x.strip()]
     result = grid_search(

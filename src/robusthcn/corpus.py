@@ -272,14 +272,6 @@ class Lexicon:
                 return toks, slot_type
         return None
 
-    def value_occurs(self, tokens, slot_type):
-        toks = tuple(tokens)
-        for i in range(len(toks)):
-            hit = self.match_at(toks, i)
-            if hit is not None and hit[1] == slot_type:
-                return True
-        return False
-
     def to_lines(self):
         return ["%s\t%s" % (slot, v) for slot in self.slot_types for v in self.entries[slot]]
 
@@ -398,39 +390,14 @@ class ContextFeatures:
         return len(self.slot_types) + 1
 
 
-def track_context(dialog_prefix, lexicon):
-    """Context features over a (possibly empty) prefix of turns.
-
-    A slot counts as provided once any user turn in the prefix contains
-    one of its lexicon values.  The api indicator is 1 iff at least one
-    kb fact was observed after the most recent api_call.
-    """
-    prefix = list(dialog_prefix)
-    provided = []
-    for slot_type in lexicon.slot_types:
-        bit = any(lexicon.value_occurs(t.user_tokens, slot_type) for t in prefix)
-        provided.append(int(bit))
-    last_api = None
-    for i, turn in enumerate(prefix):
-        if _is_api_call(turn):
-            last_api = i
-    api_returned = 0
-    if last_api is not None:
-        api_returned = int(any(len(t.kb_facts) > 0 for t in prefix[last_api + 1 :]))
-    return ContextFeatures(
-        slot_types=lexicon.slot_types,
-        slot_provided=tuple(provided),
-        api_returned=api_returned,
-    )
-
-
 @dataclass
 class TurnFeatures:
     """Model input record for one turn.
 
     ``bow_indices`` is the sorted set of distinct token indices in
     ``f_turn``; :meth:`bow_vector` materializes the binary vector.
-    ``f_mask`` is all ones.
+    ``f_mask`` is all ones; the models read it as an input feature and
+    never apply it to the logits.
     """
 
     f_turn: np.ndarray
@@ -447,38 +414,51 @@ class TurnFeatures:
         return vec
 
 
-def featurize_turn(turn, prefix, vocab, action_set, lexicon):
-    """Build the model input for one turn given the turns before it.
+def featurize_dialog(dialog, vocab, action_set, lexicon):
+    """Model inputs for every turn of a dialog, in one pass over its turns.
 
     Context tracking sees the current turn as well: slot values and kb
     facts delivered with this exchange are part of the state the system
-    acts on.
+    acts on.  A slot counts as provided once any user turn so far
+    contains one of its lexicon values.  The api indicator is 1 iff at
+    least one kb fact arrived after the most recent api_call.
     """
-    if turn.system_action is None or not (0 <= turn.system_action < action_set.size):
-        raise UnknownActionError("turn has no valid action id (run assign_actions first)")
-    f_turn = vocab.encode(turn.user_tokens)
-    prev = np.zeros(action_set.size, dtype=np.float32)
-    if prefix:
-        prev_id = prefix[-1].system_action
-        if prev_id is None or not (0 <= prev_id < action_set.size):
-            raise UnknownActionError("previous turn has no valid action id")
-        prev[prev_id] = 1.0
-    return TurnFeatures(
-        f_turn=f_turn,
-        bow_indices=np.unique(f_turn),
-        f_ctx=track_context(list(prefix) + [turn], lexicon),
-        f_mask=np.ones(action_set.size, dtype=np.float32),
-        prev_action=prev,
-        target=turn.system_action,
-        ood_label=turn.ood_label,
-    )
-
-
-def featurize_dialog(dialog, vocab, action_set, lexicon):
-    return [
-        featurize_turn(turn, dialog.turns[:i], vocab, action_set, lexicon)
-        for i, turn in enumerate(dialog.turns)
-    ]
+    provided = set()
+    after_api_call = False
+    api_returned = 0
+    prev_id = None
+    out = []
+    for turn in dialog.turns:
+        if turn.system_action is None or not (0 <= turn.system_action < action_set.size):
+            raise UnknownActionError("turn has no valid action id (run assign_actions first)")
+        tokens = turn.user_tokens
+        for i in range(len(tokens)):
+            hit = lexicon.match_at(tokens, i)
+            if hit is not None:
+                provided.add(hit[1])
+        if _is_api_call(turn):
+            after_api_call, api_returned = True, 0
+        elif after_api_call and turn.kb_facts:
+            api_returned = 1
+        f_turn = vocab.encode(tokens)
+        prev = np.zeros(action_set.size, dtype=np.float32)
+        if prev_id is not None:
+            prev[prev_id] = 1.0
+        out.append(TurnFeatures(
+            f_turn=f_turn,
+            bow_indices=np.unique(f_turn),
+            f_ctx=ContextFeatures(
+                slot_types=lexicon.slot_types,
+                slot_provided=tuple(int(s in provided) for s in lexicon.slot_types),
+                api_returned=api_returned,
+            ),
+            f_mask=np.ones(action_set.size, dtype=np.float32),
+            prev_action=prev,
+            target=turn.system_action,
+            ood_label=turn.ood_label,
+        ))
+        prev_id = turn.system_action
+    return out
 
 
 @dataclass(frozen=True)

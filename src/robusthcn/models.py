@@ -31,8 +31,6 @@ from .corpus import ActionSet, Lexicon, Vocabulary
 from .seeding import stream
 
 VARIANTS = ("HCN", "HHCN", "VHCN")
-MODE_TRAIN = "train"
-MODE_INFER = "infer"
 
 CHECKPOINT_FORMAT = 1
 _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
@@ -73,6 +71,11 @@ class ModelConfig:
                 self.latent_size = DEFAULT_LATENT_SIZE
         elif self.latent_size is not None:
             raise ValueError("latent_size is only valid for VHCN")
+        for name in ("embedding_size", "latent_size", "dialog_hidden_size",
+                     "predictor_hidden_size"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ValueError("%s must be at least 1, got %r" % (name, size))
 
     @property
     def turn_vector_size(self):
@@ -189,10 +192,12 @@ class Model:
         zeros = np.zeros(hidden, dtype=self.dtype)
         return DialogState(h=nn.as_tensor(zeros.copy()), c=nn.as_tensor(zeros.copy()))
 
-    def encode_turn(self, features, mode=MODE_INFER, rng=None):
-        """Turn vector for one turn; VHCN also returns the posterior encoding."""
-        if mode not in (MODE_TRAIN, MODE_INFER):
-            raise ValueError("mode must be 'train' or 'infer'")
+    def encode_turn(self, features, rng=None):
+        """Turn vector for one turn; VHCN also returns the posterior encoding.
+
+        VHCN samples the latent from ``rng`` when one is given (training)
+        and uses the posterior mean otherwise (inference).
+        """
         cfg = self.config
         if cfg.variant == "HCN":
             return nn.embed_mean(self.embedding, features.f_turn), None
@@ -207,9 +212,7 @@ class Model:
         mu = self.mu_head(h)
         logvar = self.logvar_head(h)
         sigma = nn.exp(nn.mul(0.5, logvar))
-        if mode == MODE_TRAIN:
-            if rng is None:
-                raise ValueError("train-mode VHCN encoding needs an rng for the noise draw")
+        if rng is not None:
             noise = np.asarray(rng.standard_normal(cfg.latent_size), dtype=self.dtype)
             z = nn.reparameterize(mu, sigma, noise)
         else:
@@ -217,7 +220,7 @@ class Model:
         return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
 
     def dialog_step(self, state, turn_vector, features):
-        """One dialog-level step; returns (new state, masked action logits)."""
+        """One dialog-level step; returns (new state, action logits)."""
         ctx = nn.as_tensor(features.f_ctx.vector(self.dtype))
         mask = np.asarray(features.f_mask, dtype=self.dtype)
         prev_idx = np.nonzero(features.prev_action)[0]
@@ -236,27 +239,20 @@ class Model:
         )
         h, c = nn.lstm_step_from_input(z_x, state.h, state.c, self._dlg_weights)
         logits = self.pred_out(nn.relu(self.pred_hidden(h)))
-        log_mask = np.where(mask > 0, 0.0, -np.inf).astype(self.dtype)
-        logits = nn.add(logits, nn.as_tensor(log_mask))
         return DialogState(h=h, c=c), logits
 
     def bow_logits(self, encoding):
         return self.bow_head(encoding.z)
 
 
-def loss_hcn(logits, target, mask):
-    """Action cross-entropy (the HCN and HHCN objective, sign-reversed)."""
-    return nn.softmax_ce(logits, target, mask)
-
-
-def loss_vhcn(logits, target, mask, encoding, bow_logits, x_bow):
+def loss_vhcn(logits, target, encoding, bow_logits, x_bow):
     """Joint objective: action CE + bag-of-words CE + closed-form KL.
 
     All three terms are the minimized (positive) forms; the same latent
     sample feeds the action path and the reconstruction.  Returns the
     total and a per-term breakdown.
     """
-    ce = nn.softmax_ce(logits, target, mask)
+    ce = nn.softmax_ce(logits, target)
     bow = nn.bow_sigmoid_ce(bow_logits, x_bow)
     kl = nn.gaussian_kl(encoding.mu, encoding.sigma)
     total = nn.add(nn.add(ce, bow), kl)
@@ -268,25 +264,28 @@ def loss_vhcn(logits, target, mask, encoding, bow_logits, x_bow):
     return total, breakdown
 
 
-def dialog_loss(model, featurized_dialog, mode=MODE_TRAIN, rng=None):
-    """Mean per-turn loss over one dialog, with a term breakdown."""
+def dialog_loss(model, featurized_dialog, rng=None):
+    """Mean per-turn loss over one dialog, with a term breakdown.
+
+    ``rng`` draws the VHCN latent noise; without it VHCN uses the
+    posterior mean.  HCN and HHCN ignore it.
+    """
     if not featurized_dialog:
         raise ValueError("empty dialog")
     state = model.initial_state()
     total = None
     sums = {"action_ce": 0.0, "bow_ce": 0.0, "kl": 0.0}
     for features in featurized_dialog:
-        turn_vec, encoding = model.encode_turn(features, mode, rng)
+        turn_vec, encoding = model.encode_turn(features, rng)
         state, logits = model.dialog_step(state, turn_vec, features)
         if model.config.variant == "VHCN":
             bow = model.bow_logits(encoding)
             x_bow = features.bow_vector(len(model.vocab), model.dtype)
-            term, breakdown = loss_vhcn(logits, features.target, features.f_mask,
-                                        encoding, bow, x_bow)
+            term, breakdown = loss_vhcn(logits, features.target, encoding, bow, x_bow)
             for key, val in breakdown.items():
                 sums[key] += val
         else:
-            term = loss_hcn(logits, features.target, features.f_mask)
+            term = nn.softmax_ce(logits, features.target)
             sums["action_ce"] += float(term.data)
         total = term if total is None else nn.add(total, term)
     n = len(featurized_dialog)
@@ -306,7 +305,7 @@ def predict_dialog(model, featurized_dialog):
     with nn.no_grad():
         state = model.initial_state()
         for features in featurized_dialog:
-            turn_vec, _ = model.encode_turn(features, MODE_INFER)
+            turn_vec, _ = model.encode_turn(features)
             state, logits = model.dialog_step(state, turn_vec, features)
             actions.append(int(np.argmax(logits.data)))
     return actions
@@ -361,18 +360,35 @@ class LoadedCheckpoint:
     extra: dict = field(default_factory=dict)
 
 
+def _header_int(text, what):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise CheckpointError("checkpoint %s is not a non-negative integer: %r" % (what, text))
+    return value
+
+
 def load_checkpoint(path):
+    """Parse a checkpoint file; any malformed content raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     marker = b"end_header\n"
     split = blob.find(marker)
     if split < 0:
         raise CheckpointError("missing end_header marker")
-    header = blob[:split].decode("utf-8").split("\n")
+    try:
+        header = blob[:split].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError("checkpoint header is not UTF-8: %s" % exc) from None
     payload = blob[split + len(marker):]
-    if not header or not header[0].startswith(_CHECKPOINT_MAGIC):
+    magic = header[0].split(" ")
+    if magic[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file")
-    version = int(header[0].split()[1])
+    if len(magic) != 2:
+        raise CheckpointError("checkpoint magic line lacks a format version")
+    version = _header_int(magic[1], "format version")
     if version != CHECKPOINT_FORMAT:
         raise CheckpointError("unsupported checkpoint format %d" % version)
 
@@ -394,7 +410,8 @@ def load_checkpoint(path):
             lexicon_lines.append(value)
         elif key == "param":
             name, _, dims = value.rpartition(" ")
-            shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+            shape = tuple(_header_int(d, "dimension of %s" % name)
+                          for d in dims.split(",")) if dims else ()
             param_specs.append((name, shape))
         elif key.startswith("extra."):
             extra[key[len("extra."):]] = value
@@ -409,21 +426,26 @@ def load_checkpoint(path):
     vocab = Vocabulary(vocab_tokens)
     if tuple(vocab.itos) != tuple(vocab_tokens):
         raise CheckpointError("checkpoint vocabulary is not in canonical order")
-    action_set = ActionSet(
-        templates=tuple(actions), fallback_action_id=int(scalars["fallback_action_id"])
-    )
-    lexicon = Lexicon.from_lines(lexicon_lines)
+    fallback_id = _header_int(scalars["fallback_action_id"], "fallback_action_id")
+    if fallback_id >= len(actions):
+        raise CheckpointError("fallback_action_id %d is outside the %d actions"
+                              % (fallback_id, len(actions)))
+    action_set = ActionSet(templates=tuple(actions), fallback_action_id=fallback_id)
+    try:
+        lexicon = Lexicon.from_lines(lexicon_lines)
+    except ValueError as exc:
+        raise CheckpointError("bad checkpoint lexicon: %s" % exc) from None
     if vocab.sha256() != scalars["vocab_hash"] or action_set.sha256() != scalars["action_hash"]:
         raise CheckpointError("stored hashes do not match checkpoint contents")
 
+    sizes = {key: _header_int(scalars[key], key)
+             for key in ("embedding_size", "dialog_hidden_size", "predictor_hidden_size")}
     latent = scalars["latent_size"]
-    config = ModelConfig(
-        variant=scalars["variant"],
-        embedding_size=int(scalars["embedding_size"]),
-        latent_size=None if latent == "none" else int(latent),
-        dialog_hidden_size=int(scalars["dialog_hidden_size"]),
-        predictor_hidden_size=int(scalars["predictor_hidden_size"]),
-    )
+    latent = None if latent == "none" else _header_int(latent, "latent_size")
+    try:
+        config = ModelConfig(variant=scalars["variant"], latent_size=latent, **sizes)
+    except ValueError as exc:
+        raise CheckpointError("bad checkpoint model configuration: %s" % exc) from None
 
     arrays = OrderedDict()
     reader = io.BytesIO(payload)
@@ -441,7 +463,7 @@ def load_checkpoint(path):
         vocab=vocab,
         action_set=action_set,
         lexicon=lexicon,
-        n_context=int(scalars["n_context"]),
+        n_context=_header_int(scalars["n_context"], "n_context"),
         arrays=arrays,
         extra=extra,
     )

@@ -63,24 +63,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def backward(self):
         backward(self)
 
@@ -148,17 +130,6 @@ def add(a, b):
     return _node(out_data, (a, b), backward_fn)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(out_data, (a, b), backward_fn)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
@@ -168,15 +139,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), backward_fn)
-
-
-def neg(a):
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), backward_fn)
 
 
 def matvec(m, v):
@@ -250,18 +212,6 @@ def mean_rows(x):
     return _node(x.data.mean(axis=0), (x,), backward_fn)
 
 
-def concat(parts):
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[a:b])
-
-    return _node(np.concatenate([p.data for p in parts]), tuple(parts), backward_fn)
-
-
 def slice1d(x, a, b):
     x = as_tensor(x)
 
@@ -318,15 +268,6 @@ def exp(x):
         _accum(x, g * e)
 
     return _node(e, (x,), backward_fn)
-
-
-def log(x):
-    x = as_tensor(x)
-
-    def backward_fn(g):
-        _accum(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), backward_fn)
 
 
 def vsum(x):
@@ -397,22 +338,14 @@ def lstm_step_from_input(z_x, h_prev, c_prev, weights):
     return _lstm_tail(z, c_prev, hidden)
 
 
-def softmax_ce(logits, target_id, mask):
-    """Masked categorical cross-entropy: -log softmax(logits + log mask)[target].
+def softmax_ce(logits, target_id):
+    """Categorical cross-entropy: -log softmax(logits)[target].
 
-    The mask is binary; a masked-out target is an error.  Stable under
-    logits of magnitude 1e4 via max subtraction.
+    Stable under logits of magnitude 1e4 via max subtraction.
     """
     logits = as_tensor(logits)
-    mask_arr = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
-    if mask_arr.shape != logits.data.shape:
-        raise DimensionError("mask shape differs from logits")
-    if not np.all((mask_arr == 0) | (mask_arr == 1)):
-        raise ValueError("mask must be binary")
     target_id = int(target_id)
-    if mask_arr[target_id] != 1:
-        raise ValueError("target action %d is masked out" % target_id)
-    z = np.where(mask_arr > 0, logits.data, np.array(-np.inf, dtype=logits.data.dtype))
+    z = logits.data
     m = z.max()
     ez = np.exp(z - m)
     total = ez.sum()

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .corpus import UNK_INDEX
-from .models import MODE_TRAIN, Model, ModelConfig, dialog_loss, predict_dialog
+from .models import Model, ModelConfig, dialog_loss, predict_dialog
 from .seeding import stream
 from .turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
 
@@ -167,7 +167,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
                 ]
             noise_rng = stream(seed, "vae-noise", epoch, int(i))
             optimizer.zero_grad()
-            loss, breakdown = dialog_loss(model, dialog, MODE_TRAIN, noise_rng)
+            loss, breakdown = dialog_loss(model, dialog, noise_rng)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch)
             nn.backward(loss)

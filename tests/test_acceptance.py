@@ -23,7 +23,7 @@ from robusthcn.augment import (
 from robusthcn.corpus import Dialog, OodLabel, Turn, prepare
 from robusthcn.cli import main as cli_main
 from robusthcn.evaluation import evaluate_model, ood_f1, per_utterance_accuracy
-from robusthcn.models import MODE_INFER, MODE_TRAIN, ModelConfig, dialog_loss
+from robusthcn.models import ModelConfig, dialog_loss
 from robusthcn.seeding import derive_seed, stream
 from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
 from robusthcn.train import TrainConfig, train_model
@@ -65,11 +65,11 @@ def test_criterion_1_gradient_correctness():
                 )
 
                 def fn():
-                    loss, _ = dialog_loss(model, dialog, MODE_TRAIN, noise.reset())
+                    loss, _ = dialog_loss(model, dialog, noise.reset())
                     return loss
             else:
                 def fn():
-                    loss, _ = dialog_loss(model, dialog, MODE_INFER, None)
+                    loss, _ = dialog_loss(model, dialog)
                     return loss
 
             params = [p for p in model.parameters() if p.trainable]

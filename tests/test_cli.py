@@ -324,3 +324,22 @@ def test_gridsearch_reads_model_sizes_from_config(toy_files, tmp_path, monkeypat
                 "--results-out", str(tmp_path / "grid.tsv")) == 0
     assert len(seen) == 3
     assert all((c.dialog_hidden_size, c.predictor_hidden_size) == (16, 12) for c in seen)
+
+
+def test_gridsearch_rejects_model_keys_it_sets(toy_files, tmp_path, capsys):
+    # (key line, variant the key applies to, stage-1 grid for that variant)
+    cases = {
+        "model.embedding_file": ("model.embedding_file = %s" % (tmp_path / "missing.emb"),
+                                 "HCN", "8"),
+        "model.embedding_size": ("model.embedding_size = 99", "HCN", "8"),
+        "model.latent_size": ("model.latent_size = 3", "VHCN", "8:2"),
+    }
+    for key, (line, variant, grid) in cases.items():
+        config = tmp_path / "grid.cfg"
+        config.write_text(line + "\n")
+        code = _run("gridsearch", "--config", str(config), "--variant", variant,
+                    *_domain_flags(toy_files), "--stage1-grid", grid, "--stage2-grid", "0.2",
+                    "--max-epochs", "1", "--results-out", str(tmp_path / "grid.tsv"))
+        assert code == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err

@@ -76,7 +76,8 @@ def test_embedding_file_rejected_outside_hcn(variant):
 
 def test_invalid_training_values_are_config_errors():
     for values in ({"model.variant": "LSTM"}, {"train.max_epochs": 0},
-                   {"train.patience": 0}, {"turn_dropout.ratio": 1.5}):
+                   {"train.patience": 0}, {"turn_dropout.ratio": 1.5},
+                   {"model.variant": "HHCN", "model.embedding_size": 0}):
         with pytest.raises(ConfigError):
             resolve_training(RunConfig(values))
 

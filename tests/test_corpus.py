@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from robusthcn.augment import (
+    AugmentationConfig,
+    augment_corpus,
+    load_ood_pool,
+    load_segment_pool,
+)
 from robusthcn.corpus import (
     DEFAULT_FALLBACK_TEMPLATE,
+    ActionSet,
+    ContextFeatures,
+    Dialog,
     Lexicon,
     ParseError,
     SILENCE_TOKEN,
     Turn,
+    TurnFeatures,
     UNK_INDEX,
     UnknownActionError,
     assign_actions,
@@ -14,18 +25,16 @@ from robusthcn.corpus import (
     delexicalize,
     extract_action_set,
     featurize_dialog,
-    featurize_turn,
     load_embedding_table,
     parse_dialogs,
     prepare,
     random_embedding_table,
     tokenize,
-    track_context,
     write_dialogs,
     write_embedding_file,
 )
 from robusthcn.seeding import stream
-from robusthcn.toy import generate_toy_domain
+from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
 
 
 LEX = Lexicon({
@@ -234,15 +243,27 @@ def test_action_set_rejects_empty():
 
 # ------------------------------------------------------------ context bits
 
+def _context_trace(turns, lexicon=LEX):
+    """Context features of every turn of a dialog whose actions are all 0."""
+    turns = [Turn(user_tokens=t.user_tokens, system_utterance=t.system_utterance,
+                  kb_facts=t.kb_facts, system_action=0) for t in turns]
+    vocab = build_vocabulary([[Dialog(id=0, turns=tuple(turns))]])
+    actions = ActionSet(templates=("any",), fallback_action_id=0)
+    feats = featurize_dialog(Dialog(id=0, turns=tuple(turns)), vocab, actions, lexicon)
+    return [f.f_ctx for f in feats]
+
+
 def test_track_context_empty_prefix():
-    ctx = track_context([], LEX)
+    # nothing provided and no api result before the first slot value arrives
+    turn = Turn(user_tokens=("hello",), system_utterance="hi")
+    (ctx,) = _context_trace([turn])
     assert ctx.slot_provided == (0,) * len(LEX.slot_types)
     assert ctx.api_returned == 0
 
 
 def test_track_context_price_bit():
     turn = Turn(user_tokens=("i", "want", "something", "cheap"), system_utterance="ok")
-    ctx = track_context([turn], LEX)
+    (ctx,) = _context_trace([turn])
     provided = dict(zip(ctx.slot_types, ctx.slot_provided))
     assert provided["pricerange"] == 1
     assert sum(ctx.slot_provided) == 1
@@ -255,12 +276,10 @@ def test_track_context_api_trace():
     t3 = Turn(user_tokens=("again",), system_utterance="api_call thai south cheap")
     t4 = Turn(user_tokens=("and",), system_utterance="ok",
               kb_facts=("prezzo r_phone 1", "prezzo r_area south", "prezzo r_x y"))
-    assert track_context([t1, t2], LEX).api_returned == 0
-    assert track_context([t1, t2, t3], LEX).api_returned == 0
-    assert track_context([t1, t2, t3, t4], LEX).api_returned == 1
     # facts before the most recent api_call do not count
     t5 = Turn(user_tokens=("more",), system_utterance="api_call thai north cheap")
-    assert track_context([t1, t2, t3, t4, t5], LEX).api_returned == 0
+    trace = _context_trace([t1, t2, t3, t4, t5])
+    assert [ctx.api_returned for ctx in trace] == [0, 0, 0, 1, 0]
 
 
 # ------------------------------------------------------------ featurization
@@ -287,7 +306,7 @@ def test_featurize_oov_becomes_unk(small_domain):
     domain, vocab, actions, dialogs = small_domain
     turn = Turn(user_tokens=("zzz-unseen", "italian"), system_utterance="good bye",
                 system_action=0)
-    features = featurize_turn(turn, (), vocab, actions, domain.lexicon)
+    (features,) = featurize_dialog(Dialog(id=0, turns=(turn,)), vocab, actions, domain.lexicon)
     assert features.f_turn[0] == UNK_INDEX
     assert UNK_INDEX in features.bow_indices
 
@@ -314,9 +333,126 @@ def test_featurize_mask_all_ones(small_domain):
 
 def test_featurize_requires_assigned_actions(small_domain):
     domain, vocab, actions, _ = small_domain
-    turn = Turn(user_tokens=("hi",), system_utterance="good bye")
-    with pytest.raises(UnknownActionError):
-        featurize_turn(turn, (), vocab, actions, domain.lexicon)
+    valid = Turn(user_tokens=("hi",), system_utterance="good bye", system_action=0)
+    for bad in (None, actions.size):
+        turn = Turn(user_tokens=("hi",), system_utterance="good bye", system_action=bad)
+        for turns in ((turn,), (valid, turn)):
+            with pytest.raises(UnknownActionError):
+                featurize_dialog(Dialog(id=0, turns=turns), vocab, actions, domain.lexicon)
+
+
+# ------------------------------------------- featurization vs the reference
+
+def _reference_track_context(dialog_prefix, lexicon):
+    """Context features recomputed from the whole prefix (the quadratic original)."""
+
+    def value_occurs(tokens, slot_type):
+        toks = tuple(tokens)
+        for i in range(len(toks)):
+            hit = lexicon.match_at(toks, i)
+            if hit is not None and hit[1] == slot_type:
+                return True
+        return False
+
+    def is_api_call(turn):
+        toks = tokenize(turn.system_utterance)
+        return bool(toks) and toks[0] == "api_call"
+
+    prefix = list(dialog_prefix)
+    provided = []
+    for slot_type in lexicon.slot_types:
+        bit = any(value_occurs(t.user_tokens, slot_type) for t in prefix)
+        provided.append(int(bit))
+    last_api = None
+    for i, turn in enumerate(prefix):
+        if is_api_call(turn):
+            last_api = i
+    api_returned = 0
+    if last_api is not None:
+        api_returned = int(any(len(t.kb_facts) > 0 for t in prefix[last_api + 1 :]))
+    return ContextFeatures(
+        slot_types=lexicon.slot_types,
+        slot_provided=tuple(provided),
+        api_returned=api_returned,
+    )
+
+
+def _reference_featurize_turn(turn, prefix, vocab, action_set, lexicon):
+    if turn.system_action is None or not (0 <= turn.system_action < action_set.size):
+        raise UnknownActionError("turn has no valid action id (run assign_actions first)")
+    f_turn = vocab.encode(turn.user_tokens)
+    prev = np.zeros(action_set.size, dtype=np.float32)
+    if prefix:
+        prev_id = prefix[-1].system_action
+        if prev_id is None or not (0 <= prev_id < action_set.size):
+            raise UnknownActionError("previous turn has no valid action id")
+        prev[prev_id] = 1.0
+    return TurnFeatures(
+        f_turn=f_turn,
+        bow_indices=np.unique(f_turn),
+        f_ctx=_reference_track_context(list(prefix) + [turn], lexicon),
+        f_mask=np.ones(action_set.size, dtype=np.float32),
+        prev_action=prev,
+        target=turn.system_action,
+        ood_label=turn.ood_label,
+    )
+
+
+def _assert_matches_reference(dialog, vocab, actions, lexicon):
+    got = featurize_dialog(dialog, vocab, actions, lexicon)
+    expected = [_reference_featurize_turn(turn, dialog.turns[:i], vocab, actions, lexicon)
+                for i, turn in enumerate(dialog.turns)]
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.f_ctx == b.f_ctx
+        assert (a.target, a.ood_label) == (b.target, b.ood_label)
+        for name in ("f_turn", "bow_indices", "f_mask", "prev_action"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
+    return len(got)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_featurize_matches_reference_on_toy_and_augmented(seed):
+    domain = generate_toy_domain(seed, 60, 10)
+    clean = domain.train + domain.dev + domain.test
+    augmented, stats = augment_corpus(
+        clean, AugmentationConfig(p_ood_start=0.5, p_ood_cont=0.7, seed=seed),
+        load_ood_pool(generate_foreign_dialogs(seed + 100)),
+        load_segment_pool(segment_pool_text()))
+    assert stats.inserted_turns > 0
+    data = prepare(domain.lexicon, [clean, augmented])
+    n_turns = 0
+    for dialog in assign_actions(clean + augmented, data.action_set, domain.lexicon):
+        n_turns += _assert_matches_reference(dialog, data.vocab, data.action_set,
+                                             domain.lexicon)
+    assert n_turns > sum(len(d.turns) for d in clean)
+
+
+_WORDS = ("i", "want", "north", "american", "star", "italian", "cheap", "prezzo",
+          "south", "thai", "food", "<silence>")
+_turns = st.builds(
+    lambda user, api, n_facts, action: Turn(
+        user_tokens=tuple(user),
+        system_utterance=("api_call thai north" if api else "ok then"),
+        kb_facts=tuple("prezzo r_fact %d" % k for k in range(n_facts)),
+        system_action=action,
+    ),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_turns, min_size=1, max_size=12))
+def test_featurize_matches_reference_on_random_turns(turns):
+    dialog = Dialog(id=0, turns=tuple(turns))
+    vocab = build_vocabulary([[dialog]])
+    actions = ActionSet(templates=("a0", "a1", "a2", "a3"), fallback_action_id=0)
+    _assert_matches_reference(dialog, vocab, actions, LEX)
 
 
 def test_prepare_matches_the_step_by_step_sequence(small_domain):

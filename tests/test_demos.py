@@ -1,0 +1,24 @@
+"""Each quick demo runs to completion as a user would start it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 04 trains three models for about half a minute and is left to manual runs
+QUICK_DEMOS = ("01_corpus_and_features.py", "02_ood_augmentation.py",
+               "03_turn_dropout.py", "05_gradient_checks.py")
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

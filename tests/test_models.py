@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robusthcn import nn
-from robusthcn.corpus import build_vocabulary, prepare
+from robusthcn.corpus import Lexicon, build_vocabulary, prepare
 from robusthcn.models import (
     CheckpointError,
     HashMismatchError,
-    MODE_INFER,
-    MODE_TRAIN,
     Model,
     ModelConfig,
     VaeEncoding,
     check_compatible,
     dialog_loss,
     load_checkpoint,
-    loss_hcn,
     loss_vhcn,
     model_from_checkpoint,
     predict_dialog,
@@ -45,6 +43,13 @@ def test_config_latent_only_for_vhcn():
         ModelConfig("HCN", latent_size=4)
 
 
+@pytest.mark.parametrize("size", ["embedding_size", "latent_size", "dialog_hidden_size",
+                                  "predictor_hidden_size"])
+def test_config_rejects_sizes_below_one(size):
+    with pytest.raises(ValueError, match=size):
+        ModelConfig("VHCN", **{size: 0})
+
+
 # ------------------------------------------------------------ encode_turn
 
 def test_hcn_encoding_is_embedding_mean():
@@ -53,30 +58,30 @@ def test_hcn_encoding_is_embedding_mean():
     model.embedding.data[2] = np.array([1, 0, 0, 0, 0, 0], dtype=np.float64)
     model.embedding.data[3] = np.array([0, 1, 0, 0, 0, 0], dtype=np.float64)
     features = tiny_turn(VOCAB, ACTIONS, [2, 3], target=0)
-    vec, encoding = model.encode_turn(features, MODE_INFER)
+    vec, encoding = model.encode_turn(features)
     np.testing.assert_allclose(vec.data, [0.5, 0.5, 0, 0, 0, 0])
     assert encoding is None
 
 
 def test_hcn_encoding_permutation_invariant():
     model = tiny_model("HCN", VOCAB, ACTIONS)
-    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0), MODE_INFER)[0]
-    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0), MODE_INFER)[0]
+    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0))[0]
+    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0))[0]
     np.testing.assert_allclose(a.data, b.data, rtol=1e-12)
 
 
 def test_hhcn_encoding_is_order_sensitive():
     model = tiny_model("HHCN", VOCAB, ACTIONS)
-    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0), MODE_INFER)[0]
-    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0), MODE_INFER)[0]
+    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0))[0]
+    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0))[0]
     assert np.abs(a.data - b.data).max() > 1e-6
 
 
 def test_vhcn_infer_deterministic():
     model = tiny_model("VHCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)
-    a, enc_a = model.encode_turn(features, MODE_INFER)
-    b, enc_b = model.encode_turn(features, MODE_INFER)
+    a, enc_a = model.encode_turn(features)
+    b, enc_b = model.encode_turn(features)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(enc_a.mu.data, enc_b.mu.data)
     np.testing.assert_array_equal(a.data, enc_a.mu.data)  # z = mu in infer mode
@@ -84,13 +89,15 @@ def test_vhcn_infer_deterministic():
 
 
 def test_vhcn_train_mode_uses_noise():
+    # an rng makes VHCN sample; without one it returns the posterior mean
     model = tiny_model("VHCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)
-    a, _ = model.encode_turn(features, MODE_TRAIN, stream(1, "n"))
-    b, _ = model.encode_turn(features, MODE_TRAIN, stream(2, "n"))
+    a, enc_a = model.encode_turn(features, stream(1, "n"))
+    b, _ = model.encode_turn(features, stream(2, "n"))
     assert np.abs(a.data - b.data).max() > 1e-9
-    with pytest.raises(ValueError):
-        model.encode_turn(features, MODE_TRAIN, None)
+    assert np.abs(a.data - enc_a.mu.data).max() > 1e-9
+    mean, _ = model.encode_turn(features)
+    np.testing.assert_array_equal(mean.data, enc_a.mu.data)
 
 
 # ------------------------------------------------------------ dialog_step
@@ -98,7 +105,7 @@ def test_vhcn_train_mode_uses_noise():
 def test_all_ones_mask_is_noop():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2], 0)
-    vec, _ = model.encode_turn(features, MODE_INFER)
+    vec, _ = model.encode_turn(features)
     state = model.initial_state()
     _, logits = model.dialog_step(state, vec, features)
     hidden = model.pred_out(nn.relu(model.pred_hidden(
@@ -119,7 +126,7 @@ def test_all_ones_mask_is_noop():
 def test_same_turn_different_positions_different_logits():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2], 0)
-    vec, _ = model.encode_turn(features, MODE_INFER)
+    vec, _ = model.encode_turn(features)
     state = model.initial_state()
     state1, logits1 = model.dialog_step(state, vec, features)
     _, logits2 = model.dialog_step(state1, vec, features)
@@ -131,10 +138,10 @@ def test_zero_weight_model_is_uniform_and_predicts_action_zero():
     for p in model.parameters():
         p.data = np.zeros_like(p.data)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
-    vec, _ = model.encode_turn(dialog[0], MODE_INFER)
+    vec, _ = model.encode_turn(dialog[0])
     _, logits = model.dialog_step(model.initial_state(), vec, dialog[0])
     np.testing.assert_array_equal(logits.data, np.zeros(ACTIONS.size))
-    loss = loss_hcn(logits, 2, dialog[0].f_mask)
+    loss = nn.softmax_ce(logits, 2)
     assert float(loss.data) == pytest.approx(np.log(ACTIONS.size), rel=1e-9)
     assert predict_dialog(model, dialog) == [0, 0]
 
@@ -156,14 +163,13 @@ def test_loss_vhcn_termwise_oracle():
     rng = stream(4, "terms")
     n_actions, n_vocab, k = 5, 9, 3
     logits = nn.as_tensor(rng.normal(size=n_actions))
-    mask = np.ones(n_actions)
     mu = nn.as_tensor(rng.normal(size=k))
     sigma = nn.as_tensor(np.exp(rng.normal(size=k)))
     enc = VaeEncoding(mu=mu, sigma=sigma, z=mu)
     bow_logits = nn.as_tensor(rng.normal(size=n_vocab))
     x_bow = (rng.random(n_vocab) < 0.4).astype(np.float64)
-    total, breakdown = loss_vhcn(logits, 2, mask, enc, bow_logits, x_bow)
-    ce = float(nn.softmax_ce(logits, 2, mask).data)
+    total, breakdown = loss_vhcn(logits, 2, enc, bow_logits, x_bow)
+    ce = float(nn.softmax_ce(logits, 2).data)
     bow = float(nn.bow_sigmoid_ce(bow_logits, x_bow).data)
     kl = float(nn.gaussian_kl(mu, sigma).data)
     assert float(total.data) == pytest.approx(ce + bow + kl, abs=1e-6)
@@ -178,7 +184,7 @@ def test_loss_vhcn_kl_zero_at_prior():
     k = 3
     enc = VaeEncoding(mu=nn.as_tensor(np.zeros(k)), sigma=nn.as_tensor(np.ones(k)),
                       z=nn.as_tensor(np.zeros(k)))
-    total, breakdown = loss_vhcn(nn.as_tensor(np.zeros(2)), 0, np.ones(2), enc,
+    total, breakdown = loss_vhcn(nn.as_tensor(np.zeros(2)), 0, enc,
                                  nn.as_tensor(np.zeros(4)), np.zeros(4))
     assert breakdown["kl"] == 0.0
 
@@ -188,8 +194,7 @@ def test_loss_vhcn_kl_zero_at_prior():
 def _loss_fn(model, dialog, noise=None):
     def fn():
         rng = noise.reset() if noise is not None else None
-        mode = MODE_TRAIN if noise is not None else MODE_INFER
-        loss, _ = dialog_loss(model, dialog, mode, rng)
+        loss, _ = dialog_loss(model, dialog, rng)
         return loss
     return fn
 
@@ -219,7 +224,7 @@ def test_end_to_end_gradients_vhcn():
 def test_frozen_embedding_gets_zero_gradient():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
-    loss, _ = dialog_loss(model, dialog, MODE_INFER, None)
+    loss, _ = dialog_loss(model, dialog)
     nn.backward(loss)
     assert model.embedding.grad is None
     assert not model.embedding.trainable
@@ -287,6 +292,66 @@ def test_checkpoint_without_scalars_is_a_checkpoint_error(tmp_path, toy_trained)
     path.write_bytes(b"\n".join(kept) + b"end_header\n" + payload)
     with pytest.raises(CheckpointError, match="fallback_action_id"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"robusthcn-checkpoint\nend_header\n",
+    b"robusthcn-checkpoint one\nend_header\n",
+    b"robusthcn-checkpoint 1\nparam = x 3,y\nend_header\n",
+    b"robusthcn-checkpoint 1\nvocab = \xff\nend_header\n",
+])
+def test_malformed_header_is_a_checkpoint_error(tmp_path, header):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(header)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"fallback_action_id = 99", "outside"),
+    (b"lexicon = no tab here", "lexicon"),
+    (b"variant = XCN", "model configuration"),
+])
+def test_bad_header_values_are_checkpoint_errors(tmp_path, toy_trained, line, message):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    header, _, payload = path.read_bytes().partition(b"end_header\n")
+    key = line.split(b" = ")[0]
+    lines = [l for l in header.split(b"\n") if not l.startswith(key + b" = ")]
+    path.write_bytes(b"\n".join(lines[:1] + [line] + lines[1:]) + b"end_header\n" + payload)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    vocab, actions = tiny_vocab(6), tiny_actions(3)
+    config = ModelConfig("VHCN", embedding_size=2, latent_size=2, dialog_hidden_size=2,
+                         predictor_hidden_size=2)
+    model = Model(config, vocab, actions, n_context=2, rng=stream(0, "small"))
+    path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    lexicon = Lexicon({"s0": ("w01",)})
+    save_checkpoint(path, model, lexicon, extra={"train.seed": "1"})
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(tmp_path, small_checkpoint, data):
+    blob = bytearray(small_checkpoint)
+    cut = data.draw(st.integers(1, len(blob)), label="length")
+    del blob[cut:]
+    flips = data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), max_size=4), label="bits")
+    for bit in flips:
+        blob[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        model_from_checkpoint(load_checkpoint(path))
+    except CheckpointError:
+        pass
 
 
 def test_hash_compatibility_check(toy_trained):
