@@ -83,14 +83,6 @@ class ModelConfig:
 
 
 @dataclass
-class DialogState:
-    """Dialog-level recurrent state; reset at dialog start."""
-
-    h: nn.Tensor
-    c: nn.Tensor
-
-
-@dataclass
 class VaeEncoding:
     mu: nn.Tensor
     sigma: nn.Tensor
@@ -164,14 +156,11 @@ class Model:
         self.dlg_w_ctx = block("dialog_lstm.w_ctx", self.n_context)
         self.dlg_w_prev = block("dialog_lstm.w_prev", a_size)
         self.dlg_w_mask = block("dialog_lstm.w_mask", a_size)
-        u = np.concatenate([nn.orthogonal(rng, hidden, dtype) for _ in range(4)], axis=0)
+        u, b = nn.lstm_recurrent_init(rng, hidden, dtype)
         self.dlg_u = nn.Parameter(u, "dialog_lstm.w_recurrent")
-        self._register(self.dlg_u)
-        b = np.zeros(4 * hidden, dtype=dtype)
-        b[hidden : 2 * hidden] = 1.0
         self.dlg_b = nn.Parameter(b, "dialog_lstm.bias")
+        self._register(self.dlg_u)
         self._register(self.dlg_b)
-        self._dlg_weights = nn.LSTMWeights(self.dlg_w_turn, self.dlg_u, self.dlg_b)
 
         self.pred_hidden = nn.Linear(rng, hidden, cfg.predictor_hidden_size, dtype, "predictor.hidden")
         self.pred_out = nn.Linear(rng, cfg.predictor_hidden_size, a_size, dtype, "predictor.out")
@@ -188,9 +177,8 @@ class Model:
         return list(self.params.values())
 
     def initial_state(self):
-        hidden = self.config.dialog_hidden_size
-        zeros = np.zeros(hidden, dtype=self.dtype)
-        return DialogState(h=nn.as_tensor(zeros.copy()), c=nn.as_tensor(zeros.copy()))
+        """The dialog LSTM's [h; c] at dialog start."""
+        return nn.as_tensor(np.zeros(2 * self.config.dialog_hidden_size, dtype=self.dtype))
 
     def encode_turn(self, features, rng=None):
         """Turn vector for one turn; VHCN also returns the posterior encoding.
@@ -201,12 +189,10 @@ class Model:
         cfg = self.config
         if cfg.variant == "HCN":
             return nn.embed_mean(self.embedding, features.f_turn), None
-        hidden = cfg.embedding_size
-        h = nn.as_tensor(np.zeros(hidden, dtype=self.dtype))
-        c = nn.as_tensor(np.zeros(hidden, dtype=self.dtype))
-        for token in features.f_turn:
-            x = nn.gather_row(self.embedding, int(token))
-            h, c = self.turn_cell.step(x, h, c)
+        cell, hidden = self.turn_cell, cfg.embedding_size
+        zx = nn.matvec(cell.w_input, nn.gather_rows(self.embedding, features.f_turn))
+        start = np.zeros(2 * hidden, dtype=self.dtype)
+        h = nn.slice1d(nn.lstm(zx, start, cell.w_recurrent, cell.bias), 0, hidden)
         if cfg.variant == "HHCN":
             return h, None
         mu = self.mu_head(h)
@@ -237,9 +223,10 @@ class Model:
                 ),
             ),
         )
-        h, c = nn.lstm_step_from_input(z_x, state.h, state.c, self._dlg_weights)
+        state = nn.lstm(z_x, state, self.dlg_u, self.dlg_b)
+        h = nn.slice1d(state, 0, self.config.dialog_hidden_size)
         logits = self.pred_out(nn.relu(self.pred_hidden(h)))
-        return DialogState(h=h, c=c), logits
+        return state, logits
 
     def bow_logits(self, encoding):
         return self.bow_head(encoding.z)
@@ -437,6 +424,10 @@ def load_checkpoint(path):
         raise CheckpointError("bad checkpoint lexicon: %s" % exc) from None
     if vocab.sha256() != scalars["vocab_hash"] or action_set.sha256() != scalars["action_hash"]:
         raise CheckpointError("stored hashes do not match checkpoint contents")
+    n_context = _header_int(scalars["n_context"], "n_context")
+    if n_context != len(lexicon.slot_types) + 1:
+        raise CheckpointError("n_context %d does not fit the lexicon's %d slot types (expected %d)"
+                              % (n_context, len(lexicon.slot_types), len(lexicon.slot_types) + 1))
 
     sizes = {key: _header_int(scalars[key], key)
              for key in ("embedding_size", "dialog_hidden_size", "predictor_hidden_size")}
@@ -463,7 +454,7 @@ def load_checkpoint(path):
         vocab=vocab,
         action_set=action_set,
         lexicon=lexicon,
-        n_context=_header_int(scalars["n_context"], "n_context"),
+        n_context=n_context,
         arrays=arrays,
         extra=extra,
     )

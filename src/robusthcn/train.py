@@ -26,9 +26,13 @@ DEFAULT_STAGE2_GRID = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__("non-finite loss at epoch %d" % epoch)
+    """A non-finite loss, or a non-finite gradient in ``parameter``."""
+
+    def __init__(self, epoch, parameter=None):
+        what = "loss" if parameter is None else "gradient in %s" % parameter
+        super().__init__("non-finite %s at epoch %d" % (what, epoch))
         self.epoch = epoch
+        self.parameter = parameter
 
 
 @dataclass
@@ -171,7 +175,11 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch)
             nn.backward(loss)
-            nn.clip_global_norm(model.parameters(), cfg.clip_norm)
+            if not np.isfinite(nn.clip_global_norm(model.parameters(), cfg.clip_norm)):
+                raise TrainingDiverged(epoch, next(
+                    (p.name for p in model.parameters()
+                     if p.grad is not None and not np.isfinite(p.grad).all()),
+                    "the global norm"))
             optimizer.step()
             loss_sum += breakdown["loss"]
             kl_sum += breakdown["kl"] * len(dialog)

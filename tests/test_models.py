@@ -108,18 +108,15 @@ def test_all_ones_mask_is_noop():
     vec, _ = model.encode_turn(features)
     state = model.initial_state()
     _, logits = model.dialog_step(state, vec, features)
-    hidden = model.pred_out(nn.relu(model.pred_hidden(
-        nn.lstm_step_from_input(
-            nn.add(
-                nn.add(nn.matvec(model.dlg_w_turn, vec),
-                       nn.gather_cols_sum(model.dlg_w_bow, features.bow_indices)),
-                nn.add(nn.matvec(model.dlg_w_ctx, nn.as_tensor(features.f_ctx.vector(model.dtype))),
-                       nn.add(nn.gather_cols_sum(model.dlg_w_prev, np.nonzero(features.prev_action)[0]),
-                              nn.matvec(model.dlg_w_mask, nn.as_tensor(features.f_mask.astype(model.dtype))))),
-            ),
-            state.h, state.c, model._dlg_weights,
-        )[0]
-    )))
+    z_x = nn.add(
+        nn.add(nn.matvec(model.dlg_w_turn, vec),
+               nn.gather_cols_sum(model.dlg_w_bow, features.bow_indices)),
+        nn.add(nn.matvec(model.dlg_w_ctx, nn.as_tensor(features.f_ctx.vector(model.dtype))),
+               nn.add(nn.gather_cols_sum(model.dlg_w_prev, np.nonzero(features.prev_action)[0]),
+                      nn.matvec(model.dlg_w_mask, nn.as_tensor(features.f_mask.astype(model.dtype))))),
+    )
+    h = nn.slice1d(nn.lstm(z_x, state, model.dlg_u, model.dlg_b), 0, model.config.dialog_hidden_size)
+    hidden = model.pred_out(nn.relu(model.pred_hidden(h)))
     np.testing.assert_array_equal(logits.data, hidden.data)
 
 
@@ -321,6 +318,22 @@ def test_bad_header_values_are_checkpoint_errors(tmp_path, toy_trained, line, me
     lines = [l for l in header.split(b"\n") if not l.startswith(key + b" = ")]
     path.write_bytes(b"\n".join(lines[:1] + [line] + lines[1:]) + b"end_header\n" + payload)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_n_context_must_fit_the_lexicon(tmp_path, toy_trained):
+    # drop every lexicon line of one slot type: the features the model
+    # reads would be one column short
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    header, _, payload = path.read_bytes().partition(b"end_header\n")
+    slot = domain.lexicon.slot_types[0].encode()
+    kept = [line for line in header.split(b"\n")
+            if not line.startswith(b"lexicon = " + slot + b"\t")]
+    path.write_bytes(b"\n".join(kept) + b"end_header\n" + payload)
+    n_slots = len(domain.lexicon.slot_types)
+    with pytest.raises(CheckpointError, match="n_context %d .* %d slot types" % (n_slots + 1, n_slots - 1)):
         load_checkpoint(path)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robusthcn import nn, train
 from robusthcn.corpus import EmbeddingTable, UNK_INDEX, prepare
 from robusthcn.models import ModelConfig, predict_dialog
 from robusthcn.seeding import stream
@@ -125,6 +126,34 @@ def test_divergence_raises_with_epoch(toy):
         train_model(config, tc, train_f, dev_f, vocab, actions, nctx,
                     embedding_table=table)
     assert err.value.epoch == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_gradient_names_the_parameter(toy, monkeypatch, bad):
+    # the loss stays finite; the third dialog's gradient is poisoned after
+    # backward, and the raise must come before Adam writes it into a weight
+    domain, vocab, actions, nctx, train_f, dev_f = toy
+    seen = []
+    real_loss, real_backward = train.dialog_loss, nn.backward
+
+    def spy_loss(model, dialog, rng=None):
+        seen.append(model)
+        return real_loss(model, dialog, rng)
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        if len(seen) == 3:
+            seen[-1].params["dialog_lstm.w_ctx"].grad[0, 0] = bad
+
+    monkeypatch.setattr(train, "dialog_loss", spy_loss)
+    monkeypatch.setattr(nn, "backward", poisoned_backward)
+    config = ModelConfig("HCN", **SMALL)
+    tc = TrainConfig(turn_dropout_ratio=0.0, max_epochs=2, patience=2, seed=0)
+    with pytest.raises(TrainingDiverged, match="dialog_lstm.w_ctx at epoch 0") as err:
+        train_model(config, tc, train_f, dev_f, vocab, actions, nctx)
+    assert (err.value.epoch, err.value.parameter) == (0, "dialog_lstm.w_ctx")
+    assert len(seen) == 3
+    assert all(np.isfinite(p.data).all() for p in seen[-1].parameters())
 
 
 def test_empty_sets_rejected(toy):
