@@ -18,7 +18,7 @@ def main():
     feats = data.featurize(domain.train)
 
     bounds = length_bounds_from(feats)
-    config = TurnDropoutConfig(ratio=0.4, length_bounds=bounds, unk_prob=0.5, seed=3)
+    config = TurnDropoutConfig(ratio=0.4, length_bounds=bounds, unk_prob=0.5)
     print("length bounds from the corpus: %s; unk probability %.1f\n"
           % (bounds, config.unk_prob))
 

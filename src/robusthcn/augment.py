@@ -16,9 +16,11 @@ The label sidecar format is one line per turn:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
-from .corpus import DEFAULT_FALLBACK_TEMPLATE, Dialog, OodLabel, SILENCE_TOKEN, Turn, tokenize
+from .corpus import (DEFAULT_FALLBACK_TEMPLATE, Dialog, OodLabel, ParseError, SILENCE_TOKEN,
+                     Turn, tokenize)
 from .seeding import stream
 
 
@@ -263,22 +265,30 @@ def write_labels(path, dialogs):
 
 
 def parse_labels(text):
-    """Label sidecar -> {dialog_id: [OodLabel, ...]}."""
+    """Label sidecar -> {dialog_id: [OodLabel, ...]}.
+
+    Raises :class:`ParseError` with the 1-based line number on a malformed
+    line or a turn index out of order.
+    """
     labels = {}
-    for line in text.split("\n"):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        dialog_id, turn_idx, name = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(line_no, "expected 3 tab-separated fields, got %d" % len(fields))
+        dialog_id, turn_idx, name = fields
+        if not (re.fullmatch("[0-9]+", dialog_id) and re.fullmatch("[0-9]+", turn_idx)):
+            raise ParseError(line_no, "dialog id and turn index must be non-negative integers")
+        try:
+            label = OodLabel(name)
+        except ValueError:
+            raise ParseError(line_no, "unknown label %r" % name) from None
         per_dialog = labels.setdefault(int(dialog_id), [])
         if int(turn_idx) != len(per_dialog):
-            raise ValueError("label file is not in turn order for dialog %s" % dialog_id)
-        per_dialog.append(OodLabel(name))
+            raise ParseError(line_no, "label file is not in turn order for dialog %s" % dialog_id)
+        per_dialog.append(label)
     return labels
-
-
-def read_labels(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_labels(fh.read())
 
 
 def apply_labels(dialogs, labels):

@@ -15,7 +15,7 @@ import sys
 from . import __version__, augment as aug, corpus, evaluation, models, toy
 from .config import ConfigError, RunConfig, resolve_training
 from .seeding import derive_seed
-from .train import DEFAULT_STAGE2_GRID, grid_search, train_model
+from .train import DEFAULT_STAGE2_GRID, TrainingDiverged, grid_search, train_model
 
 CORPUS_FORMAT = 1
 LABEL_FORMAT = 1
@@ -334,7 +334,7 @@ def run_pipeline(config, out_dir):
                     "\n".join(evaluation.format_report_csv([record])) + "\n")
         _write_text(os.path.join(out_dir, "run_config.txt"),
                     "\n".join(config.echo_lines(prefix="")) + "\n")
-    except (CliError, ConfigError, ValueError, OSError) as exc:
+    except (CliError, ConfigError, TrainingDiverged, ValueError, OSError) as exc:
         raise CliError("stage %s: %s" % (stage, exc)) from exc
     return 0
 
@@ -474,7 +474,7 @@ def main(argv=None):
         return args.func(args)
     except (CliError, ConfigError, corpus.ParseError, corpus.UnknownActionError,
             aug.PoolError, models.CheckpointError, models.HashMismatchError,
-            ValueError, OSError) as exc:
+            TrainingDiverged, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -14,8 +14,11 @@ predictor over actions.  They differ on the turn level:
 
 The dialog-level input projection is stored in blocks (one weight matrix
 per feature group), which is arithmetically identical to a single affine
-map over the concatenated input but lets the vocabulary-sized
-bag-of-words block be applied sparsely.
+map over the concatenated input.  No dialog-level input depends on the
+LSTM state, so a dialog runs as one sequence: the turn encodings are
+stacked, each block is one product over all T turns, one LSTM op returns
+every step's hidden state, and the predictor and the loss see (T, .)
+matrices.
 """
 
 from __future__ import annotations
@@ -176,10 +179,6 @@ class Model:
     def parameters(self):
         return list(self.params.values())
 
-    def initial_state(self):
-        """The dialog LSTM's [h; c] at dialog start."""
-        return nn.as_tensor(np.zeros(2 * self.config.dialog_hidden_size, dtype=self.dtype))
-
     def encode_turn(self, features, rng=None):
         """Turn vector for one turn; VHCN also returns the posterior encoding.
 
@@ -189,10 +188,9 @@ class Model:
         cfg = self.config
         if cfg.variant == "HCN":
             return nn.embed_mean(self.embedding, features.f_turn), None
-        cell, hidden = self.turn_cell, cfg.embedding_size
+        cell = self.turn_cell
         zx = nn.matvec(cell.w_input, nn.gather_rows(self.embedding, features.f_turn))
-        start = np.zeros(2 * hidden, dtype=self.dtype)
-        h = nn.slice1d(nn.lstm(zx, start, cell.w_recurrent, cell.bias), 0, hidden)
+        h = nn.gather_rows(nn.lstm(zx, cell.w_recurrent, cell.bias), -1)
         if cfg.variant == "HHCN":
             return h, None
         mu = self.mu_head(h)
@@ -205,41 +203,45 @@ class Model:
             z = mu
         return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
 
-    def dialog_step(self, state, turn_vector, features):
-        """One dialog-level step; returns (new state, action logits)."""
-        ctx = nn.as_tensor(features.f_ctx.vector(self.dtype))
-        mask = np.asarray(features.f_mask, dtype=self.dtype)
-        prev_idx = np.nonzero(features.prev_action)[0]
+    def dialog_step(self, turn_vectors, featurized_dialog):
+        """The dialog level over a whole dialog: (T, |A|) action logits.
+
+        ``turn_vectors`` stacks the T turn encodings as rows.  No input
+        block depends on the LSTM state, so the whole input projection is
+        five products before the recurrence starts.
+        """
+        dtype = self.dtype
+        bow = self.bow_rows(featurized_dialog)
+        ctx = np.stack([f.f_ctx.vector(dtype) for f in featurized_dialog])
+        prev = np.array([f.prev_action for f in featurized_dialog], dtype=dtype)
+        mask = np.array([f.f_mask for f in featurized_dialog], dtype=dtype)
         z_x = nn.add(
-            nn.add(
-                nn.matvec(self.dlg_w_turn, turn_vector),
-                nn.gather_cols_sum(self.dlg_w_bow, features.bow_indices),
-            ),
+            nn.add(nn.matvec(self.dlg_w_turn, turn_vectors), nn.matvec(self.dlg_w_bow, bow)),
             nn.add(
                 nn.matvec(self.dlg_w_ctx, ctx),
-                nn.add(
-                    nn.gather_cols_sum(self.dlg_w_prev, prev_idx),
-                    nn.matvec(self.dlg_w_mask, nn.as_tensor(mask)),
-                ),
+                nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)),
             ),
         )
-        state = nn.lstm(z_x, state, self.dlg_u, self.dlg_b)
-        h = nn.slice1d(state, 0, self.config.dialog_hidden_size)
-        logits = self.pred_out(nn.relu(self.pred_hidden(h)))
-        return state, logits
+        h = nn.lstm(z_x, self.dlg_u, self.dlg_b)
+        return self.pred_out(nn.relu(self.pred_hidden(h)))
+
+    def bow_rows(self, featurized_dialog):
+        """The binary bag-of-words vectors of a dialog's turns, as rows."""
+        return np.stack([f.bow_vector(len(self.vocab), self.dtype) for f in featurized_dialog])
 
     def bow_logits(self, encoding):
         return self.bow_head(encoding.z)
 
 
-def loss_vhcn(logits, target, encoding, bow_logits, x_bow):
+def loss_vhcn(logits, targets, encoding, bow_logits, x_bow):
     """Joint objective: action CE + bag-of-words CE + closed-form KL.
 
-    All three terms are the minimized (positive) forms; the same latent
-    sample feeds the action path and the reconstruction.  Returns the
-    total and a per-term breakdown.
+    All three terms are the minimized (positive) forms, summed over the
+    rows (turns) of their inputs; the same latent sample feeds the action
+    path and the reconstruction.  Returns the total and a per-term
+    breakdown.
     """
-    ce = nn.softmax_ce(logits, target)
+    ce = nn.softmax_ce(logits, targets)
     bow = nn.bow_sigmoid_ce(bow_logits, x_bow)
     kl = nn.gaussian_kl(encoding.mu, encoding.sigma)
     total = nn.add(nn.add(ce, bow), kl)
@@ -251,6 +253,13 @@ def loss_vhcn(logits, target, encoding, bow_logits, x_bow):
     return total, breakdown
 
 
+def _dialog_forward(model, featurized_dialog, rng=None):
+    """Turn encodings in turn order, stacked, then the dialog level once."""
+    encoded = [model.encode_turn(features, rng) for features in featurized_dialog]
+    turn_vectors = nn.stack([vec for vec, _ in encoded])
+    return model.dialog_step(turn_vectors, featurized_dialog), turn_vectors, encoded
+
+
 def dialog_loss(model, featurized_dialog, rng=None):
     """Mean per-turn loss over one dialog, with a term breakdown.
 
@@ -259,22 +268,17 @@ def dialog_loss(model, featurized_dialog, rng=None):
     """
     if not featurized_dialog:
         raise ValueError("empty dialog")
-    state = model.initial_state()
-    total = None
-    sums = {"action_ce": 0.0, "bow_ce": 0.0, "kl": 0.0}
-    for features in featurized_dialog:
-        turn_vec, encoding = model.encode_turn(features, rng)
-        state, logits = model.dialog_step(state, turn_vec, features)
-        if model.config.variant == "VHCN":
-            bow = model.bow_logits(encoding)
-            x_bow = features.bow_vector(len(model.vocab), model.dtype)
-            term, breakdown = loss_vhcn(logits, features.target, encoding, bow, x_bow)
-            for key, val in breakdown.items():
-                sums[key] += val
-        else:
-            term = nn.softmax_ce(logits, features.target)
-            sums["action_ce"] += float(term.data)
-        total = term if total is None else nn.add(total, term)
+    logits, turn_vectors, encoded = _dialog_forward(model, featurized_dialog, rng)
+    targets = [features.target for features in featurized_dialog]
+    if model.config.variant == "VHCN":
+        encoding = VaeEncoding(mu=nn.stack([enc.mu for _, enc in encoded]),
+                               sigma=nn.stack([enc.sigma for _, enc in encoded]),
+                               z=turn_vectors)
+        total, sums = loss_vhcn(logits, targets, encoding, model.bow_logits(encoding),
+                                model.bow_rows(featurized_dialog))
+    else:
+        total = nn.softmax_ce(logits, targets)
+        sums = {"action_ce": float(total.data), "bow_ce": 0.0, "kl": 0.0}
     n = len(featurized_dialog)
     mean = nn.mul(total, 1.0 / n)
     breakdown = {key: val / n for key, val in sums.items()}
@@ -283,19 +287,16 @@ def dialog_loss(model, featurized_dialog, rng=None):
 
 
 def predict_dialog(model, featurized_dialog):
-    """Greedy argmax actions for one dialog, state threaded across turns.
+    """Greedy argmax actions for one dialog.
 
     Inference is deterministic for every variant (VHCN uses the posterior
     mean); argmax ties resolve to the lowest action id.
     """
-    actions = []
+    if not featurized_dialog:
+        return []
     with nn.no_grad():
-        state = model.initial_state()
-        for features in featurized_dialog:
-            turn_vec, _ = model.encode_turn(features)
-            state, logits = model.dialog_step(state, turn_vec, features)
-            actions.append(int(np.argmax(logits.data)))
-    return actions
+        logits, _, _ = _dialog_forward(model, featurized_dialog)
+    return [int(a) for a in np.argmax(logits.data, axis=1)]
 
 
 def _header_lines(model, lexicon, extra):

@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff core for the dialog models.
 
 This is not a general autodiff system: it supports exactly the shapes the
-models need (vector activations, per-token row matrices, 2-D weights,
-scalar losses) and a fixed op set.  An LSTM over a whole sequence is one
-node (:func:`lstm`) with a hand-written backward pass.  Graphs are built
-eagerly; ``backward`` on a scalar loss accumulates gradients into every
-reachable trainable :class:`Parameter`.
+models need (vector activations, per-token and per-turn row matrices, 2-D
+weights, scalar losses) and a fixed op set.  An LSTM over a whole
+sequence is one node (:func:`lstm`) that returns every step's hidden state
+and has a hand-written backward pass.  Graphs are built eagerly;
+``backward`` on a scalar loss accumulates gradients into every reachable
+trainable :class:`Parameter`.
 
 Training runs in float32; build the same graphs from float64 leaves to
 make :func:`grad_check` meaningful.
@@ -170,24 +171,15 @@ def gather_rows(table, indices):
     return _node(table.data[idx], (table,), backward_fn)
 
 
-def gather_cols_sum(m, indices):
-    """Sum of selected matrix columns: m @ x for a binary x given by indices.
-
-    Duplicate indices accumulate, so this is exactly the dense product
-    with a count vector.  An empty index list yields zeros.
-    """
-    m = as_tensor(m)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size:
-        out_data = m.data[:, idx].sum(axis=1)
-    else:
-        out_data = np.zeros(m.data.shape[0], dtype=m.data.dtype)
+def stack(rows):
+    """Equal-shape tensors as the rows of one (T, ...) tensor."""
+    rows = [as_tensor(r) for r in rows]
 
     def backward_fn(g):
-        if m.requires_grad and idx.size:
-            np.add.at(_ensure_grad(m), (slice(None), idx), g[:, None])
+        for r, g_row in zip(rows, g):
+            _accum(r, g_row)
 
-    return _node(out_data, (m,), backward_fn)
+    return _node(np.stack([r.data for r in rows]), rows, backward_fn)
 
 
 def mean_rows(x):
@@ -202,16 +194,6 @@ def mean_rows(x):
             x.grad += g[None, :] / n
 
     return _node(x.data.mean(axis=0), (x,), backward_fn)
-
-
-def slice1d(x, a, b):
-    x = as_tensor(x)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            _ensure_grad(x)[a:b] += g
-
-    return _node(x.data[a:b], (x,), backward_fn)
 
 
 def _sigmoid(x):
@@ -261,34 +243,31 @@ def embed_mean(table, token_ids):
     return mean_rows(gather_rows(table, ids))
 
 
-def lstm(zx, state, w_recurrent, bias):
+def lstm(zx, w_recurrent, bias):
     """An LSTM run over precomputed input projections, as one graph node.
 
-    ``zx`` holds W x_t for every step, shape (T, 4H), or (4H,) for a
-    single step; ``state`` is the initial [h; c] of shape (2H,).  Returns
-    the final [h; c].  Gate order along the 4H axis: input, forget,
-    candidate, output.  The backward pass is hand-written BPTT; the
-    recurrent weight gradient is one product dZ^T H_prev over all steps.
+    ``zx`` holds W x_t for every step, shape (T, 4H).  The run starts from
+    a zero [h; c] and returns every step's hidden state, shape (T, H).
+    Gate order along the 4H axis: input, forget, candidate, output.  The
+    backward pass is hand-written BPTT that takes a gradient on every
+    step's output; the recurrent weight gradient is one product
+    dZ^T H_prev over all steps.
     """
-    zx, state = as_tensor(zx), as_tensor(state)
-    w_recurrent, bias = as_tensor(w_recurrent), as_tensor(bias)
+    zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
     hidden = w_recurrent.data.shape[1]
     if (
-        zx.data.ndim not in (1, 2)
-        or zx.data.shape[-1] != 4 * hidden
+        zx.data.ndim != 2
+        or zx.data.shape[1] != 4 * hidden
         or w_recurrent.data.shape != (4 * hidden, hidden)
         or bias.data.shape != (4 * hidden,)
-        or state.data.shape != (2 * hidden,)
     ):
         raise DimensionError("inconsistent LSTM shapes")
-    zs = zx.data.reshape(-1, 4 * hidden)
-    u, b = w_recurrent.data, bias.data
+    zs, u, b = zx.data, w_recurrent.data, bias.data
     steps = zs.shape[0]
-    dtype = np.result_type(zs, state.data, u, b)
-    hs = np.empty((steps + 1, hidden), dtype=dtype)
-    cs = np.empty((steps + 1, hidden), dtype=dtype)
+    dtype = np.result_type(zs, u, b)
+    hs = np.zeros((steps + 1, hidden), dtype=dtype)
+    cs = np.zeros((steps + 1, hidden), dtype=dtype)
     gates = np.empty((steps, 4 * hidden), dtype=dtype)
-    hs[0], cs[0] = state.data[:hidden], state.data[hidden:]
     cand = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
         z = zs[t] + u @ hs[t] + b
@@ -301,9 +280,11 @@ def lstm(zx, state, w_recurrent, bias):
     # Each product below multiplies in the order the old per-gate graph
     # did, so a one-step LSTM reproduces its float32 gradients bit for bit.
     def backward_fn(grad):
-        dh, dc = grad[:hidden], grad[hidden:]
+        dh = np.zeros(hidden, dtype=dtype)
+        dc = np.zeros(hidden, dtype=dtype)
         dz = np.empty_like(gates)
         for t in range(steps - 1, -1, -1):
+            dh = grad[t] + dh
             i, f, g, o = gates[t].reshape(4, hidden)
             tc = np.tanh(cs[t + 1])
             dc = dh * o * (1.0 - tc * tc) + dc
@@ -314,35 +295,39 @@ def lstm(zx, state, w_recurrent, bias):
             do[:] = dh * tc * o * (1.0 - o)
             dh = u.T @ dz[t]
             dc = dc * f
-        _accum(zx, dz.reshape(zx.data.shape))
-        _accum(state, np.concatenate([dh, dc]))
+        _accum(zx, dz)
         if w_recurrent.requires_grad:
             # np.dot, not matmul: matmul's (4H,1)x(1,H) path is ~6x slower
             _accum(w_recurrent, np.dot(dz.T, hs[:-1]))
         _accum(bias, dz.sum(axis=0))
 
-    return _node(np.concatenate([hs[-1], cs[-1]]), (zx, state, w_recurrent, bias), backward_fn)
+    return _node(hs[1:], (zx, w_recurrent, bias), backward_fn)
 
 
-def softmax_ce(logits, target_id):
-    """Categorical cross-entropy: -log softmax(logits)[target].
+def softmax_ce(logits, targets):
+    """Summed categorical cross-entropy: sum_t -log softmax(logits_t)[target_t].
 
-    Stable under logits of magnitude 1e4 via max subtraction.
+    ``logits`` is one row (A,) with one target id, or (T, A) with T
+    target ids.  Stable under logits of magnitude 1e4 via per-row max
+    subtraction.
     """
     logits = as_tensor(logits)
-    target_id = int(target_id)
-    z = logits.data
-    m = z.max()
+    z = logits.data.reshape(-1, logits.data.shape[-1])
+    t = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if t.shape[0] != z.shape[0]:
+        raise DimensionError("%d target ids for %d rows of logits" % (t.shape[0], z.shape[0]))
+    rows = np.arange(t.shape[0])
+    m = z.max(axis=1, keepdims=True)
     ez = np.exp(z - m)
-    total = ez.sum()
-    loss = np.log(total) + m - z[target_id]
+    total = ez.sum(axis=1, keepdims=True)
+    loss = np.sum(np.log(total[:, 0]) + m[:, 0] - z[rows, t])
     p = ez / total
 
     def backward_fn(g):
         if logits.requires_grad:
             gl = p * g
-            gl[target_id] -= g
-            _accum(logits, gl)
+            gl[rows, t] -= g
+            _accum(logits, gl.reshape(logits.data.shape))
 
     return _node(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward_fn)
 

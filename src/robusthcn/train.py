@@ -139,7 +139,6 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
             ratio=cfg.turn_dropout_ratio,
             length_bounds=length_bounds_from(train_dialogs),
             unk_prob=cfg.turn_dropout_unk_prob,
-            seed=seed,
         )
 
     dev_selection = dev_dialogs

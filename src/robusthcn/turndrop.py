@@ -22,7 +22,6 @@ class TurnDropoutConfig:
     ratio: float
     length_bounds: tuple
     unk_prob: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.ratio <= 1.0):

@@ -16,7 +16,8 @@ from robusthcn.augment import (
     parse_labels,
     sample_ood_block,
 )
-from robusthcn.corpus import Dialog, OodLabel, SILENCE_TOKEN, Turn, parse_dialogs, write_dialogs
+from robusthcn.corpus import (Dialog, OodLabel, ParseError, SILENCE_TOKEN, Turn, parse_dialogs,
+                              write_dialogs)
 from robusthcn.seeding import stream
 from robusthcn.toy import SEGMENT_INTERJECTIONS, generate_foreign_dialogs, generate_toy_domain
 
@@ -248,6 +249,20 @@ def test_labels_round_trip():
     restored = apply_labels(stripped, labels)
     for dialog, ref in zip(restored, out):
         assert [t.ood_label for t in dialog.turns] == [t.ood_label for t in ref.turns]
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("0\t0\n", 1, "expected 3 tab-separated fields, got 2"),
+    ("0\t0\tIND\tx\n", 1, "expected 3 tab-separated fields, got 4"),
+    ("0\t0\tIND\nzero\t1\tIND\n", 2, "must be non-negative integers"),
+    ("0\t0\tIND\n0\t-1\tIND\n", 2, "must be non-negative integers"),
+    ("0\t0\tIND\n\n0\t1\tOOD\n", 3, "unknown label 'OOD'"),
+    ("0\t0\tIND\n0\t2\tIND\n", 2, "not in turn order"),
+])
+def test_parse_labels_rejects_corrupt_lines(text, line_no, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_labels(text)
+    assert err.value.line_no == line_no
 
 
 def test_apply_labels_validates_alignment():

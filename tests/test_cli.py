@@ -343,3 +343,51 @@ def test_gridsearch_rejects_model_keys_it_sets(toy_files, tmp_path, capsys):
         assert code == 1, key
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, err
+
+
+def _nan_embeddings(toy_files, path):
+    # a NaN row for every token the toy files use, reserved tokens included
+    tokens = {"<unk>", "<silence>"}
+    for name in ("train.txt", "dev.txt", "test.txt"):
+        tokens.update(tok for d in parse_dialogs((toy_files / name).read_text())
+                      for t in d.turns for tok in t.user_tokens)
+    path.write_text("%d 6\n" % len(tokens)
+                    + "".join("%s%s\n" % (tok, " nan" * 6) for tok in sorted(tokens)))
+    return path
+
+
+def test_train_divergence_is_an_error(toy_files, tmp_path, capsys):
+    emb = _nan_embeddings(toy_files, tmp_path / "nan.emb")
+    code = _run("train", "--variant", "HCN", *_domain_flags(toy_files),
+                "--embedding-size", "6", "--embeddings", str(emb), "--max-epochs", "1",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-finite loss at epoch 0")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_pipeline_divergence_names_the_stage(toy_files, tmp_path, capsys):
+    emb = _nan_embeddings(toy_files, tmp_path / "nan.emb")
+    config = tmp_path / "run.cfg"
+    config.write_text("".join("data.%s = %s\n" % (key, toy_files / name) for key, name in (
+        ("train", "train.txt"), ("dev", "dev.txt"), ("test", "test.txt"),
+        ("lexicon", "lexicon.txt"), ("ood_pool", "ood_pool.txt"),
+        ("segment_pool", "segment_pool.txt")))
+        + "model.variant = HCN\nmodel.embedding_size = 6\nmodel.embedding_file = %s\n"
+          "train.max_epochs = 1\n" % emb)
+    code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: stage train: non-finite loss at epoch 0")
+
+
+def test_evaluate_rejects_a_corrupt_label_line(toy_files, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
+                "--out-checkpoint", str(ckpt)) == 0
+    labels = tmp_path / "test.labels"
+    labels.write_text("0\t0\n")
+    capsys.readouterr()
+    code = _run("evaluate", "--checkpoint", str(ckpt), "--test", str(toy_files / "test.txt"),
+                "--labels", str(labels), "--report-out", str(tmp_path / "r.txt"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 1: expected 3 tab-separated fields")

@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from robusthcn.augment import (
     AugmentationConfig,
+    apply_labels,
     augment_corpus,
+    labels_text,
     load_ood_pool,
     load_segment_pool,
+    parse_labels,
 )
 from robusthcn.corpus import (
     DEFAULT_FALLBACK_TEMPLATE,
@@ -14,6 +17,7 @@ from robusthcn.corpus import (
     ContextFeatures,
     Dialog,
     Lexicon,
+    OodLabel,
     ParseError,
     SILENCE_TOKEN,
     Turn,
@@ -106,6 +110,42 @@ def test_round_trip_on_generated_corpora():
         assert [t.kb_facts for d in again for t in d.turns] == [
             t.kb_facts for d in split for t in d.turns
         ]
+
+
+# every kind of token tokenize() keeps whole: words, <specials>, symbols
+_TOKENS = st.one_of(
+    st.from_regex(r"[a-z0-9$'_]{1,6}", fullmatch=True),
+    st.from_regex(r"<[a-z0-9_]{1,6}>", fullmatch=True),
+    st.sampled_from(list(".,?!-:;()<>/&*")),
+)
+_LINE_TEXT = st.text(st.characters(exclude_characters="\n\t"), max_size=12)
+
+
+@st.composite
+def _dialogs(draw, labels=st.just(OodLabel.IND)):
+    turn = st.builds(
+        Turn,
+        user_tokens=st.lists(_TOKENS, min_size=1, max_size=5).map(tuple),
+        system_utterance=_LINE_TEXT,
+        kb_facts=st.lists(_LINE_TEXT.filter(str.strip), max_size=2).map(tuple),
+        ood_label=labels,
+    )
+    turn_lists = draw(st.lists(st.lists(turn, min_size=1, max_size=4), max_size=4))
+    return [Dialog(id=i, turns=tuple(turns)) for i, turns in enumerate(turn_lists)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dialogs())
+def test_transcript_round_trip_property(dialogs):
+    assert parse_dialogs(write_dialogs(dialogs)) == dialogs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dialogs(labels=st.sampled_from(OodLabel)))
+def test_label_sidecar_round_trip_property(dialogs):
+    labels = parse_labels(labels_text(dialogs))
+    assert labels == {d.id: [t.ood_label for t in d.turns] for d in dialogs}
+    assert apply_labels(parse_dialogs(write_dialogs(dialogs)), labels) == dialogs
 
 
 # ------------------------------------------------------------- vocabulary

@@ -102,32 +102,32 @@ def test_vhcn_train_mode_uses_noise():
 
 # ------------------------------------------------------------ dialog_step
 
+def _turn_vectors(model, dialog):
+    return nn.stack([model.encode_turn(features)[0] for features in dialog])
+
+
 def test_all_ones_mask_is_noop():
     model = tiny_model("HCN", VOCAB, ACTIONS)
-    features = tiny_turn(VOCAB, ACTIONS, [1, 2], 0)
-    vec, _ = model.encode_turn(features)
-    state = model.initial_state()
-    _, logits = model.dialog_step(state, vec, features)
-    z_x = nn.add(
-        nn.add(nn.matvec(model.dlg_w_turn, vec),
-               nn.gather_cols_sum(model.dlg_w_bow, features.bow_indices)),
-        nn.add(nn.matvec(model.dlg_w_ctx, nn.as_tensor(features.f_ctx.vector(model.dtype))),
-               nn.add(nn.gather_cols_sum(model.dlg_w_prev, np.nonzero(features.prev_action)[0]),
-                      nn.matvec(model.dlg_w_mask, nn.as_tensor(features.f_mask.astype(model.dtype))))),
-    )
-    h = nn.slice1d(nn.lstm(z_x, state, model.dlg_u, model.dlg_b), 0, model.config.dialog_hidden_size)
-    hidden = model.pred_out(nn.relu(model.pred_hidden(h)))
-    np.testing.assert_array_equal(logits.data, hidden.data)
+    dialog = two_turn_dialog(VOCAB, ACTIONS)
+    vecs = _turn_vectors(model, dialog)
+    logits = model.dialog_step(vecs, dialog)
+    # the mask enters only as an input block, never applied to the logits
+    blocks = [(model.dlg_w_turn, vecs.data),
+              (model.dlg_w_bow, [f.bow_vector(len(VOCAB), model.dtype) for f in dialog]),
+              (model.dlg_w_ctx, [f.f_ctx.vector(model.dtype) for f in dialog]),
+              (model.dlg_w_prev, [f.prev_action for f in dialog]),
+              (model.dlg_w_mask, [f.f_mask for f in dialog])]
+    z_x = sum(np.asarray(x, dtype=model.dtype) @ w.data.T for w, x in blocks)
+    h = nn.lstm(z_x, model.dlg_u, model.dlg_b)
+    expected = model.pred_out(nn.relu(model.pred_hidden(h)))
+    np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
 
 
 def test_same_turn_different_positions_different_logits():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2], 0)
-    vec, _ = model.encode_turn(features)
-    state = model.initial_state()
-    state1, logits1 = model.dialog_step(state, vec, features)
-    _, logits2 = model.dialog_step(state1, vec, features)
-    assert np.abs(logits1.data - logits2.data).max() > 1e-9
+    logits = model.dialog_step(_turn_vectors(model, [features] * 2), [features] * 2)
+    assert np.abs(logits.data[0] - logits.data[1]).max() > 1e-9
 
 
 def test_zero_weight_model_is_uniform_and_predicts_action_zero():
@@ -135,12 +135,120 @@ def test_zero_weight_model_is_uniform_and_predicts_action_zero():
     for p in model.parameters():
         p.data = np.zeros_like(p.data)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
-    vec, _ = model.encode_turn(dialog[0])
-    _, logits = model.dialog_step(model.initial_state(), vec, dialog[0])
-    np.testing.assert_array_equal(logits.data, np.zeros(ACTIONS.size))
-    loss = nn.softmax_ce(logits, 2)
-    assert float(loss.data) == pytest.approx(np.log(ACTIONS.size), rel=1e-9)
+    logits = model.dialog_step(_turn_vectors(model, dialog), dialog)
+    np.testing.assert_array_equal(logits.data, np.zeros((2, ACTIONS.size)))
+    loss = nn.softmax_ce(logits, [2, 1])
+    assert float(loss.data) == pytest.approx(2 * np.log(ACTIONS.size), rel=1e-9)
     assert predict_dialog(model, dialog) == [0, 0]
+
+
+def _sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _per_turn_reference(model, dialog, rng=None):
+    """Loss, gradients and predictions of the per-turn composition.
+
+    The dialog level runs one turn at a time in numpy, carrying (h, c)
+    from turn to turn, with a hand-written backward pass.  The turn
+    encoders run through ``encode_turn`` in turn order; their parameters
+    get the gradient of sum_t <v_t, dL/dv_t> (plus, for VHCN, each turn's
+    bag-of-words and KL terms) through the library graph.
+    """
+    H = model.config.dialog_hidden_size
+    n = len(dialog)
+    P = {name: p.data for name, p in model.params.items()}
+    U, b = P["dialog_lstm.w_recurrent"], P["dialog_lstm.bias"]
+    W1, b1 = P["predictor.hidden.weight"], P["predictor.hidden.bias"]
+    W2, b2 = P["predictor.out.weight"], P["predictor.out.bias"]
+    encoded = [model.encode_turn(features, rng) for features in dialog]
+    h, c = np.zeros(H), np.zeros(H)
+    loss, preds, cache = 0.0, [], []
+    for (vec, _), f in zip(encoded, dialog):
+        x = {"turn": vec.data, "bow": f.bow_vector(len(model.vocab), np.float64),
+             "ctx": f.f_ctx.vector(np.float64), "prev": f.prev_action.astype(np.float64),
+             "mask": f.f_mask.astype(np.float64)}
+        z = sum(P["dialog_lstm.w_" + k] @ x[k] for k in x) + U @ h + b
+        i, fg, g, o = _sig(z[:H]), _sig(z[H:2 * H]), np.tanh(z[2 * H:3 * H]), _sig(z[3 * H:])
+        c_t = fg * c + i * g
+        h_t = o * np.tanh(c_t)
+        a = W1 @ h_t + b1
+        r = np.maximum(a, 0.0)
+        logits = W2 @ r + b2
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        loss -= np.log(p[f.target]) / n
+        preds.append(int(np.argmax(logits)))
+        cache.append((x, h, c, i, fg, g, o, c_t, h_t, a, r, p, f.target))
+        h, c = h_t, c_t
+
+    grads = {name: np.zeros_like(value) for name, value in P.items()}
+    d_turn = [None] * n
+    dh_next, dc_next = np.zeros(H), np.zeros(H)
+    for t in range(n - 1, -1, -1):
+        x, h_prev, c_prev, i, fg, g, o, c_t, h_t, a, r, p, target = cache[t]
+        dlogits = p.copy()
+        dlogits[target] -= 1.0
+        dlogits /= n
+        grads["predictor.out.weight"] += np.outer(dlogits, r)
+        grads["predictor.out.bias"] += dlogits
+        da = (W2.T @ dlogits) * (a > 0)
+        grads["predictor.hidden.weight"] += np.outer(da, h_t)
+        grads["predictor.hidden.bias"] += da
+        dh = W1.T @ da + dh_next
+        tc = np.tanh(c_t)
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * fg * (1.0 - fg),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
+        for k in x:
+            grads["dialog_lstm.w_" + k] += np.outer(dz, x[k])
+        grads["dialog_lstm.w_recurrent"] += np.outer(dz, h_prev)
+        grads["dialog_lstm.bias"] += dz
+        d_turn[t] = P["dialog_lstm.w_turn"].T @ dz
+        dh_next, dc_next = U.T @ dz, dc * fg
+
+    nn.zero_grads(model.parameters())
+    surrogate = nn.as_tensor(0.0)
+    for (vec, enc), f, dv in zip(encoded, dialog, d_turn):
+        surrogate = nn.add(surrogate, nn.vsum(nn.mul(vec, dv)))
+        if enc is not None:
+            x_bow = f.bow_vector(len(model.vocab), np.float64)
+            term = nn.add(nn.bow_sigmoid_ce(model.bow_logits(enc), x_bow),
+                          nn.gaussian_kl(enc.mu, enc.sigma))
+            loss += float(term.data) / n
+            surrogate = nn.add(surrogate, nn.mul(term, 1.0 / n))
+    nn.backward(surrogate)
+    for name, param in model.params.items():
+        if not name.startswith(("dialog_lstm.", "predictor.")) and param.grad is not None:
+            grads[name] = param.grad.copy()
+    nn.zero_grads(model.parameters())
+    return loss, grads, preds
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_dialog_pass_matches_per_turn_reference(variant):
+    domain = generate_toy_domain(5, 30, 8)
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
+    feats = data.featurize(domain.train[:4])
+    dialogs = feats + [feats[0][:1]]  # a one-turn dialog has no previous action
+    sizes = dict(embedding_size=8, dialog_hidden_size=16, predictor_hidden_size=16)
+    if variant == "VHCN":
+        sizes["latent_size"] = 4
+    model = Model(ModelConfig(variant, **sizes), data.vocab, data.action_set, data.n_context,
+                  rng=stream(5, "parity", variant), dtype=np.float64)
+    for k, dialog in enumerate(dialogs):
+        noise = ReplayNoise([stream(6, "parity", k, t).standard_normal(4)
+                             for t in range(len(dialog))])
+        ref_loss, ref_grads, _ = _per_turn_reference(model, dialog, noise.reset())
+        _, _, ref_preds = _per_turn_reference(model, dialog)
+        loss, _ = dialog_loss(model, dialog, noise.reset())
+        nn.backward(loss)
+        assert abs(float(loss.data) - ref_loss) < 1e-10
+        for name, param in model.params.items():
+            grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-10, err_msg=name)
+        nn.zero_grads(model.parameters())
+        assert predict_dialog(model, dialog) == ref_preds
 
 
 def test_argmax_invariant_to_constant_logit_shift():

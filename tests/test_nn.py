@@ -42,19 +42,22 @@ def _zero_weights(hidden, dtype=np.float64):
 
 
 def test_lstm_zero_everything():
-    for zx in (np.zeros(12), np.zeros((4, 12))):
-        out = nn.lstm(zx, np.zeros(6), *_zero_weights(3))
-        np.testing.assert_allclose(out.data, 0.0)
+    for steps in (1, 4):
+        out = nn.lstm(np.zeros((steps, 12)), *_zero_weights(3))
+        np.testing.assert_allclose(out.data, np.zeros((steps, 3)))
 
 
 def test_lstm_zero_weights_halve_cell_state():
-    c_prev = np.array([1.0, -2.0, 4.0])
+    # the first step writes 0.5 * tanh(v) into the cell; with zero input
+    # afterwards every gate is 0.5, so the cell halves at each later step
+    v = np.array([1.0, -2.0, 4.0])
     for steps in (1, 3):
-        out = nn.lstm(np.zeros((steps, 12)), np.concatenate([np.zeros(3), c_prev]),
-                      *_zero_weights(3))
-        c = 0.5 ** steps * c_prev
-        np.testing.assert_allclose(out.data[3:], c)
-        np.testing.assert_allclose(out.data[:3], 0.5 * np.tanh(c))
+        zx = np.zeros((steps, 12))
+        zx[0, 6:9] = v
+        out = nn.lstm(zx, *_zero_weights(3))
+        for t in range(steps):
+            c = 0.5 ** (t + 1) * np.tanh(v)
+            np.testing.assert_allclose(out.data[t], 0.5 * np.tanh(c))
 
 
 def _lstm_oracle(x, h_prev, c_prev, W, U, b, hidden):
@@ -82,44 +85,58 @@ def test_lstm_matches_independent_implementation():
             U = rng.normal(size=(4 * hidden, hidden))
             b = rng.normal(size=4 * hidden)
             xs = rng.normal(size=(steps, inputs))
-            h, c = rng.normal(size=hidden), rng.normal(size=hidden)
-            # one step takes a (4H,) projection, a sequence a (T, 4H) one
-            zx = nn.matvec(W, xs[0] if steps == 1 else xs)
-            out = nn.lstm(zx, np.concatenate([h, c]), U, b)
-            for x in xs:
+            out = nn.lstm(nn.matvec(W, xs), U, b)
+            assert out.data.shape == (steps, hidden)
+            h, c = np.zeros(hidden), np.zeros(hidden)
+            for t, x in enumerate(xs):
                 h, c = _lstm_oracle(x, h, c, W, U, b, hidden)
-            np.testing.assert_allclose(out.data[:hidden], h, atol=1e-12)
-            np.testing.assert_allclose(out.data[hidden:], c, atol=1e-12)
+                np.testing.assert_allclose(out.data[t], h, atol=1e-12)
 
 
 def test_lstm_rejects_bad_shapes():
-    for zx, state in [
-        (np.zeros(8), np.zeros(6)),           # projection not 4H wide
-        (np.zeros((2, 8)), np.zeros(6)),
-        (np.zeros((1, 2, 12)), np.zeros(6)),  # 3-D projection
-        (np.zeros(12), np.zeros(3)),          # state is not [h; c]
+    for zx in [
+        np.zeros(12),          # one step must still be a (1, 4H) row
+        np.zeros((2, 8)),      # projection not 4H wide
+        np.zeros((1, 2, 12)),  # 3-D projection
     ]:
         with pytest.raises(nn.DimensionError):
-            nn.lstm(zx, state, *_zero_weights(3))
+            nn.lstm(zx, *_zero_weights(3))
+    with pytest.raises(nn.DimensionError):
+        nn.lstm(np.zeros((2, 12)), nn.Parameter(np.zeros((12, 3))), nn.Parameter(np.zeros(8)))
 
 
 @pytest.mark.parametrize("tokens", [[3], [1, 3, 0, 4, 3]])
 def test_grad_check_lstm_sequence(tokens):
+    # a different weight on every step's output, as the dialog level reads them
     rng = stream(12, "lstm-grad", len(tokens))
     hidden, inputs = 3, 4
     w_input = nn.Parameter(rng.normal(size=(4 * hidden, inputs)) * 0.5, "W")
     w_recurrent = nn.Parameter(rng.normal(size=(4 * hidden, hidden)) * 0.5, "U")
     bias = nn.Parameter(rng.normal(size=4 * hidden) * 0.5, "b")
     table = nn.Parameter(rng.normal(size=(5, inputs)), "emb")
-    state = nn.Parameter(rng.normal(size=2 * hidden), "state")
-    coef = rng.normal(size=2 * hidden)
+    coef = rng.normal(size=(len(tokens), hidden))
 
     def fn():
         zx = nn.matvec(w_input, nn.gather_rows(table, tokens))
-        out = nn.lstm(zx, state, w_recurrent, bias)
+        out = nn.lstm(zx, w_recurrent, bias)
         return nn.vsum(nn.mul(out, nn.as_tensor(coef)))
 
-    assert nn.grad_check(fn, [w_input, w_recurrent, bias, table, state]) < 1e-4
+    assert nn.grad_check(fn, [w_input, w_recurrent, bias, table]) < 1e-4
+
+
+# ------------------------------------------------------------------ stack
+
+def test_stack_rows_and_gradients():
+    rng = stream(13, "stack")
+    rows = [nn.Parameter(rng.normal(size=3), "r%d" % i) for i in range(4)]
+    out = nn.stack(rows)
+    np.testing.assert_array_equal(out.data, np.array([r.data for r in rows]))
+    coef = rng.normal(size=(4, 3))
+
+    def fn():
+        return nn.vsum(nn.mul(nn.stack([nn.mul(r, r) for r in rows]), nn.as_tensor(coef)))
+
+    assert nn.grad_check(fn, rows) < 1e-4
 
 
 # -------------------------------------------------------------- softmax_ce
@@ -145,6 +162,18 @@ def test_softmax_ce_matches_naive_formula():
         loss = nn.softmax_ce(nn.as_tensor(logits), target)
         naive = -np.log(np.exp(logits[target]) / np.exp(logits).sum())
         assert float(loss.data) == pytest.approx(naive, abs=1e-6)
+
+
+def test_softmax_ce_rows_sum_the_row_losses():
+    rng = stream(3, "ce-rows")
+    w = nn.Parameter(rng.normal(size=(4, 5)) * 3)
+    targets = [4, 0, 0, 2]
+    loss = nn.softmax_ce(w, targets)
+    rows = sum(float(nn.softmax_ce(w.data[t], k).data) for t, k in enumerate(targets))
+    assert float(loss.data) == pytest.approx(rows, abs=1e-12)
+    assert nn.grad_check(lambda: nn.softmax_ce(w, targets), [w]) < 1e-4
+    with pytest.raises(nn.DimensionError):
+        nn.softmax_ce(w, targets[:3])
 
 
 # ---------------------------------------------------------- bow_sigmoid_ce
@@ -353,12 +382,12 @@ def test_grad_check_losses_and_lstm_path():
 
     def fn():
         zx = nn.matvec(cell_w, nn.gather_rows(table, [1, 3, 0]))
-        h = nn.slice1d(nn.lstm(zx, np.zeros(2 * hidden), cell_u, cell_b), 0, hidden)
+        h = nn.gather_rows(nn.lstm(zx, cell_u, cell_b), -1)
         mu = nn.matvec(mu_w, h)
         sigma = nn.exp(nn.mul(0.5, nn.matvec(lv_w, h)))
         z = nn.reparameterize(mu, sigma, noise)
         mean_vec = nn.embed_mean(table, [0, 2, 2])
-        logits = nn.add(z, nn.slice1d(mean_vec, 0, 2))
+        logits = nn.add(z, nn.gather_rows(mean_vec, [0, 1]))
         ce = nn.softmax_ce(logits, 1)
         bow_logits = nn.gather_rows(table, [0, 1, 2, 3, 4])
         bow = nn.bow_sigmoid_ce(nn.mean_rows(bow_logits),

@@ -109,7 +109,7 @@ def test_turn_dropout_injects_fallback_targets(toy):
     fallback = actions.fallback_action_id
     assert all(t.target != fallback for d in train_f for t in d)
     # the exact per-epoch streams used by train_model
-    td = TurnDropoutConfig(ratio=0.6, length_bounds=(1, 8), seed=4)
+    td = TurnDropoutConfig(ratio=0.6, length_bounds=(1, 8))
     seen = set()
     for i, dialog in enumerate(train_f):
         out = apply_turn_dropout(dialog, td, stream(4, "turn-dropout", 0, i), fallback, vocab)
@@ -176,7 +176,7 @@ def test_turn_dropout_mechanism_witness(toy):
     for ratio in (0.0, 0.4):
         tc = TrainConfig(turn_dropout_ratio=ratio, max_epochs=40, patience=12, seed=3)
         model, _ = train_model(config, tc, train_f, dev_f, vocab, actions, nctx)
-        td = TurnDropoutConfig(ratio=1.0, length_bounds=(3, 9), seed=8)
+        td = TurnDropoutConfig(ratio=1.0, length_bounds=(3, 9))
         rng = stream(8, "gibberish")
         fallback_rate = []
         for dialog in dev_f:
