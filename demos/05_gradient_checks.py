@@ -14,23 +14,6 @@ from robusthcn.models import Model, ModelConfig, dialog_loss
 from robusthcn.seeding import stream
 
 
-class ReplayNoise:
-    """Replays fixed latent noise so the loss is a pure function of weights."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-        self.i = 0
-
-    def reset(self):
-        self.i = 0
-        return self
-
-    def standard_normal(self, size):
-        out = self.arrays[self.i]
-        self.i += 1
-        return out
-
-
 def tiny_domain():
     vocab = Vocabulary(["w%d" % i for i in range(8)])
     actions = ActionSet(templates=("greet", "ask", "reply", "bye"), fallback_action_id=0)
@@ -56,16 +39,11 @@ def main():
                              latent_size=3 if variant == "VHCN" else None)
         model = Model(config, vocab, actions, n_context=3,
                       rng=stream(0, "demo", variant), dtype=np.float64)
-        if variant == "VHCN":
-            noise = ReplayNoise([stream(1, "n", i).standard_normal(3) for i in range(2)])
 
-            def fn():
-                loss, _ = dialog_loss(model, dialog, noise.reset())
-                return loss
-        else:
-            def fn():
-                loss, _ = dialog_loss(model, dialog)
-                return loss
+        def fn():
+            # a fresh generator per call replays the same latent noise (VHCN)
+            loss, _ = dialog_loss(model, dialog, stream(1, "noise"))
+            return loss
 
         params = [p for p in model.parameters() if p.trainable]
         n_coords = sum(p.data.size for p in params)

@@ -78,8 +78,6 @@ class RunConfig:
         parser, _ = KNOWN_KEYS[key]
         try:
             self.values[key] = parser(raw) if isinstance(raw, str) else raw
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad value for %s: %s" % (key, exc)) from exc
 

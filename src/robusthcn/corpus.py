@@ -524,23 +524,49 @@ def write_embedding_file(path, vocab, table):
             fh.write(tok + " " + " ".join("%.8f" % v for v in row) + "\n")
 
 
+class EmbeddingFileError(ValueError):
+    """Malformed embedding file; names the file and the 1-based line."""
+
+    def __init__(self, path, line_no, message):
+        super().__init__("%s line %d: %s" % (path, line_no, message))
+        self.line_no = line_no
+
+
 def load_embedding_table(path, vocab, seed=0, scale=0.1):
     """Read an embedding file and align it with ``vocab``.
 
-    Tokens missing from the file get deterministic random vectors; file
-    tokens outside the vocabulary are ignored.
+    The file is a header ``V d`` and then V lines of a token and d
+    numbers.  Tokens missing from the file get deterministic random
+    vectors; file tokens outside the vocabulary are ignored.  A malformed
+    header or row, a value that is not a number or not finite in float32,
+    or a row count other than V raises :class:`EmbeddingFileError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("embedding file must start with 'V d'")
-        n, dim = int(header[0]), int(header[1])
+        try:
+            n, dim = (int(x) for x in header)
+        except ValueError:
+            n = dim = -1
+        if n < 0 or dim < 1:
+            raise EmbeddingFileError(path, 1, "expected a header 'V d' with V >= 0 and d >= 1, "
+                                              "got %r" % " ".join(header))
         by_token = {}
-        for _ in range(n):
+        for line_no in range(2, n + 2):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
-                raise ValueError("embedding row has wrong arity")
-            by_token[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+                raise EmbeddingFileError(path, line_no, "expected a token and %d values, got %d "
+                                                        "fields" % (dim, len(parts)))
+            try:
+                with np.errstate(over="ignore"):  # overflow is reported below
+                    row = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+            except ValueError as exc:
+                raise EmbeddingFileError(path, line_no, str(exc)) from None
+            if not np.isfinite(row).all():
+                raise EmbeddingFileError(path, line_no, "value %s is not finite in float32"
+                                         % parts[1 + int(np.argmin(np.isfinite(row)))])
+            by_token[parts[0]] = row
+        if fh.read().strip():
+            raise EmbeddingFileError(path, n + 2, "more rows than the header's %d" % n)
     rows = []
     for tok in vocab.itos:
         if tok in by_token:

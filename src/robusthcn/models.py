@@ -15,10 +15,11 @@ predictor over actions.  They differ on the turn level:
 The dialog-level input projection is stored in blocks (one weight matrix
 per feature group), which is arithmetically identical to a single affine
 map over the concatenated input.  No dialog-level input depends on the
-LSTM state, so a dialog runs as one sequence: the turn encodings are
-stacked, each block is one product over all T turns, one LSTM op returns
-every step's hidden state, and the predictor and the loss see (T, .)
-matrices.
+LSTM state, so a dialog runs as one pass with no per-turn step:
+``encode_turn`` returns the (T, d) turn encodings of the whole dialog (the
+turn LSTM runs once over all turns, packed by length), each input block is
+one product over all T turns, the same LSTM op returns every step's hidden
+state, and the predictor and the loss see (T, .) matrices.
 """
 
 from __future__ import annotations
@@ -93,10 +94,15 @@ class VaeEncoding:
 
 
 class Model:
-    """One trained or trainable instance of a model variant."""
+    """One trained or trainable instance of a model variant.
+
+    A fresh model draws its parameters from ``rng``; ``arrays`` (name ->
+    array, as a checkpoint stores them) gives every parameter's value
+    instead, and nothing is drawn.
+    """
 
     def __init__(self, config, vocab, action_set, n_context, rng=None, dtype=np.float32,
-                 embedding_table=None):
+                 embedding_table=None, arrays=None):
         self.config = config
         self.vocab = vocab
         self.action_set = action_set
@@ -104,72 +110,77 @@ class Model:
         self.dtype = np.dtype(dtype)
         self.vocab_hash = vocab.sha256()
         self.action_hash = action_set.sha256()
-        if rng is None:
+        if rng is None and arrays is None:
             rng = stream(0, "model-init")
-        self._build(rng, embedding_table)
+        self.params = OrderedDict()
+        self._build(rng, embedding_table, arrays)
+        if arrays is not None and list(self.params) != list(arrays):
+            raise CheckpointError("parameter inventory does not match this model variant")
 
-    def _build(self, rng, embedding_table):
+    def _build(self, rng, embedding_table, arrays):
         cfg = self.config
         v_size = len(self.vocab)
         a_size = self.action_set.size
         dtype = self.dtype
-        self.params = OrderedDict()
 
-        if cfg.variant == "HCN":
-            if embedding_table is not None:
-                if embedding_table.vectors.shape != (v_size, cfg.embedding_size):
-                    raise ValueError("embedding table shape mismatch")
-                vectors = embedding_table.vectors.astype(dtype)
+        def param(name, shape, draw, trainable=True):
+            if arrays is None:
+                data = draw()
+            elif name not in arrays:
+                raise CheckpointError("parameter inventory does not match this model variant")
+            elif arrays[name].shape != shape:
+                raise CheckpointError("shape mismatch for parameter %s" % name)
             else:
-                vectors = rng.normal(0.0, 0.1, (v_size, cfg.embedding_size)).astype(dtype)
-            self.embedding = nn.Parameter(vectors, "embedding", trainable=False)
-        else:
-            vectors = rng.normal(0.0, 0.1, (v_size, cfg.embedding_size)).astype(dtype)
-            self.embedding = nn.Parameter(vectors, "embedding", trainable=True)
-        self._register(self.embedding)
-
-        if cfg.variant in ("HHCN", "VHCN"):
-            self.turn_cell = nn.LSTMCell(rng, cfg.embedding_size, cfg.embedding_size,
-                                         dtype=dtype, name="turn_lstm")
-            for p in self.turn_cell.parameters():
-                self._register(p)
-        if cfg.variant == "VHCN":
-            self.mu_head = nn.Linear(rng, cfg.embedding_size, cfg.latent_size, dtype, "mu_head")
-            self.logvar_head = nn.Linear(rng, cfg.embedding_size, cfg.latent_size, dtype, "logvar_head")
-            self.bow_head = nn.Linear(rng, cfg.latent_size, v_size, dtype, "bow_head")
-            for layer in (self.mu_head, self.logvar_head, self.bow_head):
-                for p in layer.parameters():
-                    self._register(p)
-
-        hidden = cfg.dialog_hidden_size
-        turn_dim = cfg.turn_vector_size
-        fan_in = turn_dim + v_size + self.n_context + 2 * a_size
-        fan_out = hidden
-
-        def block(name, cols):
-            p = nn.Parameter(
-                nn.glorot_uniform(rng, (4 * hidden, cols), dtype, fan_in=fan_in, fan_out=fan_out),
-                name,
-            )
+                data = arrays[name].astype(dtype)
+            p = nn.Parameter(data, name, trainable)
             self._register(p)
             return p
 
-        self.dlg_w_turn = block("dialog_lstm.w_turn", turn_dim)
-        self.dlg_w_bow = block("dialog_lstm.w_bow", v_size)
-        self.dlg_w_ctx = block("dialog_lstm.w_ctx", self.n_context)
-        self.dlg_w_prev = block("dialog_lstm.w_prev", a_size)
-        self.dlg_w_mask = block("dialog_lstm.w_mask", a_size)
-        u, b = nn.lstm_recurrent_init(rng, hidden, dtype)
-        self.dlg_u = nn.Parameter(u, "dialog_lstm.w_recurrent")
-        self.dlg_b = nn.Parameter(b, "dialog_lstm.bias")
-        self._register(self.dlg_u)
-        self._register(self.dlg_b)
+        def glorot(name, shape, **fans):
+            return param(name, shape, lambda: nn.glorot_uniform(rng, shape, dtype, **fans))
 
-        self.pred_hidden = nn.Linear(rng, hidden, cfg.predictor_hidden_size, dtype, "predictor.hidden")
-        self.pred_out = nn.Linear(rng, cfg.predictor_hidden_size, a_size, dtype, "predictor.out")
-        for layer in (self.pred_hidden, self.pred_out):
-            for p in layer.parameters():
-                self._register(p)
+        def linear(name, in_size, out_size):
+            return nn.Linear(glorot(name + ".weight", (out_size, in_size)),
+                             param(name + ".bias", (out_size,), lambda: np.zeros(out_size, dtype)))
+
+        def recurrent(name, hidden):
+            return (param(name + ".w_recurrent", (4 * hidden, hidden),
+                          lambda: nn.lstm_recurrent_init(rng, hidden, dtype)),
+                    param(name + ".bias", (4 * hidden,), lambda: nn.lstm_bias_init(hidden, dtype)))
+
+        def embedding():
+            if embedding_table is None:
+                return rng.normal(0.0, 0.1, (v_size, cfg.embedding_size)).astype(dtype)
+            if embedding_table.vectors.shape != (v_size, cfg.embedding_size):
+                raise ValueError("embedding table shape mismatch")
+            return embedding_table.vectors.astype(dtype)
+
+        # HCN reads a frozen (optionally pretrained) table; the others train theirs
+        self.embedding = param("embedding", (v_size, cfg.embedding_size), embedding,
+                               trainable=cfg.variant != "HCN")
+
+        if cfg.variant in ("HHCN", "VHCN"):
+            size = cfg.embedding_size
+            self.turn_w_input = glorot("turn_lstm.w_input", (4 * size, size),
+                                       fan_in=size, fan_out=size)
+            self.turn_u, self.turn_b = recurrent("turn_lstm", size)
+        if cfg.variant == "VHCN":
+            self.mu_head = linear("mu_head", cfg.embedding_size, cfg.latent_size)
+            self.logvar_head = linear("logvar_head", cfg.embedding_size, cfg.latent_size)
+            self.bow_head = linear("bow_head", cfg.latent_size, v_size)
+
+        hidden = cfg.dialog_hidden_size
+        turn_dim = cfg.turn_vector_size
+        fans = dict(fan_in=turn_dim + v_size + self.n_context + 2 * a_size, fan_out=hidden)
+        self.dlg_w_turn = glorot("dialog_lstm.w_turn", (4 * hidden, turn_dim), **fans)
+        self.dlg_w_bow = glorot("dialog_lstm.w_bow", (4 * hidden, v_size), **fans)
+        self.dlg_w_ctx = glorot("dialog_lstm.w_ctx", (4 * hidden, self.n_context), **fans)
+        self.dlg_w_prev = glorot("dialog_lstm.w_prev", (4 * hidden, a_size), **fans)
+        self.dlg_w_mask = glorot("dialog_lstm.w_mask", (4 * hidden, a_size), **fans)
+        self.dlg_u, self.dlg_b = recurrent("dialog_lstm", hidden)
+
+        self.pred_hidden = linear("predictor.hidden", hidden, cfg.predictor_hidden_size)
+        self.pred_out = linear("predictor.out", cfg.predictor_hidden_size, a_size)
 
     def _register(self, param):
         if param.name in self.params:
@@ -179,26 +190,32 @@ class Model:
     def parameters(self):
         return list(self.params.values())
 
-    def encode_turn(self, features, rng=None):
-        """Turn vector for one turn; VHCN also returns the posterior encoding.
+    def encode_turn(self, featurized_dialog, rng=None):
+        """The (T, d) turn vectors of a whole dialog, and VHCN's posterior encoding.
 
-        VHCN samples the latent from ``rng`` when one is given (training)
-        and uses the posterior mean otherwise (inference).
+        HCN averages each turn's frozen embeddings.  HHCN and VHCN project
+        every token of the dialog at once, run the turn LSTM once over the
+        turns as packed sequences of their own lengths, and read each
+        turn's last hidden state.  VHCN samples the latents from ``rng``
+        when one is given (training: one (T, k) standard-normal draw, the
+        same numbers as T per-turn draws in turn order) and uses the
+        posterior mean otherwise (inference).
         """
         cfg = self.config
         if cfg.variant == "HCN":
-            return nn.embed_mean(self.embedding, features.f_turn), None
-        cell = self.turn_cell
-        zx = nn.matvec(cell.w_input, nn.gather_rows(self.embedding, features.f_turn))
-        h = nn.gather_rows(nn.lstm(zx, cell.w_recurrent, cell.bias), -1)
+            return nn.stack([nn.embed_mean(self.embedding, f.f_turn) for f in featurized_dialog]), None
+        lengths = np.array([len(f.f_turn) for f in featurized_dialog])
+        tokens = np.concatenate([f.f_turn for f in featurized_dialog])
+        zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
+        hs = nn.lstm(zx, lengths, self.turn_u, self.turn_b)
+        h = nn.gather_rows(hs, np.cumsum(lengths) - 1)
         if cfg.variant == "HHCN":
             return h, None
         mu = self.mu_head(h)
-        logvar = self.logvar_head(h)
-        sigma = nn.exp(nn.mul(0.5, logvar))
+        sigma = nn.exp(nn.mul(0.5, self.logvar_head(h)))
         if rng is not None:
-            noise = np.asarray(rng.standard_normal(cfg.latent_size), dtype=self.dtype)
-            z = nn.reparameterize(mu, sigma, noise)
+            noise = rng.standard_normal((len(featurized_dialog), cfg.latent_size))
+            z = nn.reparameterize(mu, sigma, np.asarray(noise, dtype=self.dtype))
         else:
             z = mu
         return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
@@ -222,7 +239,7 @@ class Model:
                 nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)),
             ),
         )
-        h = nn.lstm(z_x, self.dlg_u, self.dlg_b)
+        h = nn.lstm(z_x, [len(featurized_dialog)], self.dlg_u, self.dlg_b)
         return self.pred_out(nn.relu(self.pred_hidden(h)))
 
     def bow_rows(self, featurized_dialog):
@@ -253,13 +270,6 @@ def loss_vhcn(logits, targets, encoding, bow_logits, x_bow):
     return total, breakdown
 
 
-def _dialog_forward(model, featurized_dialog, rng=None):
-    """Turn encodings in turn order, stacked, then the dialog level once."""
-    encoded = [model.encode_turn(features, rng) for features in featurized_dialog]
-    turn_vectors = nn.stack([vec for vec, _ in encoded])
-    return model.dialog_step(turn_vectors, featurized_dialog), turn_vectors, encoded
-
-
 def dialog_loss(model, featurized_dialog, rng=None):
     """Mean per-turn loss over one dialog, with a term breakdown.
 
@@ -268,12 +278,10 @@ def dialog_loss(model, featurized_dialog, rng=None):
     """
     if not featurized_dialog:
         raise ValueError("empty dialog")
-    logits, turn_vectors, encoded = _dialog_forward(model, featurized_dialog, rng)
+    turn_vectors, encoding = model.encode_turn(featurized_dialog, rng)
+    logits = model.dialog_step(turn_vectors, featurized_dialog)
     targets = [features.target for features in featurized_dialog]
-    if model.config.variant == "VHCN":
-        encoding = VaeEncoding(mu=nn.stack([enc.mu for _, enc in encoded]),
-                               sigma=nn.stack([enc.sigma for _, enc in encoded]),
-                               z=turn_vectors)
+    if encoding is not None:
         total, sums = loss_vhcn(logits, targets, encoding, model.bow_logits(encoding),
                                 model.bow_rows(featurized_dialog))
     else:
@@ -295,7 +303,7 @@ def predict_dialog(model, featurized_dialog):
     if not featurized_dialog:
         return []
     with nn.no_grad():
-        logits, _, _ = _dialog_forward(model, featurized_dialog)
+        logits = model.dialog_step(model.encode_turn(featurized_dialog)[0], featurized_dialog)
     return [int(a) for a in np.argmax(logits.data, axis=1)]
 
 
@@ -463,22 +471,8 @@ def load_checkpoint(path):
 
 def model_from_checkpoint(loaded, dtype=np.float32):
     """Rebuild a model from a loaded checkpoint (exact parameter values)."""
-    model = Model(
-        loaded.config,
-        loaded.vocab,
-        loaded.action_set,
-        n_context=loaded.n_context,
-        rng=stream(0, "checkpoint-restore"),
-        dtype=dtype,
-    )
-    if list(model.params) != list(loaded.arrays):
-        raise CheckpointError("parameter inventory does not match this model variant")
-    for name, p in model.params.items():
-        arr = loaded.arrays[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError("shape mismatch for parameter %s" % name)
-        p.data = arr.astype(dtype)
-    return model
+    return Model(loaded.config, loaded.vocab, loaded.action_set, loaded.n_context,
+                 dtype=dtype, arrays=loaded.arrays)
 
 
 def check_compatible(model, vocab, action_set):

@@ -2,11 +2,12 @@
 
 This is not a general autodiff system: it supports exactly the shapes the
 models need (vector activations, per-token and per-turn row matrices, 2-D
-weights, scalar losses) and a fixed op set.  An LSTM over a whole
-sequence is one node (:func:`lstm`) that returns every step's hidden state
-and has a hand-written backward pass.  Graphs are built eagerly;
-``backward`` on a scalar loss accumulates gradients into every reachable
-trainable :class:`Parameter`.
+weights, scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`)
+serves every recurrence: it runs a batch of variable-length sequences,
+packed row after row, as one graph node with one time loop, returns every
+row's hidden state and has a hand-written backward pass.  Graphs are built
+eagerly; ``backward`` on a scalar loss accumulates gradients into every
+reachable trainable :class:`Parameter`.
 
 Training runs in float32; build the same graphs from float64 leaves to
 make :func:`grad_check` meaningful.
@@ -197,12 +198,10 @@ def mean_rows(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def relu(x):
@@ -243,15 +242,31 @@ def embed_mean(table, token_ids):
     return mean_rows(gather_rows(table, ids))
 
 
-def lstm(zx, w_recurrent, bias):
-    """An LSTM run over precomputed input projections, as one graph node.
+def _rows_times(rows, w):
+    # rows @ w.T; one row takes the matrix-vector product, so a single
+    # sequence multiplies exactly as an unbatched LSTM does
+    if rows.shape[0] == 1:
+        return (w @ rows[0])[None]
+    return rows @ w.T
 
-    ``zx`` holds W x_t for every step, shape (T, 4H).  The run starts from
-    a zero [h; c] and returns every step's hidden state, shape (T, H).
-    Gate order along the 4H axis: input, forget, candidate, output.  The
-    backward pass is hand-written BPTT that takes a gradient on every
-    step's output; the recurrent weight gradient is one product
-    dZ^T H_prev over all steps.
+
+def lstm(zx, lengths, w_recurrent, bias):
+    """An LSTM over packed variable-length sequences, as one graph node.
+
+    ``zx`` holds W x_t for every step of every sequence, the sequences'
+    rows concatenated in order, shape (N, 4H); ``lengths`` gives their
+    step counts (each at least 1, summing to N).  Every sequence starts
+    from a zero [h; c]; the op returns every row's hidden state, shape
+    (N, H), in input order.  Gate order along the 4H axis: input, forget,
+    candidate, output.
+
+    The sequences run in the packed layout of Appleyard et al. (2016):
+    sorted by length, longest first and stable, so the sequences still
+    running at step t are a prefix of that order and one time loop of
+    max(lengths) steps serves them all.  The backward pass is hand-written
+    BPTT that takes a gradient on every row; the recurrent weight gradient
+    is one product dZ^T H_prev over all steps and rows.  Without a graph
+    to record, no gate history is kept.
     """
     zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
     hidden = w_recurrent.data.shape[1]
@@ -262,46 +277,83 @@ def lstm(zx, w_recurrent, bias):
         or bias.data.shape != (4 * hidden,)
     ):
         raise DimensionError("inconsistent LSTM shapes")
-    zs, u, b = zx.data, w_recurrent.data, bias.data
-    steps = zs.shape[0]
-    dtype = np.result_type(zs, u, b)
-    hs = np.zeros((steps + 1, hidden), dtype=dtype)
-    cs = np.zeros((steps + 1, hidden), dtype=dtype)
-    gates = np.empty((steps, 4 * hidden), dtype=dtype)
-    cand = slice(2 * hidden, 3 * hidden)
-    for t in range(steps):
-        z = zs[t] + u @ hs[t] + b
-        gates[t] = _sigmoid(z)
-        gates[t, cand] = np.tanh(z[cand])
-        i, f, g, o = gates[t].reshape(4, hidden)
-        cs[t + 1] = f * cs[t] + i * g
-        hs[t + 1] = o * np.tanh(cs[t + 1])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = zx.data.shape[0]
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != total:
+        raise DimensionError("sequence lengths %s do not split %d rows" % (lengths.tolist(), total))
 
-    # Each product below multiplies in the order the old per-gate graph
-    # did, so a one-step LSTM reproduces its float32 gradients bit for bit.
+    # Packed position r of step t holds row rows[r] of zx; step t's
+    # active[t] positions start at start[t + 1] - n_seq.  The history
+    # arrays hs and cs lead with n_seq zero rows, the state before step 0,
+    # so step t writes rows start[t + 1]:start[t + 1] + active[t] and reads
+    # the states it continues at start[t]:start[t] + active[t].
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    n_seq = lengths.size
+    active = np.count_nonzero(sorted_lengths[:, None] > np.arange(sorted_lengths[0]), axis=0)
+    start = np.concatenate(([0], n_seq + np.cumsum(active) - active))
+    step = np.repeat(np.arange(active.size), active)
+    rank = np.arange(total) - start[step + 1] + n_seq
+    rows = (np.cumsum(lengths) - lengths)[order][rank] + step
+    active, start = active.tolist(), start.tolist()
+
+    zs, u, b = zx.data[rows], w_recurrent.data, bias.data
+    dtype = np.result_type(zs, u, b)
+    record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
+    hs = np.zeros((n_seq + total, hidden), dtype=dtype)
+    cs = np.zeros((n_seq + total, hidden), dtype=dtype)
+    if record:
+        gates = np.empty((total, 4 * hidden), dtype=dtype)
+    cand = slice(2 * hidden, 3 * hidden)
+    for t, k in enumerate(active):
+        p, q = start[t], start[t + 1]
+        r = q - n_seq
+        z = zs[r:r + k] + _rows_times(hs[p:p + k], u) + b
+        gate = _sigmoid(z)
+        gate[:, cand] = np.tanh(z[:, cand])
+        i, f, g, o = gate.reshape(k, 4, hidden).transpose(1, 0, 2)
+        cs[q:q + k] = f * cs[p:p + k] + i * g
+        hs[q:q + k] = o * np.tanh(cs[q:q + k])
+        if record:
+            gates[r:r + k] = gate
+    out = np.empty((total, hidden), dtype=dtype)
+    out[rows] = hs[n_seq:]
+
     def backward_fn(grad):
-        dh = np.zeros(hidden, dtype=dtype)
-        dc = np.zeros(hidden, dtype=dtype)
+        grad = grad[rows]
+        dh = np.zeros((active[-1], hidden), dtype=dtype)
+        dc = np.zeros_like(dh)
         dz = np.empty_like(gates)
-        for t in range(steps - 1, -1, -1):
-            dh = grad[t] + dh
-            i, f, g, o = gates[t].reshape(4, hidden)
-            tc = np.tanh(cs[t + 1])
+        for t in range(len(active) - 1, -1, -1):
+            k, p, q = active[t], start[t], start[t + 1]
+            r = q - n_seq
+            if k > len(dh):
+                # sequences whose last step is t join with nothing carried back
+                pad = np.zeros((k - len(dh), hidden), dtype=dtype)
+                dh, dc = np.concatenate((dh, pad)), np.concatenate((dc, pad))
+            dh = grad[r:r + k] + dh
+            i, f, g, o = gates[r:r + k].reshape(k, 4, hidden).transpose(1, 0, 2)
+            tc = np.tanh(cs[q:q + k])
             dc = dh * o * (1.0 - tc * tc) + dc
-            di, df, dg, do = dz[t].reshape(4, hidden)
+            di, df, dg, do = dz[r:r + k].reshape(k, 4, hidden).transpose(1, 0, 2)
             di[:] = dc * g * i * (1.0 - i)
-            df[:] = dc * cs[t] * f * (1.0 - f)
+            df[:] = dc * cs[p:p + k] * f * (1.0 - f)
             dg[:] = dc * i * (1.0 - g * g)
             do[:] = dh * tc * o * (1.0 - o)
-            dh = u.T @ dz[t]
+            dh = _rows_times(dz[r:r + k], u.T)
             dc = dc * f
-        _accum(zx, dz)
+        if zx.requires_grad:
+            dzx = np.empty_like(dz)
+            dzx[rows] = dz
+            _accum(zx, dzx)
         if w_recurrent.requires_grad:
+            # each row's previous state sits at its rank in the step before
+            h_prev = hs[np.asarray(start)[step] + rank]
             # np.dot, not matmul: matmul's (4H,1)x(1,H) path is ~6x slower
-            _accum(w_recurrent, np.dot(dz.T, hs[:-1]))
+            _accum(w_recurrent, np.dot(dz.T, h_prev))
         _accum(bias, dz.sum(axis=0))
 
-    return _node(hs[1:], (zx, w_recurrent, bias), backward_fn)
+    return _node(out, (zx, w_recurrent, bias), backward_fn)
 
 
 def softmax_ce(logits, targets):
@@ -426,39 +478,26 @@ def orthogonal(rng, n, dtype):
 
 
 class Linear:
-    """Affine map W x + b with Glorot-uniform weights and zero bias."""
+    """Affine map W x + b (x one vector or one row per input)."""
 
-    def __init__(self, rng, in_size, out_size, dtype=np.float32, name="linear"):
-        self.weight = Parameter(glorot_uniform(rng, (out_size, in_size), dtype), name + ".weight")
-        self.bias = Parameter(np.zeros(out_size, dtype=dtype), name + ".bias")
+    def __init__(self, weight, bias):
+        self.weight = weight
+        self.bias = bias
 
     def __call__(self, x):
         return add(matvec(self.weight, x), self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
 
 def lstm_recurrent_init(rng, hidden_size, dtype):
-    """Orthogonal recurrent blocks and a zero bias with forget gate 1."""
-    u = np.concatenate([orthogonal(rng, hidden_size, dtype) for _ in range(4)], axis=0)
+    """Four orthogonal recurrent blocks, one per gate."""
+    return np.concatenate([orthogonal(rng, hidden_size, dtype) for _ in range(4)], axis=0)
+
+
+def lstm_bias_init(hidden_size, dtype):
+    """A zero LSTM bias except 1 on the forget gate."""
     b = np.zeros(4 * hidden_size, dtype=dtype)
     b[hidden_size : 2 * hidden_size] = 1.0
-    return u, b
-
-
-class LSTMCell:
-    """Weights of an LSTM over input vectors; run it with :func:`lstm`."""
-
-    def __init__(self, rng, input_size, hidden_size, dtype=np.float32, name="lstm"):
-        w = glorot_uniform(rng, (4 * hidden_size, input_size), dtype, fan_in=input_size, fan_out=hidden_size)
-        u, b = lstm_recurrent_init(rng, hidden_size, dtype)
-        self.w_input = Parameter(w, name + ".w_input")
-        self.w_recurrent = Parameter(u, name + ".w_recurrent")
-        self.bias = Parameter(b, name + ".bias")
-
-    def parameters(self):
-        return [self.w_input, self.w_recurrent, self.bias]
+    return b
 
 
 class Adam:
@@ -473,26 +512,41 @@ class Adam:
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self.scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def zero_grad(self):
         zero_grads(self.params)
 
     def step(self):
+        """One update, written into two scratch arrays per parameter.
+
+        The operations and their order are those of the textbook form
+        ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
+        the same bit for bit without its temporaries.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(self.params, self.first_moment, self.second_moment):
+        for p, m, v, (a, s) in zip(self.params, self.first_moment, self.second_moment, self.scratch):
             if not p.trainable or p.grad is None:
                 continue
             g = p.grad
             if g.shape != p.data.shape:
                 raise DimensionError("gradient/parameter shape mismatch for %s" % p.name)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-            p.data -= self.learning_rate * update
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            np.add(s, self.epsilon, out=s)
+            np.divide(a, s, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            p.data -= a
 
 
 def global_grad_norm(params):

@@ -170,11 +170,15 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
                 ]
             noise_rng = stream(seed, "vae-noise", epoch, int(i))
             optimizer.zero_grad()
-            loss, breakdown = dialog_loss(model, dialog, noise_rng)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(epoch)
-            nn.backward(loss)
-            if not np.isfinite(nn.clip_global_norm(model.parameters(), cfg.clip_norm)):
+            # a non-finite loss or gradient norm ends the run as
+            # TrainingDiverged, so numpy's overflow warnings on the way add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, breakdown = dialog_loss(model, dialog, noise_rng)
+                if not np.isfinite(loss.data):
+                    raise TrainingDiverged(epoch)
+                nn.backward(loss)
+                norm = nn.clip_global_norm(model.parameters(), cfg.clip_norm)
+            if not np.isfinite(norm):
                 raise TrainingDiverged(epoch, next(
                     (p.name for p in model.parameters()
                      if p.grad is not None and not np.isfinite(p.grad).all()),

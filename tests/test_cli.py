@@ -345,19 +345,24 @@ def test_gridsearch_rejects_model_keys_it_sets(toy_files, tmp_path, capsys):
         assert err.startswith("error: ") and key in err, err
 
 
-def _nan_embeddings(toy_files, path):
-    # a NaN row for every token the toy files use, reserved tokens included
+def _embeddings_of(toy_files, path, value):
+    # one row of ``value`` for every token the toy files use, reserved tokens included
     tokens = {"<unk>", "<silence>"}
     for name in ("train.txt", "dev.txt", "test.txt"):
         tokens.update(tok for d in parse_dialogs((toy_files / name).read_text())
                       for t in d.turns for tok in t.user_tokens)
     path.write_text("%d 6\n" % len(tokens)
-                    + "".join("%s%s\n" % (tok, " nan" * 6) for tok in sorted(tokens)))
+                    + "".join("%s%s\n" % (tok, (" " + value) * 6) for tok in sorted(tokens)))
     return path
 
 
+def _overflowing_embeddings(toy_files, path):
+    # finite in float32, but a turn mean of two of them is already inf
+    return _embeddings_of(toy_files, path, "3e38")
+
+
 def test_train_divergence_is_an_error(toy_files, tmp_path, capsys):
-    emb = _nan_embeddings(toy_files, tmp_path / "nan.emb")
+    emb = _overflowing_embeddings(toy_files, tmp_path / "big.emb")
     code = _run("train", "--variant", "HCN", *_domain_flags(toy_files),
                 "--embedding-size", "6", "--embeddings", str(emb), "--max-epochs", "1",
                 "--out-checkpoint", str(tmp_path / "m.ckpt"))
@@ -367,7 +372,7 @@ def test_train_divergence_is_an_error(toy_files, tmp_path, capsys):
 
 
 def test_pipeline_divergence_names_the_stage(toy_files, tmp_path, capsys):
-    emb = _nan_embeddings(toy_files, tmp_path / "nan.emb")
+    emb = _overflowing_embeddings(toy_files, tmp_path / "big.emb")
     config = tmp_path / "run.cfg"
     config.write_text("".join("data.%s = %s\n" % (key, toy_files / name) for key, name in (
         ("train", "train.txt"), ("dev", "dev.txt"), ("test", "test.txt"),
@@ -378,6 +383,16 @@ def test_pipeline_divergence_names_the_stage(toy_files, tmp_path, capsys):
     code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
     assert code == 1
     assert capsys.readouterr().err.startswith("error: stage train: non-finite loss at epoch 0")
+
+
+def test_train_rejects_nonfinite_embeddings(toy_files, tmp_path, capsys):
+    emb = _embeddings_of(toy_files, tmp_path / "nan.emb", "nan")
+    code = _run("train", "--variant", "HCN", *_domain_flags(toy_files),
+                "--embedding-size", "6", "--embeddings", str(emb), "--max-epochs", "1",
+                "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s line 2: value nan is not finite in float32\n" % emb
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_evaluate_rejects_a_corrupt_label_line(toy_files, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The RunConfig -> (ModelConfig, TrainConfig) resolver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robusthcn import cli
-from robusthcn.config import KNOWN_KEYS, ConfigError, RunConfig, resolve_training
+from robusthcn.config import KNOWN_KEYS, ConfigError, RunConfig, _bool, resolve_training
 from robusthcn.corpus import Vocabulary, random_embedding_table, write_embedding_file
 from robusthcn.models import ModelConfig
 from robusthcn.train import DEFAULT_TURN_DROPOUT_RATIO, TrainConfig
@@ -87,3 +88,63 @@ def test_turn_dropout_seed_is_not_a_key():
     # key would be read by nothing
     with pytest.raises(ConfigError):
         RunConfig.parse("turn_dropout.seed = 3\n")
+
+
+# ------------------------------------------------------ parsing properties
+
+# a value as a config file can hold it: one line, no surrounding blanks
+_LINE_TEXT = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)))
+_VALID = {
+    int: st.integers(-10**12, 10**12),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    _bool: st.booleans(),
+    str: _LINE_TEXT.map(str.strip),
+}
+
+
+def _parses(parser, text):
+    try:
+        parser(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_text_round_trip_property(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(KNOWN_KEYS)), unique=True), label="keys")
+    values = {key: data.draw(_VALID[KNOWN_KEYS[key][0]], label=key) for key in keys}
+    text = "".join("%s = %s\n" % (key, value) for key, value in values.items())
+    config = RunConfig.parse(text)
+    assert config.values == values
+    echoed = RunConfig.parse("\n".join(config.echo_lines(prefix="")))
+    for key in KNOWN_KEYS:
+        if key != "pipeline.out_dir":
+            assert echoed.get(key) == config.get(key), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_rejects_unknown_keys_and_bad_values_property(data):
+    key = data.draw(st.sampled_from(sorted(k for k, (parser, _) in KNOWN_KEYS.items()
+                                           if parser is not str)), label="key")
+    parser = KNOWN_KEYS[key][0]
+    bad = data.draw(_LINE_TEXT.map(str.strip).filter(lambda t: not _parses(parser, t)),
+                    label="value")
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.parse("%s = %s\n" % (key, bad))
+    unknown = data.draw(_LINE_TEXT.filter(lambda t: "=" not in t)
+                        .map(str.strip).filter(lambda t: t and t not in KNOWN_KEYS
+                                               and not t.startswith("#")), label="unknown")
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        RunConfig.parse("%s = 1\n" % unknown)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_config_parse_raises_only_config_errors_property(text):
+    try:
+        RunConfig.parse(text)
+    except ConfigError:
+        pass

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from robusthcn.corpus import (
     ActionSet,
     ContextFeatures,
     Dialog,
+    EmbeddingFileError,
     Lexicon,
     OodLabel,
     ParseError,
@@ -548,6 +551,28 @@ def test_embedding_missing_tokens_get_deterministic_fallback(tmp_path):
     np.testing.assert_allclose(
         a.vectors[vocab_big.index("alpha")], table.vectors[vocab_small.index("alpha")]
     )
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("x 3\nalpha 1 2 3\n", 1, "header 'V d'"),
+    ("3\nalpha 1 2 3\n", 1, "header 'V d'"),
+    ("1 0\nalpha\n", 1, "header 'V d'"),
+    ("", 1, "header 'V d'"),
+    ("2 3\nalpha 1 2 3\nbeta 1 2\n", 3, "expected a token and 3 values, got 3 fields"),
+    ("2 3\nalpha 1 2 3\n", 3, "got 0 fields"),
+    ("1 3\nalpha 1 2 3\nbeta 1 2 3\n", 3, "more rows than the header's 1"),
+    ("1 3\nalpha 1 two 3\n", 2, "could not convert string to float: 'two'"),
+    ("2 3\nalpha 1 2 3\nbeta 1 nan 3\n", 3, "value nan is not finite"),
+    ("1 3\nalpha -inf 2 3\n", 2, "value -inf is not finite"),
+    ("1 3\nalpha 1 2 1e39\n", 2, "value 1e39 is not finite in float32"),
+])
+def test_corrupt_embedding_file_names_the_line(tmp_path, text, line_no, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    vocab = build_vocabulary([[_dialog_of(["alpha", "beta"])]])
+    with pytest.raises(EmbeddingFileError, match="line %d: .*%s" % (line_no, re.escape(message))) as err:
+        load_embedding_table(path, vocab)
+    assert err.value.line_no == line_no
 
 
 def test_lexicon_file_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,6 +23,7 @@ from robusthcn.models import (
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.train import TrainConfig, train_model
+from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
 
 from util import ReplayNoise, tiny_actions, tiny_model, tiny_turn, tiny_vocab, two_turn_dialog
 
@@ -58,28 +61,28 @@ def test_hcn_encoding_is_embedding_mean():
     model.embedding.data[2] = np.array([1, 0, 0, 0, 0, 0], dtype=np.float64)
     model.embedding.data[3] = np.array([0, 1, 0, 0, 0, 0], dtype=np.float64)
     features = tiny_turn(VOCAB, ACTIONS, [2, 3], target=0)
-    vec, encoding = model.encode_turn(features)
-    np.testing.assert_allclose(vec.data, [0.5, 0.5, 0, 0, 0, 0])
+    vec, encoding = model.encode_turn([features])
+    np.testing.assert_allclose(vec.data, [[0.5, 0.5, 0, 0, 0, 0]])
     assert encoding is None
 
 
 def test_hcn_encoding_permutation_invariant():
     model = tiny_model("HCN", VOCAB, ACTIONS)
-    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0))[0]
-    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0))[0]
-    np.testing.assert_allclose(a.data, b.data, rtol=1e-12)
+    a, b = model.encode_turn([tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0),
+                              tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0)])[0].data
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_hhcn_encoding_is_order_sensitive():
     model = tiny_model("HHCN", VOCAB, ACTIONS)
-    a = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0))[0]
-    b = model.encode_turn(tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0))[0]
-    assert np.abs(a.data - b.data).max() > 1e-6
+    a, b = model.encode_turn([tiny_turn(VOCAB, ACTIONS, [2, 5, 7], 0),
+                              tiny_turn(VOCAB, ACTIONS, [7, 2, 5], 0)])[0].data
+    assert np.abs(a - b).max() > 1e-6
 
 
 def test_vhcn_infer_deterministic():
     model = tiny_model("VHCN", VOCAB, ACTIONS)
-    features = tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)
+    features = [tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)]
     a, enc_a = model.encode_turn(features)
     b, enc_b = model.encode_turn(features)
     np.testing.assert_array_equal(a.data, b.data)
@@ -91,7 +94,7 @@ def test_vhcn_infer_deterministic():
 def test_vhcn_train_mode_uses_noise():
     # an rng makes VHCN sample; without one it returns the posterior mean
     model = tiny_model("VHCN", VOCAB, ACTIONS)
-    features = tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)
+    features = [tiny_turn(VOCAB, ACTIONS, [1, 2, 3], 0)]
     a, enc_a = model.encode_turn(features, stream(1, "n"))
     b, _ = model.encode_turn(features, stream(2, "n"))
     assert np.abs(a.data - b.data).max() > 1e-9
@@ -103,7 +106,7 @@ def test_vhcn_train_mode_uses_noise():
 # ------------------------------------------------------------ dialog_step
 
 def _turn_vectors(model, dialog):
-    return nn.stack([model.encode_turn(features)[0] for features in dialog])
+    return model.encode_turn(dialog)[0]
 
 
 def test_all_ones_mask_is_noop():
@@ -118,7 +121,7 @@ def test_all_ones_mask_is_noop():
               (model.dlg_w_prev, [f.prev_action for f in dialog]),
               (model.dlg_w_mask, [f.f_mask for f in dialog])]
     z_x = sum(np.asarray(x, dtype=model.dtype) @ w.data.T for w, x in blocks)
-    h = nn.lstm(z_x, model.dlg_u, model.dlg_b)
+    h = nn.lstm(z_x, [len(dialog)], model.dlg_u, model.dlg_b)
     expected = model.pred_out(nn.relu(model.pred_hidden(h)))
     np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
 
@@ -146,14 +149,29 @@ def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _encode_one_turn(model, features, rng=None):
+    """The per-turn encoder: one unpacked turn-LSTM run and one noise draw per turn."""
+    if model.config.variant == "HCN":
+        return nn.embed_mean(model.embedding, features.f_turn), None
+    zx = nn.matvec(model.turn_w_input, nn.gather_rows(model.embedding, features.f_turn))
+    h = nn.gather_rows(nn.lstm(zx, [len(features.f_turn)], model.turn_u, model.turn_b), -1)
+    if model.config.variant == "HHCN":
+        return h, None
+    mu = model.mu_head(h)
+    sigma = nn.exp(nn.mul(0.5, model.logvar_head(h)))
+    z = mu if rng is None else nn.reparameterize(mu, sigma,
+                                                 rng.standard_normal(model.config.latent_size))
+    return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
+
+
 def _per_turn_reference(model, dialog, rng=None):
     """Loss, gradients and predictions of the per-turn composition.
 
     The dialog level runs one turn at a time in numpy, carrying (h, c)
-    from turn to turn, with a hand-written backward pass.  The turn
-    encoders run through ``encode_turn`` in turn order; their parameters
-    get the gradient of sum_t <v_t, dL/dv_t> (plus, for VHCN, each turn's
-    bag-of-words and KL terms) through the library graph.
+    from turn to turn, with a hand-written backward pass.  The turns are
+    encoded one at a time, in turn order, by ``_encode_one_turn``; the
+    encoder parameters get the gradient of sum_t <v_t, dL/dv_t> (plus, for
+    VHCN, each turn's bag-of-words and KL terms) through the library graph.
     """
     H = model.config.dialog_hidden_size
     n = len(dialog)
@@ -161,7 +179,7 @@ def _per_turn_reference(model, dialog, rng=None):
     U, b = P["dialog_lstm.w_recurrent"], P["dialog_lstm.bias"]
     W1, b1 = P["predictor.hidden.weight"], P["predictor.hidden.bias"]
     W2, b2 = P["predictor.out.weight"], P["predictor.out.bias"]
-    encoded = [model.encode_turn(features, rng) for features in dialog]
+    encoded = [_encode_one_turn(model, features, rng) for features in dialog]
     h, c = np.zeros(H), np.zeros(H)
     loss, preds, cache = 0.0, [], []
     for (vec, _), f in zip(encoded, dialog):
@@ -230,7 +248,21 @@ def test_dialog_pass_matches_per_turn_reference(variant):
     domain = generate_toy_domain(5, 30, 8)
     data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
     feats = data.featurize(domain.train[:4])
-    dialogs = feats + [feats[0][:1]]  # a one-turn dialog has no previous action
+    lo, hi = length_bounds_from(feats)
+    fallback = data.action_set.fallback_action_id
+
+    def dropped(dialog, ratio, bound, seed):
+        config = TurnDropoutConfig(ratio=ratio, length_bounds=(bound, bound))
+        return apply_turn_dropout(dialog, config, stream(seed, "parity-td"), fallback, data.vocab)
+
+    one_token = [dc_replace(f, f_turn=f.f_turn[:1]) if t % 2 else f for t, f in enumerate(feats[1])]
+    assert len({len(f.f_turn) for f in feats[0]}) > 1 and min(map(len, feats)) > 1
+    dialogs = feats + [
+        feats[0][:1],                   # one turn, so no previous action
+        one_token,                      # one-token turns between longer ones
+        dropped(feats[2], 0.5, hi, 1),  # turn-dropout turns at the upper length bound
+        dropped(feats[3], 1.0, lo, 2),  # every turn replaced, at the lower bound
+    ]
     sizes = dict(embedding_size=8, dialog_hidden_size=16, predictor_hidden_size=16)
     if variant == "VHCN":
         sizes["latent_size"] = 4
@@ -367,6 +399,48 @@ def test_checkpoint_round_trip(tmp_path, toy_trained):
         np.testing.assert_array_equal(restored.params[name].data, p.data)
     for dialog in dev_feats:
         assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_restore_draws_nothing(tmp_path, monkeypatch, toy_trained, variant):
+    domain, vocab, actions, _, dev_feats = toy_trained
+    config = ModelConfig(variant, embedding_size=6, dialog_hidden_size=8, predictor_hidden_size=8,
+                         latent_size=3 if variant == "VHCN" else None)
+    model = Model(config, vocab, actions, n_context=len(domain.lexicon.slot_types) + 1,
+                  rng=stream(4, "restore", variant))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    loaded = load_checkpoint(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a restored model drew initial weights")
+
+    monkeypatch.setattr(nn, "glorot_uniform", no_draws)
+    monkeypatch.setattr(nn, "orthogonal", no_draws)
+    restored = model_from_checkpoint(loaded)
+    assert list(restored.params) == list(model.params)
+    for name, p in model.params.items():
+        assert restored.params[name].trainable == p.trainable
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
+    assert predict_dialog(restored, dev_feats[0]) == predict_dialog(model, dev_feats[0])
+
+
+def test_restore_rejects_arrays_that_do_not_fit_the_variant(tmp_path, toy_trained):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    loaded = load_checkpoint(path)
+    hhcn = dc_replace(loaded, config=ModelConfig("HHCN", embedding_size=12,
+                                                 dialog_hidden_size=16, predictor_hidden_size=16))
+    with pytest.raises(CheckpointError, match="parameter inventory"):
+        model_from_checkpoint(hhcn)
+    extra = dc_replace(loaded, arrays={**loaded.arrays, "spare": np.zeros(2, np.float32)})
+    with pytest.raises(CheckpointError, match="parameter inventory"):
+        model_from_checkpoint(extra)
+    wrong = dict(loaded.arrays)
+    wrong["predictor.out.bias"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(CheckpointError, match="shape mismatch for parameter predictor.out.bias"):
+        model_from_checkpoint(dc_replace(loaded, arrays=wrong))
 
 
 def test_checkpoint_detects_tampering(tmp_path, toy_trained):

@@ -43,7 +43,7 @@ def _zero_weights(hidden, dtype=np.float64):
 
 def test_lstm_zero_everything():
     for steps in (1, 4):
-        out = nn.lstm(np.zeros((steps, 12)), *_zero_weights(3))
+        out = nn.lstm(np.zeros((steps, 12)), [steps], *_zero_weights(3))
         np.testing.assert_allclose(out.data, np.zeros((steps, 3)))
 
 
@@ -54,7 +54,7 @@ def test_lstm_zero_weights_halve_cell_state():
     for steps in (1, 3):
         zx = np.zeros((steps, 12))
         zx[0, 6:9] = v
-        out = nn.lstm(zx, *_zero_weights(3))
+        out = nn.lstm(zx, [steps], *_zero_weights(3))
         for t in range(steps):
             c = 0.5 ** (t + 1) * np.tanh(v)
             np.testing.assert_allclose(out.data[t], 0.5 * np.tanh(c))
@@ -85,12 +85,45 @@ def test_lstm_matches_independent_implementation():
             U = rng.normal(size=(4 * hidden, hidden))
             b = rng.normal(size=4 * hidden)
             xs = rng.normal(size=(steps, inputs))
-            out = nn.lstm(nn.matvec(W, xs), U, b)
+            out = nn.lstm(nn.matvec(W, xs), [steps], U, b)
             assert out.data.shape == (steps, hidden)
             h, c = np.zeros(hidden), np.zeros(hidden)
             for t, x in enumerate(xs):
                 h, c = _lstm_oracle(x, h, c, W, U, b, hidden)
                 np.testing.assert_allclose(out.data[t], h, atol=1e-12)
+
+
+def test_lstm_packed_sequences_match_separate_runs():
+    # unequal lengths in no particular order, ties and a one-step sequence:
+    # every row equals the same sequence run on its own
+    rng = stream(3, "lstm-packed")
+    hidden, inputs = 4, 3
+    W = rng.normal(size=(4 * hidden, inputs))
+    U = rng.normal(size=(4 * hidden, hidden))
+    b = rng.normal(size=4 * hidden)
+    for lengths in ([3, 1, 5, 3, 2], [1], [2, 2], [1, 4, 1]):
+        xs = rng.normal(size=(sum(lengths), inputs))
+        out = nn.lstm(nn.matvec(W, xs), lengths, U, b)
+        assert out.data.shape == (sum(lengths), hidden)
+        start = 0
+        for n in lengths:
+            h, c = np.zeros(hidden), np.zeros(hidden)
+            for t in range(start, start + n):
+                h, c = _lstm_oracle(xs[t], h, c, W, U, b, hidden)
+                np.testing.assert_allclose(out.data[t], h, atol=1e-12)
+            start += n
+
+
+def test_lstm_without_graph_matches_recorded_run():
+    rng = stream(4, "lstm-nograd")
+    U = nn.Parameter(rng.normal(size=(12, 3)))
+    b = nn.Parameter(rng.normal(size=12))
+    zx = rng.normal(size=(7, 12))
+    recorded = nn.lstm(zx, [2, 4, 1], U, b)
+    with nn.no_grad():
+        plain = nn.lstm(zx, [2, 4, 1], U, b)
+    assert recorded.requires_grad and not plain.requires_grad
+    np.testing.assert_array_equal(plain.data, recorded.data)
 
 
 def test_lstm_rejects_bad_shapes():
@@ -100,14 +133,20 @@ def test_lstm_rejects_bad_shapes():
         np.zeros((1, 2, 12)),  # 3-D projection
     ]:
         with pytest.raises(nn.DimensionError):
-            nn.lstm(zx, *_zero_weights(3))
+            nn.lstm(zx, [1], *_zero_weights(3))
     with pytest.raises(nn.DimensionError):
-        nn.lstm(np.zeros((2, 12)), nn.Parameter(np.zeros((12, 3))), nn.Parameter(np.zeros(8)))
+        nn.lstm(np.zeros((2, 12)), [2], nn.Parameter(np.zeros((12, 3))), nn.Parameter(np.zeros(8)))
+    for lengths in ([], [3], [1, 0, 1], [[2]], [-1, 3]):
+        with pytest.raises(nn.DimensionError, match="lengths"):
+            nn.lstm(np.zeros((2, 12)), lengths, *_zero_weights(3))
 
 
-@pytest.mark.parametrize("tokens", [[3], [1, 3, 0, 4, 3]])
+@pytest.mark.parametrize("tokens", [[[3]], [[1, 3, 0, 4, 3]], [[1, 3], [0], [4, 3, 2, 2], [0]]])
 def test_grad_check_lstm_sequence(tokens):
-    # a different weight on every step's output, as the dialog level reads them
+    # a different weight on every row's output, as the dialog level reads
+    # them; the packed case mixes unequal lengths and one-step sequences
+    lengths = [len(seq) for seq in tokens]
+    tokens = np.concatenate(tokens)
     rng = stream(12, "lstm-grad", len(tokens))
     hidden, inputs = 3, 4
     w_input = nn.Parameter(rng.normal(size=(4 * hidden, inputs)) * 0.5, "W")
@@ -118,7 +157,7 @@ def test_grad_check_lstm_sequence(tokens):
 
     def fn():
         zx = nn.matvec(w_input, nn.gather_rows(table, tokens))
-        out = nn.lstm(zx, w_recurrent, bias)
+        out = nn.lstm(zx, lengths, w_recurrent, bias)
         return nn.vsum(nn.mul(out, nn.as_tensor(coef)))
 
     assert nn.grad_check(fn, [w_input, w_recurrent, bias, table]) < 1e-4
@@ -305,6 +344,44 @@ def test_adam_frozen_parameter_untouched():
     np.testing.assert_array_equal(p.data, [1.0])
 
 
+def test_adam_in_place_matches_the_textbook_expression():
+    # bit for bit against the temporaries form, over several steps, with a
+    # parameter that misses its gradient on some steps and one frozen
+    rng = stream(14, "adam-exact")
+    shapes = [(5, 3), (7,), (2, 4)]
+    params = [nn.Parameter(rng.normal(size=shape).astype(dtype), "p%d" % i)
+              for i, (shape, dtype) in enumerate(zip(shapes, (np.float32, np.float32, np.float64)))]
+    frozen = nn.Parameter(rng.normal(size=3).astype(np.float32), "frozen", trainable=False)
+    opt = nn.Adam(params + [frozen], learning_rate=0.01)
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    expected = [p.data.copy() for p in params]
+    m = [np.zeros_like(p.data) for p in params]
+    v = [np.zeros_like(p.data) for p in params]
+    frozen_before = frozen.data.copy()
+    for step in range(1, 7):
+        skipped = step % 3 == 0
+        for p in params:
+            p.grad = (rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-3, 3)).astype(p.data.dtype)
+        params[1].grad = None if skipped else params[1].grad
+        frozen.grad = np.ones_like(frozen.data)
+        opt.step()
+        bc1 = 1.0 - beta1 ** step
+        bc2 = 1.0 - beta2 ** step
+        for i, p in enumerate(params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[i] *= beta1
+            m[i] += (1.0 - beta1) * g
+            v[i] *= beta2
+            v[i] += (1.0 - beta2) * (g * g)
+            expected[i] -= lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps))
+        for p, want in zip(params, expected):
+            assert p.data.dtype == want.dtype
+            np.testing.assert_array_equal(p.data, want, err_msg="%s step %d" % (p.name, step))
+    np.testing.assert_array_equal(frozen.data, frozen_before)
+
+
 def test_adam_descends_quadratic_bowl():
     rng = stream(7, "bowl")
     target = rng.normal(size=6) * 3
@@ -382,7 +459,7 @@ def test_grad_check_losses_and_lstm_path():
 
     def fn():
         zx = nn.matvec(cell_w, nn.gather_rows(table, [1, 3, 0]))
-        h = nn.gather_rows(nn.lstm(zx, cell_u, cell_b), -1)
+        h = nn.gather_rows(nn.lstm(zx, [3], cell_u, cell_b), -1)
         mu = nn.matvec(mu_w, h)
         sigma = nn.exp(nn.mul(0.5, nn.matvec(lv_w, h)))
         z = nn.reparameterize(mu, sigma, noise)

@@ -23,10 +23,13 @@ class ReplayNoise:
         return self
 
     def standard_normal(self, size):
-        out = self.arrays[self.i]
-        assert out.shape == (size,)
-        self.i += 1
-        return out
+        # one stored draw per row: a (T, k) request takes the next T draws
+        shape = tuple(np.atleast_1d(size))
+        rows = int(np.prod(shape[:-1]))
+        out = self.arrays[self.i:self.i + rows]
+        assert len(out) == rows and all(a.shape == shape[-1:] for a in out)
+        self.i += rows
+        return np.reshape(out, shape)
 
 
 def tiny_vocab(n_words=10):
