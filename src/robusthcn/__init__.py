@@ -21,7 +21,6 @@ from .corpus import (
     ActionSet,
     ContextFeatures,
     Dialog,
-    EmbeddingTable,
     Featurizer,
     Lexicon,
     OodLabel,

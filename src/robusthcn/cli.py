@@ -189,6 +189,8 @@ _GRID_OWNED_KEYS = ("model.embedding_file", "model.embedding_size", "model.laten
 
 
 def cmd_gridsearch(args):
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
     config, data, model_config, base_train, train_feats, dev_feats = _training_setup(args)
     owned = [key for key in _GRID_OWNED_KEYS if config.get(key) is not None]
     if owned:

@@ -36,7 +36,7 @@ _TOKEN_RE = re.compile(r"<[a-z0-9_]+>|[a-z0-9$'_]+|[^\sa-z0-9$'_<>]|[<>]")
 
 
 class ParseError(ValueError):
-    """Malformed transcript line; carries the 1-based line number."""
+    """Malformed transcript or lexicon line; carries the 1-based line number."""
 
     def __init__(self, line_no, message):
         super().__init__("line %d: %s" % (line_no, message))
@@ -160,11 +160,6 @@ def write_dialogs(dialogs):
     return "\n\n".join(blocks) + "\n"
 
 
-def read_dialog_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dialogs(fh.read())
-
-
 def write_dialog_file(path, dialogs):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(write_dialogs(dialogs))
@@ -237,17 +232,25 @@ def build_vocabulary(corpora):
     return Vocabulary(tokens)
 
 
+def _entry_error(slot_type, values):
+    """Why a lexicon entry is invalid, or None."""
+    if not re.fullmatch(r"[a-z0-9_]+", slot_type):
+        return "bad slot type %r" % slot_type
+    if any(not v.strip() for v in values):
+        return "empty value under slot %r" % slot_type
+    return None
+
+
 class Lexicon:
     """slot_type -> tuple of surface values, e.g. cuisine -> (italian, ...)."""
 
     def __init__(self, entries):
         self.entries = {}
         for slot_type, values in sorted(entries.items()):
-            if not re.fullmatch(r"[a-z0-9_]+", slot_type):
-                raise ValueError("bad slot type %r" % slot_type)
             vals = tuple(dict.fromkeys(values))
-            if any(not v.strip() for v in vals):
-                raise ValueError("empty value under slot %r" % slot_type)
+            error = _entry_error(slot_type, vals)
+            if error:
+                raise ValueError(error)
             self.entries[slot_type] = vals
         self.slot_types = tuple(sorted(self.entries))
         # token-level matches, longest value first for greedy replacement
@@ -277,18 +280,21 @@ class Lexicon:
 
     @classmethod
     def from_lines(cls, lines):
+        """Parse ``slot_type<TAB>value`` lines; blank lines are skipped.
+
+        A line without a TAB, with a bad slot type or with an empty value
+        raises :class:`ParseError` naming its 1-based line number.
+        """
         entries = {}
-        for line in lines:
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            slot_type, value = line.rstrip("\n").split("\t", 1)
+            slot_type, tab, value = line.rstrip("\n").partition("\t")
+            error = _entry_error(slot_type, [value]) if tab else "expected slot_type<TAB>value"
+            if error:
+                raise ParseError(line_no, error)
             entries.setdefault(slot_type, []).append(value)
         return cls(entries)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh.readlines())
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -384,10 +390,6 @@ class ContextFeatures:
 
     def vector(self, dtype=np.float32):
         return np.array(list(self.slot_provided) + [self.api_returned], dtype=dtype)
-
-    @property
-    def size(self):
-        return len(self.slot_types) + 1
 
 
 @dataclass
@@ -493,37 +495,6 @@ def prepare(lexicon, action_corpora, vocab_corpora=(), fallback=DEFAULT_FALLBACK
     return Featurizer(lexicon=lexicon, vocab=vocab, action_set=action_set)
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Per-token vectors aligned with a vocabulary."""
-
-    vectors: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.vectors.shape[1]
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2:
-            raise ValueError("embedding table must be 2-D")
-
-
-def random_embedding_table(vocab, dimension, seed, scale=0.1):
-    """Gaussian fallback table, derived per token so it is vocabulary-order independent."""
-    rows = [
-        stream(seed, "embedding", tok).normal(0.0, scale, dimension).astype(np.float32)
-        for tok in vocab.itos
-    ]
-    return EmbeddingTable(vectors=np.stack(rows))
-
-
-def write_embedding_file(path, vocab, table):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % (len(vocab), table.dimension))
-        for tok, row in zip(vocab.itos, table.vectors):
-            fh.write(tok + " " + " ".join("%.8f" % v for v in row) + "\n")
-
-
 class EmbeddingFileError(ValueError):
     """Malformed embedding file; names the file and the 1-based line."""
 
@@ -533,7 +504,7 @@ class EmbeddingFileError(ValueError):
 
 
 def load_embedding_table(path, vocab, seed=0, scale=0.1):
-    """Read an embedding file and align it with ``vocab``.
+    """Read an embedding file as a (V, d) float32 array aligned with ``vocab``.
 
     The file is a header ``V d`` and then V lines of a token and d
     numbers.  Tokens missing from the file get deterministic random
@@ -573,4 +544,4 @@ def load_embedding_table(path, vocab, seed=0, scale=0.1):
             rows.append(by_token[tok])
         else:
             rows.append(stream(seed, "embedding", tok).normal(0.0, scale, dim).astype(np.float32))
-    return EmbeddingTable(vectors=np.stack(rows))
+    return np.stack(rows)

@@ -159,11 +159,6 @@ def parse_report(text):
     return record
 
 
-def read_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read())
-
-
 def format_report_table(records):
     """Aggregate per-model report records into aligned text rows."""
     rows = [[header for _, header in _TABLE_COLUMNS]]

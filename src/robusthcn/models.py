@@ -5,7 +5,8 @@ with bag-of-words turn features, context features, the previous system
 action and the (all-ones) action mask, followed by a one-hidden-layer
 predictor over actions.  They differ on the turn level:
 
-* HCN   - mean of frozen word embeddings
+* HCN   - mean of frozen word embeddings, a constant input computed in
+          numpy once per dialog
 * HHCN  - final state of a turn-level LSTM over trainable embeddings
 * VHCN  - variational encoder on top of the turn LSTM; the turn encoding
           is the latent sample (train) or the posterior mean (infer), and
@@ -96,7 +97,8 @@ class VaeEncoding:
 class Model:
     """One trained or trainable instance of a model variant.
 
-    A fresh model draws its parameters from ``rng``; ``arrays`` (name ->
+    A fresh model draws its parameters from ``rng``; ``embedding_table``,
+    a (V, d) array, replaces the drawn embedding.  ``arrays`` (name ->
     array, as a checkpoint stores them) gives every parameter's value
     instead, and nothing is drawn.
     """
@@ -151,9 +153,9 @@ class Model:
         def embedding():
             if embedding_table is None:
                 return rng.normal(0.0, 0.1, (v_size, cfg.embedding_size)).astype(dtype)
-            if embedding_table.vectors.shape != (v_size, cfg.embedding_size):
+            if embedding_table.shape != (v_size, cfg.embedding_size):
                 raise ValueError("embedding table shape mismatch")
-            return embedding_table.vectors.astype(dtype)
+            return embedding_table.astype(dtype)
 
         # HCN reads a frozen (optionally pretrained) table; the others train theirs
         self.embedding = param("embedding", (v_size, cfg.embedding_size), embedding,
@@ -193,7 +195,8 @@ class Model:
     def encode_turn(self, featurized_dialog, rng=None):
         """The (T, d) turn vectors of a whole dialog, and VHCN's posterior encoding.
 
-        HCN averages each turn's frozen embeddings.  HHCN and VHCN project
+        HCN averages each turn's frozen embeddings in numpy, outside the
+        graph, since no gradient reaches them.  HHCN and VHCN project
         every token of the dialog at once, run the turn LSTM once over the
         turns as packed sequences of their own lengths, and read each
         turn's last hidden state.  VHCN samples the latents from ``rng``
@@ -202,10 +205,17 @@ class Model:
         posterior mean otherwise (inference).
         """
         cfg = self.config
-        if cfg.variant == "HCN":
-            return nn.stack([nn.embed_mean(self.embedding, f.f_turn) for f in featurized_dialog]), None
         lengths = np.array([len(f.f_turn) for f in featurized_dialog])
         tokens = np.concatenate([f.f_turn for f in featurized_dialog])
+        if cfg.variant == "HCN":
+            if lengths.min() < 1:
+                raise ValueError("cannot encode an empty turn")
+            # np.add.at sums each turn's rows one at a time in token order,
+            # as x.mean(axis=0) does, so each row is that mean bit for bit
+            turn_of_token = np.repeat(np.arange(lengths.size), lengths)
+            sums = np.zeros((lengths.size, cfg.embedding_size), dtype=self.dtype)
+            np.add.at(sums, turn_of_token, self.embedding.data[tokens])
+            return nn.Tensor(sums / lengths.astype(self.dtype)[:, None]), None
         zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
         hs = nn.lstm(zx, lengths, self.turn_u, self.turn_b)
         h = nn.gather_rows(hs, np.cumsum(lengths) - 1)

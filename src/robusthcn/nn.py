@@ -7,7 +7,10 @@ serves every recurrence: it runs a batch of variable-length sequences,
 packed row after row, as one graph node with one time loop, returns every
 row's hidden state and has a hand-written backward pass.  Graphs are built
 eagerly; ``backward`` on a scalar loss accumulates gradients into every
-reachable trainable :class:`Parameter`.
+reachable trainable :class:`Parameter`.  Values no gradient can reach,
+such as HCN's frozen turn means, are computed in plain numpy and enter as
+constant tensors.  :func:`vsum` is the one scalar reduction; the models
+never call it, but finite-difference checks reduce their outputs with it.
 
 Training runs in float32; build the same graphs from float64 leaves to
 make :func:`grad_check` meaningful.
@@ -66,9 +69,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
 
-    def backward(self):
-        backward(self)
-
 
 class Parameter(Tensor):
     """Weight tensor; frozen parameters receive no gradient and no updates."""
@@ -81,10 +81,8 @@ class Parameter(Tensor):
         self.trainable = trainable
 
 
-def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data, parents, backward_fn):
@@ -172,31 +170,6 @@ def gather_rows(table, indices):
     return _node(table.data[idx], (table,), backward_fn)
 
 
-def stack(rows):
-    """Equal-shape tensors as the rows of one (T, ...) tensor."""
-    rows = [as_tensor(r) for r in rows]
-
-    def backward_fn(g):
-        for r, g_row in zip(rows, g):
-            _accum(r, g_row)
-
-    return _node(np.stack([r.data for r in rows]), rows, backward_fn)
-
-
-def mean_rows(x):
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError("mean_rows expects a 2-D input")
-    n = x.data.shape[0]
-
-    def backward_fn(g):
-        if x.requires_grad:
-            _ensure_grad(x)
-            x.grad += g[None, :] / n
-
-    return _node(x.data.mean(axis=0), (x,), backward_fn)
-
-
 def _sigmoid(x):
     # exp never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
     e = np.exp(-np.abs(x))
@@ -232,14 +205,6 @@ def vsum(x):
             x.grad += g
 
     return _node(x.data.sum(), (x,), backward_fn)
-
-
-def embed_mean(table, token_ids):
-    """Mean of the embedding rows for a non-empty token-id sequence."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("cannot embed an empty token sequence")
-    return mean_rows(gather_rows(table, ids))
 
 
 def _rows_times(rows, w):

@@ -29,7 +29,15 @@ from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment
 from robusthcn.train import TrainConfig, train_model
 from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout
 
-from util import ReplayNoise, tiny_actions, tiny_model, tiny_vocab, two_turn_dialog
+from util import (
+    ReplayNoise,
+    read_dialog_file,
+    read_lexicon_file,
+    tiny_actions,
+    tiny_model,
+    tiny_vocab,
+    two_turn_dialog,
+)
 
 
 @contextmanager
@@ -232,8 +240,6 @@ def _babi_path(name):
     reason="criterion 6 needs user-supplied bAbI Task 6 data (ROBUSTHCN_BABI_DIR)",
 )
 def test_criterion_6_conditional_babi_task6():
-    from robusthcn.corpus import Lexicon, read_dialog_file
-
     required = {
         "train": "task6-trn.txt", "dev": "task6-dev.txt", "test": "task6-tst.txt",
         "lexicon": "lexicon.txt", "segment": "segment_pool.txt",
@@ -252,7 +258,7 @@ def test_criterion_6_conditional_babi_task6():
         train_d = read_dialog_file(paths["train"])
         dev_d = read_dialog_file(paths["dev"])
         test_d = read_dialog_file(paths["test"])
-        lexicon = Lexicon.from_file(paths["lexicon"])
+        lexicon = read_lexicon_file(paths["lexicon"])
         foreign = []
         for p in pool_paths:
             foreign.extend(read_dialog_file(p))

@@ -206,6 +206,31 @@ def test_train_max_epochs_zero_is_an_error(toy_files, tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("badline_without_tab", "expected slot_type<TAB>value"),
+    ("Cuisine\titalian", "bad slot type 'Cuisine'"),
+    ("cuisine\t ", "empty value under slot 'cuisine'"),
+])
+def test_train_names_the_bad_lexicon_line(toy_files, tmp_path, capsys, bad_line, message):
+    good = (toy_files / "lexicon.txt").read_text().splitlines()
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(good + [bad_line]) + "\n")
+    code = _run("train", "--variant", "HCN", "--train", str(toy_files / "train.txt"),
+                "--dev", str(toy_files / "dev.txt"), "--lexicon", str(lexicon),
+                "--max-epochs", "1", "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: line %d: %s\n" % (len(good) + 1, message)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_gridsearch_jobs_below_one_is_an_error(toy_files, tmp_path, capsys, jobs):
+    code = _run("gridsearch", "--variant", "HCN", *_domain_flags(toy_files), "--stage1-grid", "8",
+                "--jobs", jobs, "--results-out", str(tmp_path / "grid.tsv"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert not (tmp_path / "grid.tsv").exists()
+
+
 def test_evaluate_unknown_action_is_an_error(toy_files, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
@@ -258,7 +283,7 @@ def test_train_loads_hcn_embeddings(toy_files, tmp_path):
                 "--out-checkpoint", str(ckpt)) == 0
     loaded = load_checkpoint(ckpt)
     expected = load_embedding_table(emb, loaded.vocab, seed=3)
-    assert (loaded.arrays["embedding"] == expected.vectors).all()
+    assert (loaded.arrays["embedding"] == expected).all()
     assert loaded.arrays["embedding"][0].tolist() == [1, 2, 3, 4, 5, 6]
 
 

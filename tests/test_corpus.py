@@ -35,13 +35,13 @@ from robusthcn.corpus import (
     load_embedding_table,
     parse_dialogs,
     prepare,
-    random_embedding_table,
     tokenize,
     write_dialogs,
-    write_embedding_file,
 )
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
+
+from util import random_embedding_table, read_lexicon_file, write_embedding_file
 
 
 LEX = Lexicon({
@@ -534,8 +534,8 @@ def test_embedding_file_round_trip(tmp_path):
     path = tmp_path / "emb.txt"
     write_embedding_file(path, vocab, table)
     loaded = load_embedding_table(path, vocab, seed=9)
-    assert loaded.dimension == 5
-    np.testing.assert_allclose(loaded.vectors, table.vectors, atol=1e-7)
+    assert loaded.shape == (len(vocab), 5) and loaded.dtype == np.float32
+    np.testing.assert_allclose(loaded, table, atol=1e-7)
 
 
 def test_embedding_missing_tokens_get_deterministic_fallback(tmp_path):
@@ -546,11 +546,9 @@ def test_embedding_missing_tokens_get_deterministic_fallback(tmp_path):
     vocab_big = build_vocabulary([[_dialog_of(["alpha", "zeta"])]])
     a = load_embedding_table(path, vocab_big, seed=2)
     b = load_embedding_table(path, vocab_big, seed=2)
-    np.testing.assert_array_equal(a.vectors, b.vectors)
+    np.testing.assert_array_equal(a, b)
     # known token kept, new token filled
-    np.testing.assert_allclose(
-        a.vectors[vocab_big.index("alpha")], table.vectors[vocab_small.index("alpha")]
-    )
+    np.testing.assert_allclose(a[vocab_big.index("alpha")], table[vocab_small.index("alpha")])
 
 
 @pytest.mark.parametrize("text, line_no, message", [
@@ -578,5 +576,28 @@ def test_corrupt_embedding_file_names_the_line(tmp_path, text, line_no, message)
 def test_lexicon_file_round_trip(tmp_path):
     path = tmp_path / "lexicon.txt"
     LEX.to_file(path)
-    again = Lexicon.from_file(path)
+    again = read_lexicon_file(path)
     assert again == LEX
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    (["cuisine\titalian", "", "badline_without_tab"], 3, "expected slot_type<TAB>value"),
+    (["Cuisine\titalian"], 1, "bad slot type 'Cuisine'"),
+    (["cuisine\titalian\n", "area\t \n"], 2, "empty value under slot 'area'"),
+])
+def test_lexicon_lines_name_the_bad_line(lines, line_no, message):
+    with pytest.raises(ParseError, match="line %d: %s" % (line_no, re.escape(message))) as err:
+        Lexicon.from_lines(lines)
+    assert err.value.line_no == line_no
+
+
+_slot_types = st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True)
+_values = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                  min_size=1, max_size=12).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_slot_types, st.lists(_values, min_size=1, max_size=4), max_size=5))
+def test_lexicon_lines_round_trip(entries):
+    lexicon = Lexicon(entries)
+    assert Lexicon.from_lines(lexicon.to_lines()) == lexicon

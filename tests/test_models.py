@@ -64,6 +64,8 @@ def test_hcn_encoding_is_embedding_mean():
     vec, encoding = model.encode_turn([features])
     np.testing.assert_allclose(vec.data, [[0.5, 0.5, 0, 0, 0, 0]])
     assert encoding is None
+    with pytest.raises(ValueError, match="empty turn"):
+        model.encode_turn([features, tiny_turn(VOCAB, ACTIONS, [], target=0)])
 
 
 def test_hcn_encoding_permutation_invariant():
@@ -152,7 +154,7 @@ def _sig(x):
 def _encode_one_turn(model, features, rng=None):
     """The per-turn encoder: one unpacked turn-LSTM run and one noise draw per turn."""
     if model.config.variant == "HCN":
-        return nn.embed_mean(model.embedding, features.f_turn), None
+        return nn.Tensor(model.embedding.data[features.f_turn].mean(axis=0)), None
     zx = nn.matvec(model.turn_w_input, nn.gather_rows(model.embedding, features.f_turn))
     h = nn.gather_rows(nn.lstm(zx, [len(features.f_turn)], model.turn_u, model.turn_b), -1)
     if model.config.variant == "HHCN":
@@ -243,8 +245,8 @@ def _per_turn_reference(model, dialog, rng=None):
     return loss, grads, preds
 
 
-@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
-def test_dialog_pass_matches_per_turn_reference(variant):
+def _parity_dialogs():
+    """Toy dialogs plus the edge cases a packed dialog pass must get right."""
     domain = generate_toy_domain(5, 30, 8)
     data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test])
     feats = data.featurize(domain.train[:4])
@@ -263,6 +265,26 @@ def test_dialog_pass_matches_per_turn_reference(variant):
         dropped(feats[2], 0.5, hi, 1),  # turn-dropout turns at the upper length bound
         dropped(feats[3], 1.0, lo, 2),  # every turn replaced, at the lower bound
     ]
+    return data, dialogs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hcn_encoding_equals_per_turn_mean(dtype):
+    data, dialogs = _parity_dialogs()
+    model = Model(ModelConfig("HCN", embedding_size=8), data.vocab, data.action_set,
+                  data.n_context, rng=stream(5, "hcn-mean"), dtype=dtype)
+    table = model.embedding.data
+    repeated = [dc_replace(f, f_turn=np.full(5, f.f_turn[0])) for f in dialogs[0]]
+    for dialog in dialogs + [repeated]:
+        vecs, encoding = model.encode_turn(dialog)
+        expected = np.stack([table[f.f_turn].mean(axis=0) for f in dialog])
+        assert vecs.dtype == dtype and not vecs.requires_grad and encoding is None
+        np.testing.assert_array_equal(vecs.data, expected)
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_dialog_pass_matches_per_turn_reference(variant):
+    data, dialogs = _parity_dialogs()
     sizes = dict(embedding_size=8, dialog_hidden_size=16, predictor_hidden_size=16)
     if variant == "VHCN":
         sizes["latent_size"] = 4

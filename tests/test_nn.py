@@ -5,35 +5,6 @@ from robusthcn import nn
 from robusthcn.seeding import stream
 
 
-# ------------------------------------------------------------- embed_mean
-
-def test_embed_mean_two_point():
-    table = nn.Parameter(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = nn.embed_mean(table, [0, 1])
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-
-def test_embed_mean_single_token():
-    table = nn.Parameter(np.array([[2.0, 3.0], [5.0, 7.0]]))
-    np.testing.assert_allclose(nn.embed_mean(table, [1]).data, [5.0, 7.0])
-
-
-def test_embed_mean_repeated_token_matches_direct_summation():
-    rng = stream(1, "embed")
-    table = nn.Parameter(rng.normal(size=(6, 4)))
-    ids = [3, 3, 3, 3, 3]
-    out = nn.embed_mean(table, ids)
-    oracle = sum(table.data[i] for i in ids) / len(ids)  # direct summation
-    np.testing.assert_allclose(out.data, oracle, rtol=1e-12)
-    np.testing.assert_allclose(out.data, table.data[3], rtol=1e-12)
-
-
-def test_embed_mean_rejects_empty():
-    table = nn.Parameter(np.eye(2))
-    with pytest.raises(ValueError):
-        nn.embed_mean(table, [])
-
-
 # ------------------------------------------------------------------- lstm
 
 def _zero_weights(hidden, dtype=np.float64):
@@ -161,21 +132,6 @@ def test_grad_check_lstm_sequence(tokens):
         return nn.vsum(nn.mul(out, nn.as_tensor(coef)))
 
     assert nn.grad_check(fn, [w_input, w_recurrent, bias, table]) < 1e-4
-
-
-# ------------------------------------------------------------------ stack
-
-def test_stack_rows_and_gradients():
-    rng = stream(13, "stack")
-    rows = [nn.Parameter(rng.normal(size=3), "r%d" % i) for i in range(4)]
-    out = nn.stack(rows)
-    np.testing.assert_array_equal(out.data, np.array([r.data for r in rows]))
-    coef = rng.normal(size=(4, 3))
-
-    def fn():
-        return nn.vsum(nn.mul(nn.stack([nn.mul(r, r) for r in rows]), nn.as_tensor(coef)))
-
-    assert nn.grad_check(fn, rows) < 1e-4
 
 
 # -------------------------------------------------------------- softmax_ce
@@ -444,6 +400,13 @@ def test_grad_check_elementwise_ops(op_name):
     assert nn.grad_check(fn, [w]) < 1e-6
 
 
+def _mean_of_rows(table, ids):
+    total = nn.gather_rows(table, ids[0])
+    for i in ids[1:]:
+        total = nn.add(total, nn.gather_rows(table, i))
+    return nn.mul(total, 1.0 / len(ids))
+
+
 def test_grad_check_losses_and_lstm_path():
     rng = stream(11, "composite")
     hidden, inputs = 3, 4
@@ -463,11 +426,10 @@ def test_grad_check_losses_and_lstm_path():
         mu = nn.matvec(mu_w, h)
         sigma = nn.exp(nn.mul(0.5, nn.matvec(lv_w, h)))
         z = nn.reparameterize(mu, sigma, noise)
-        mean_vec = nn.embed_mean(table, [0, 2, 2])
+        mean_vec = _mean_of_rows(table, [0, 2, 2])
         logits = nn.add(z, nn.gather_rows(mean_vec, [0, 1]))
         ce = nn.softmax_ce(logits, 1)
-        bow_logits = nn.gather_rows(table, [0, 1, 2, 3, 4])
-        bow = nn.bow_sigmoid_ce(nn.mean_rows(bow_logits),
+        bow = nn.bow_sigmoid_ce(_mean_of_rows(table, [0, 1, 2, 3, 4]),
                                 np.array([1.0, 0.0, 1.0, 0.0]))
         kl = nn.gaussian_kl(mu, sigma)
         return nn.add(nn.add(ce, bow), kl)

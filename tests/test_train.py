@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robusthcn import nn, train
-from robusthcn.corpus import EmbeddingTable, UNK_INDEX, prepare
+from robusthcn.corpus import UNK_INDEX, prepare
 from robusthcn.models import ModelConfig, predict_dialog
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
@@ -120,7 +120,7 @@ def test_turn_dropout_injects_fallback_targets(toy):
 def test_divergence_raises_with_epoch(toy):
     domain, vocab, actions, nctx, train_f, dev_f = toy
     config = ModelConfig("HCN", **SMALL)
-    table = EmbeddingTable(np.full((len(vocab), 16), np.nan, dtype=np.float32))
+    table = np.full((len(vocab), 16), np.nan, dtype=np.float32)
     tc = TrainConfig(turn_dropout_ratio=0.0, max_epochs=3, patience=3, seed=0)
     with pytest.raises(TrainingDiverged) as err:
         train_model(config, tc, train_f, dev_f, vocab, actions, nctx,

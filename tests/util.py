@@ -1,8 +1,15 @@
-"""Shared helpers for the test suite: tiny synthetic domains and fixed noise."""
+"""Shared helpers for the test suite: tiny synthetic domains, fixed noise and file fixtures."""
 
 import numpy as np
 
-from robusthcn.corpus import ActionSet, ContextFeatures, TurnFeatures, Vocabulary
+from robusthcn.corpus import (
+    ActionSet,
+    ContextFeatures,
+    Lexicon,
+    TurnFeatures,
+    Vocabulary,
+    parse_dialogs,
+)
 from robusthcn.models import Model, ModelConfig
 from robusthcn.seeding import stream
 
@@ -74,3 +81,26 @@ def tiny_model(variant, vocab, actions, dtype=np.float64, seed=0, **overrides):
     config = ModelConfig(variant=variant, **params)
     return Model(config, vocab, actions, n_context=3, rng=stream(seed, "tiny", variant),
                  dtype=dtype)
+
+
+def read_dialog_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_dialogs(fh.read())
+
+
+def read_lexicon_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return Lexicon.from_lines(fh.readlines())
+
+
+def random_embedding_table(vocab, dimension, seed, scale=0.1):
+    """A (V, d) float32 table drawn per token, as load_embedding_table fills missing tokens."""
+    return np.stack([stream(seed, "embedding", tok).normal(0.0, scale, dimension)
+                     .astype(np.float32) for tok in vocab.itos])
+
+
+def write_embedding_file(path, vocab, table):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % (len(vocab), table.shape[1]))
+        for tok, row in zip(vocab.itos, table):
+            fh.write(tok + " " + " ".join("%.8f" % v for v in row) + "\n")
