@@ -64,8 +64,27 @@ def test_hcn_encoding_is_embedding_mean():
     vec, encoding = model.encode_turn([features])
     np.testing.assert_allclose(vec.data, [[0.5, 0.5, 0, 0, 0, 0]])
     assert encoding is None
-    with pytest.raises(ValueError, match="empty turn"):
-        model.encode_turn([features, tiny_turn(VOCAB, ACTIONS, [], target=0)])
+
+
+def test_hcn_encoding_two_point_mean():
+    # each turn of a dialog gets the mean of its own two rows, not of the dialog's
+    model = tiny_model("HCN", VOCAB, ACTIONS)
+    model.embedding.data = np.zeros_like(model.embedding.data)
+    model.embedding.data[2, 0] = 1.0
+    model.embedding.data[3, 1] = 1.0
+    model.embedding.data[4, 2] = 4.0
+    vecs, _ = model.encode_turn([tiny_turn(VOCAB, ACTIONS, [2, 3], 0),
+                                 tiny_turn(VOCAB, ACTIONS, [3, 4], 0)])
+    np.testing.assert_allclose(vecs.data, [[0.5, 0.5, 0, 0, 0, 0],
+                                           [0, 0.5, 2.0, 0, 0, 0]])
+
+
+def test_hcn_encode_turn_rejects_empty():
+    model = tiny_model("HCN", VOCAB, ACTIONS)
+    turn, empty = tiny_turn(VOCAB, ACTIONS, [2, 3], 0), tiny_turn(VOCAB, ACTIONS, [], 0)
+    for dialog in ([empty], [empty, turn], [turn, empty]):
+        with pytest.raises(ValueError, match="empty turn"):
+            model.encode_turn(dialog)
 
 
 def test_hcn_encoding_permutation_invariant():
