@@ -40,12 +40,21 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _parse_file(parse, path, flag):
+    """``parse`` of the file's text; a bad line's error names the flag and file."""
+    text = _read_text(path, flag)
+    try:
+        return parse(text)
+    except corpus.ParseError as exc:
+        raise CliError("%s file %r: %s" % (flag, path, exc)) from exc
+
+
 def _load_dialogs(path, flag):
-    return corpus.parse_dialogs(_read_text(path, flag))
+    return _parse_file(corpus.parse_dialogs, path, flag)
 
 
 def _load_lexicon(path, flag):
-    return corpus.Lexicon.from_lines(_read_text(path, flag).split("\n"))
+    return _parse_file(lambda text: corpus.Lexicon.from_lines(text.split("\n")), path, flag)
 
 
 def _write_toy_files(out, domain, foreign):
@@ -228,7 +237,7 @@ def cmd_evaluate(args):
     if args.test is not None:
         dialogs = _load_dialogs(args.test, "--test")
         if args.labels:
-            labels = aug.parse_labels(_read_text(args.labels, "--labels"))
+            labels = _parse_file(aug.parse_labels, args.labels, "--labels")
             dialogs = aug.apply_labels(dialogs, labels)
         lines.extend(_evaluate_to_record(model, data, dialogs, "augmented"))
     if args.plain_test is not None:

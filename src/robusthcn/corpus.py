@@ -236,6 +236,8 @@ def _entry_error(slot_type, values):
     """Why a lexicon entry is invalid, or None."""
     if not re.fullmatch(r"[a-z0-9_]+", slot_type):
         return "bad slot type %r" % slot_type
+    if not values:
+        return "no values under slot %r" % slot_type
     if any(not v.strip() for v in values):
         return "empty value under slot %r" % slot_type
     return None

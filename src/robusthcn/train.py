@@ -43,7 +43,6 @@ class TrainConfig:
     turn_dropout_ratio: float = 0.0
     turn_dropout_unk_prob: float = 0.5
     max_epochs: int = 200
-    clip_norm: float = 5.0
     seed: int = 0
     dev_turn_dropout: bool = True
 
@@ -149,7 +148,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
         ]
 
     history = TrainHistory()
-    best_params = None
+    best_values = None
     start = time.perf_counter()
     for epoch in range(cfg.max_epochs):
         order = stream(seed, "shuffle", epoch).permutation(len(train_dialogs))
@@ -177,10 +176,10 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(epoch)
                 nn.backward(loss)
-                norm = nn.clip_global_norm(model.parameters(), cfg.clip_norm)
+                norm = nn.clip_global_norm(optimizer.grads)
             if not np.isfinite(norm):
                 raise TrainingDiverged(epoch, next(
-                    (p.name for p in model.parameters()
+                    (p.name for p in optimizer.params
                      if p.grad is not None and not np.isfinite(p.grad).all()),
                     "the global norm"))
             optimizer.step()
@@ -199,13 +198,12 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
         )
         if history.best_epoch < 0 or dev_acc > history.epochs[history.best_epoch].dev_acc:
             history.best_epoch = epoch
-            best_params = [p.data.copy() for p in model.parameters()]
+            best_values = optimizer.values.copy()
         if epoch - history.best_epoch >= cfg.patience:
             break
     history.wall_time_s = time.perf_counter() - start
 
-    for p, value in zip(model.parameters(), best_params):
-        p.data = value
+    optimizer.values[...] = best_values
     return model, history
 
 

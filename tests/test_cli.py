@@ -219,7 +219,23 @@ def test_train_names_the_bad_lexicon_line(toy_files, tmp_path, capsys, bad_line,
                 "--dev", str(toy_files / "dev.txt"), "--lexicon", str(lexicon),
                 "--max-epochs", "1", "--out-checkpoint", str(tmp_path / "m.ckpt"))
     assert code == 1
-    assert capsys.readouterr().err == "error: line %d: %s\n" % (len(good) + 1, message)
+    assert capsys.readouterr().err == "error: --lexicon file %r: line %d: %s\n" % (
+        str(lexicon), len(good) + 1, message)
+
+
+def test_train_names_the_bad_transcript_file(toy_files, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("hello there\n")
+    good = {"--train": str(toy_files / "train.txt"), "--dev": str(toy_files / "dev.txt")}
+    for flag in ("--train", "--dev"):
+        files = dict(good, **{flag: str(bad)})
+        code = _run("train", "--variant", "HCN", "--train", files["--train"],
+                    "--dev", files["--dev"], "--lexicon", str(toy_files / "lexicon.txt"),
+                    "--max-epochs", "1", "--out-checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: %s file %r: line 1: expected a line number prefix\n" % (flag, str(bad)))
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -430,4 +446,5 @@ def test_evaluate_rejects_a_corrupt_label_line(toy_files, tmp_path, capsys):
     code = _run("evaluate", "--checkpoint", str(ckpt), "--test", str(toy_files / "test.txt"),
                 "--labels", str(labels), "--report-out", str(tmp_path / "r.txt"))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: line 1: expected 3 tab-separated fields")
+    assert capsys.readouterr().err.startswith(
+        "error: --labels file %r: line 1: expected 3 tab-separated fields" % str(labels))

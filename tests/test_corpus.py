@@ -591,6 +591,12 @@ def test_lexicon_lines_name_the_bad_line(lines, line_no, message):
     assert err.value.line_no == line_no
 
 
+def test_lexicon_rejects_a_slot_type_without_values():
+    # to_lines writes nothing for such a slot, so a checkpoint would not load
+    with pytest.raises(ValueError, match="no values under slot 'area'"):
+        Lexicon({"cuisine": ["thai"], "area": []})
+
+
 _slot_types = st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True)
 _values = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
                   min_size=1, max_size=12).filter(str.strip)

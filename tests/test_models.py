@@ -409,6 +409,48 @@ def test_frozen_embedding_gets_zero_gradient():
     assert model.dlg_w_bow.grad is not None
 
 
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_every_trainable_parameter_gets_a_gradient(variant):
+    # Adam moves every trainable parameter on every step, which is right
+    # only if no dialog leaves one of them without a gradient
+    data, dialogs = _parity_dialogs()
+    sizes = dict(embedding_size=8, dialog_hidden_size=16, predictor_hidden_size=16)
+    if variant == "VHCN":
+        sizes["latent_size"] = 4
+    model = Model(ModelConfig(variant, **sizes), data.vocab, data.action_set, data.n_context,
+                  rng=stream(5, "every-grad", variant))
+    for k, dialog in enumerate(dialogs):
+        nn.zero_grads(model.parameters())
+        loss, _ = dialog_loss(model, dialog, stream(6, "every-grad", k))
+        nn.backward(loss)
+        missing = [p.name for p in model.parameters() if p.trainable and p.grad is None]
+        assert missing == [], "dialog %d" % k
+        assert (model.embedding.grad is None) == (variant == "HCN")
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_adam_trains_views_of_its_flat_buffers(variant):
+    model = tiny_model(variant, VOCAB, ACTIONS)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    optimizer = nn.Adam(model.parameters())
+    trainable = [p for p in model.parameters() if p.trainable]
+    assert optimizer.values.size == sum(p.data.size for p in trainable)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+        assert np.shares_memory(p.data, optimizer.values) == p.trainable, name
+        if p.trainable:
+            assert np.shares_memory(p.grad, optimizer.grads), name
+    assert model.embedding.trainable == (variant != "HCN")
+    loss, _ = dialog_loss(model, two_turn_dialog(VOCAB, ACTIONS), stream(6, "views"))
+    nn.backward(loss)
+    # backward accumulated straight into the flat gradient buffer
+    np.testing.assert_array_equal(np.concatenate([p.grad.ravel() for p in trainable]),
+                                  optimizer.grads)
+    assert optimizer.grads.any()
+    if variant == "HCN":
+        assert model.embedding.grad is None
+
+
 # -------------------------------------------------------------- checkpoints
 
 @pytest.fixture(scope="module")

@@ -275,8 +275,8 @@ def test_reparameterize_monte_carlo_moments():
 
 def test_adam_first_step_is_signed_learning_rate():
     p = nn.Parameter(np.array([1.0, -1.0, 2.0]))
-    p.grad = np.array([0.5, -3.0, 1e-4])
     opt = nn.Adam([p], learning_rate=0.001)
+    p.grad[...] = [0.5, -3.0, 1e-4]
     before = p.data.copy()
     opt.step()
     update = p.data - before
@@ -285,57 +285,70 @@ def test_adam_first_step_is_signed_learning_rate():
 
 def test_adam_zero_gradient_is_identity():
     p = nn.Parameter(np.array([1.0, 2.0]))
-    p.grad = np.zeros(2)
     opt = nn.Adam([p])
+    opt.zero_grad()
     before = p.data.copy()
     opt.step()
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_frozen_parameter_untouched():
-    p = nn.Parameter(np.array([1.0]), trainable=False)
-    p.grad = np.array([5.0])
-    opt = nn.Adam([p])
+    frozen = nn.Parameter(np.array([1.0]), trainable=False)
+    frozen.grad = np.array([5.0])
+    live = nn.Parameter(np.array([2.0]))
+    opt = nn.Adam([frozen, live])
+    live.grad[...] = 1.0
     opt.step()
-    np.testing.assert_array_equal(p.data, [1.0])
+    np.testing.assert_array_equal(frozen.data, [1.0])
+    np.testing.assert_array_equal(frozen.grad, [5.0])
+    assert not np.shares_memory(frozen.data, opt.values)
+    assert live.data[0] < 2.0
 
 
 def test_adam_in_place_matches_the_textbook_expression():
     # bit for bit against the temporaries form, over several steps, with a
-    # parameter that misses its gradient on some steps and one frozen
+    # frozen parameter of another dtype left untouched and an update that
+    # spans more than one block
     rng = stream(14, "adam-exact")
-    shapes = [(5, 3), (7,), (2, 4)]
-    params = [nn.Parameter(rng.normal(size=shape).astype(dtype), "p%d" % i)
-              for i, (shape, dtype) in enumerate(zip(shapes, (np.float32, np.float32, np.float64)))]
-    frozen = nn.Parameter(rng.normal(size=3).astype(np.float32), "frozen", trainable=False)
-    opt = nn.Adam(params + [frozen], learning_rate=0.01)
+    shapes = [(5, 3), (nn.Adam.BLOCK + 7,), (2, 4)]
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-    expected = [p.data.copy() for p in params]
-    m = [np.zeros_like(p.data) for p in params]
-    v = [np.zeros_like(p.data) for p in params]
-    frozen_before = frozen.data.copy()
-    for step in range(1, 7):
-        skipped = step % 3 == 0
-        for p in params:
-            p.grad = (rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-3, 3)).astype(p.data.dtype)
-        params[1].grad = None if skipped else params[1].grad
-        frozen.grad = np.ones_like(frozen.data)
-        opt.step()
-        bc1 = 1.0 - beta1 ** step
-        bc2 = 1.0 - beta2 ** step
-        for i, p in enumerate(params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m[i] *= beta1
-            m[i] += (1.0 - beta1) * g
-            v[i] *= beta2
-            v[i] += (1.0 - beta2) * (g * g)
-            expected[i] -= lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps))
-        for p, want in zip(params, expected):
-            assert p.data.dtype == want.dtype
-            np.testing.assert_array_equal(p.data, want, err_msg="%s step %d" % (p.name, step))
-    np.testing.assert_array_equal(frozen.data, frozen_before)
+    for dtype, frozen_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+        params = [nn.Parameter(rng.normal(size=shape).astype(dtype), "p%d" % i)
+                  for i, shape in enumerate(shapes)]
+        frozen = nn.Parameter(rng.normal(size=3).astype(frozen_dtype), "frozen", trainable=False)
+        expected = [p.data.copy() for p in params]
+        opt = nn.Adam(params + [frozen], learning_rate=lr)
+        m = [np.zeros_like(p.data) for p in params]
+        v = [np.zeros_like(p.data) for p in params]
+        frozen_before = frozen.data.copy()
+        for step in range(1, 7):
+            opt.zero_grad()
+            for p in params:
+                p.grad += (rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+            frozen.grad = np.ones_like(frozen.data)
+            opt.step()
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
+            for i, p in enumerate(params):
+                g = p.grad
+                m[i] *= beta1
+                m[i] += (1.0 - beta1) * g
+                v[i] *= beta2
+                v[i] += (1.0 - beta2) * (g * g)
+                expected[i] -= lr * ((m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps))
+            for p, want in zip(params, expected):
+                assert p.data.dtype == want.dtype
+                np.testing.assert_array_equal(p.data, want, err_msg="%s step %d" % (p.name, step))
+        np.testing.assert_array_equal(frozen.data, frozen_before)
+
+
+def test_adam_rejects_mixed_dtypes():
+    a = nn.Parameter(np.zeros(2, dtype=np.float32), "a")
+    b = nn.Parameter(np.zeros(2, dtype=np.float64), "b")
+    with pytest.raises(ValueError, match="mixed dtypes: float32, float64"):
+        nn.Adam([a, b])
+    # a frozen parameter of another dtype stays outside the buffer
+    nn.Adam([a, nn.Parameter(np.zeros(2), "frozen", trainable=False)])
 
 
 def test_adam_descends_quadratic_bowl():
@@ -440,11 +453,26 @@ def test_grad_check_losses_and_lstm_path():
 def test_clip_global_norm():
     a = nn.Parameter(np.array([3.0, 4.0]))
     b = nn.Parameter(np.array([12.0]))
-    a.grad = a.data.copy()
-    b.grad = b.data.copy()
-    norm = nn.clip_global_norm([a, b], max_norm=5.0)
+    opt = nn.Adam([a, b])
+    a.grad[...] = a.data
+    b.grad[...] = b.data
+    norm = nn.clip_global_norm(opt.grads, max_norm=5.0)
     assert norm == pytest.approx(13.0)
     np.testing.assert_allclose(np.sqrt(np.sum(a.grad**2) + np.sum(b.grad**2)), 5.0)
+
+
+def test_clip_global_norm_of_large_float32_gradients_is_finite():
+    # each square overflows float32, so the norm must be summed wider
+    grads = np.full(4, 1e20, dtype=np.float32)
+    norm = nn.clip_global_norm(grads, max_norm=5.0)
+    assert norm == pytest.approx(2e20, rel=1e-6)
+    np.testing.assert_allclose(grads, 2.5, rtol=1e-6)
+
+
+def test_clip_global_norm_leaves_a_non_finite_gradient():
+    grads = np.array([1.0, np.inf, 100.0])
+    assert nn.clip_global_norm(grads) == np.inf
+    np.testing.assert_array_equal(grads, [1.0, np.inf, 100.0])
 
 
 def test_no_grad_skips_graph():
