@@ -280,6 +280,9 @@ class Lexicon:
     def to_lines(self):
         return ["%s\t%s" % (slot, v) for slot in self.slot_types for v in self.entries[slot]]
 
+    def sha256(self):
+        return _sha256_lines(self.to_lines())
+
     @classmethod
     def from_lines(cls, lines):
         """Parse ``slot_type<TAB>value`` lines; blank lines are skipped.

@@ -37,7 +37,8 @@ from .seeding import stream
 
 VARIANTS = ("HCN", "HHCN", "VHCN")
 
-CHECKPOINT_FORMAT = 1
+# format 2 adds lexicon_hash; format 1 files, which lack it, still load
+CHECKPOINT_FORMAT = 2
 _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
 
 DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
@@ -332,6 +333,7 @@ def _header_lines(model, lexicon, extra):
         "fallback_action_id = %d" % model.action_set.fallback_action_id,
         "vocab_hash = %s" % model.vocab_hash,
         "action_hash = %s" % model.action_hash,
+        "lexicon_hash = %s" % lexicon.sha256(),
     ]
     for key in sorted(extra):
         lines.append("extra.%s = %s" % (key, extra[key]))
@@ -395,7 +397,7 @@ def load_checkpoint(path):
     if len(magic) != 2:
         raise CheckpointError("checkpoint magic line lacks a format version")
     version = _header_int(magic[1], "format version")
-    if version != CHECKPOINT_FORMAT:
+    if not 1 <= version <= CHECKPOINT_FORMAT:
         raise CheckpointError("unsupported checkpoint format %d" % version)
 
     scalars = {}
@@ -424,7 +426,8 @@ def load_checkpoint(path):
         else:
             scalars[key] = value
 
-    missing = [key for key in _HEADER_SCALARS if key not in scalars]
+    required = _HEADER_SCALARS + (("lexicon_hash",) if version >= 2 else ())
+    missing = [key for key in required if key not in scalars]
     if vocab_tokens is None:
         missing.insert(0, "vocab")
     if missing:
@@ -447,6 +450,8 @@ def load_checkpoint(path):
     if n_context != len(lexicon.slot_types) + 1:
         raise CheckpointError("n_context %d does not fit the lexicon's %d slot types (expected %d)"
                               % (n_context, len(lexicon.slot_types), len(lexicon.slot_types) + 1))
+    if version >= 2 and lexicon.sha256() != scalars["lexicon_hash"]:
+        raise CheckpointError("stored lexicon hash does not match the checkpoint's lexicon")
 
     sizes = {key: _header_int(scalars[key], key)
              for key in ("embedding_size", "dialog_hidden_size", "predictor_hidden_size")}

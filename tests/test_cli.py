@@ -24,7 +24,7 @@ def toy_files(tmp_path_factory):
 def test_version_flag(capsys):
     assert _run("--version") == 0
     out = capsys.readouterr().out
-    assert "corpus format 1" in out and "checkpoint format 1" in out
+    assert "corpus format 1" in out and "checkpoint format 2" in out
 
 
 def test_no_command_prints_help(capsys):

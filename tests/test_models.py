@@ -602,6 +602,59 @@ def test_n_context_must_fit_the_lexicon(tmp_path, toy_trained):
         load_checkpoint(path)
 
 
+def _edit_header(path, edit):
+    header, _, payload = path.read_bytes().partition(b"end_header\n")
+    lines = edit(header.split(b"\n"))
+    path.write_bytes(b"\n".join(lines) + b"end_header\n" + payload)
+
+
+def _as_format_1(lines):
+    # a format-1 header is format 2's without the lexicon hash
+    assert lines[0] == b"robusthcn-checkpoint 2"
+    return [b"robusthcn-checkpoint 1"] + [l for l in lines[1:] if not l.startswith(b"lexicon_hash = ")]
+
+
+def _edit_one_lexicon_value(lines):
+    # same slot type, another value: n_context still fits
+    at = next(i for i, l in enumerate(lines) if l.startswith(b"lexicon = "))
+    return lines[:at] + [lines[at] + b"x"] + lines[at + 1:]
+
+
+def test_checkpoint_rejects_an_edited_lexicon_value(tmp_path, toy_trained):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    _edit_header(path, _edit_one_lexicon_value)
+    with pytest.raises(CheckpointError, match="lexicon hash"):
+        load_checkpoint(path)
+
+
+def test_format_1_checkpoint_loads_and_predicts_as_before(tmp_path, toy_trained):
+    domain, vocab, _, model, dev_feats = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    _edit_header(path, _as_format_1)
+    loaded = load_checkpoint(path)
+    assert loaded.lexicon == domain.lexicon and loaded.vocab == vocab
+    restored = model_from_checkpoint(loaded)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
+    for dialog in dev_feats:
+        assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
+    # format 1 has no hash to check an edited lexicon against
+    _edit_header(path, _edit_one_lexicon_value)
+    assert load_checkpoint(path).lexicon != domain.lexicon
+
+
+def test_checkpoint_format_2_requires_the_lexicon_hash(tmp_path, toy_trained):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    _edit_header(path, lambda lines: [l for l in lines if not l.startswith(b"lexicon_hash = ")])
+    with pytest.raises(CheckpointError, match="lacks lexicon_hash"):
+        load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     vocab, actions = tiny_vocab(6), tiny_actions(3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,74 @@ def test_lstm_without_graph_matches_recorded_run():
         plain = nn.lstm(zx, [2, 4, 1], U, b)
     assert recorded.requires_grad and not plain.requires_grad
     np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def _fast_path_lengths(n_seq):
+    # 4, 11, 6, 1, 8, ...: every length from 1 to 12 in no order, then
+    # every third tied with the first
+    lengths = 1 + (7 * np.arange(n_seq) + 3) % 12
+    lengths[2::3] = lengths[0]
+    return lengths.tolist()
+
+
+@pytest.mark.parametrize("n_seq", [1, 2, 3, 9, 17, 40])
+def test_lstm_at_model_size_matches_separate_runs(n_seq):
+    # hidden 128, as the models run it: several sequences multiply by the
+    # contiguous copy of U^T, a single one by U itself
+    hidden = 128
+    rng = stream(6, "lstm-model-size", n_seq)
+    lengths = _fast_path_lengths(n_seq)
+    U = rng.normal(size=(4 * hidden, hidden)) / np.sqrt(hidden)
+    b = rng.normal(size=4 * hidden)
+    zx = rng.normal(size=(sum(lengths), 4 * hidden))
+    out64 = nn.lstm(zx, lengths, U, b).data
+    eye, start = np.eye(4 * hidden), 0
+    for n in lengths:
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        for t in range(start, start + n):
+            h, c = _lstm_oracle(zx[t], h, c, eye, U, b, hidden)
+            np.testing.assert_allclose(out64[t], h, rtol=0, atol=1e-12)
+        start += n
+
+    # float32 rounding, carried through up to 12 steps
+    args32 = [zx.astype(np.float32), lengths,
+              nn.Parameter(U.astype(np.float32)), nn.Parameter(b.astype(np.float32))]
+    recorded = nn.lstm(*args32)
+    assert recorded.requires_grad and recorded.data.dtype == np.float32
+    np.testing.assert_allclose(recorded.data, out64, rtol=1e-4, atol=1e-6)
+    with nn.no_grad():
+        plain = nn.lstm(*args32)
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", [[4], [3, 1, 2]])
+def test_lstm_saturated_gates_are_exact_and_raise_nothing(dtype, lengths):
+    # pre-activations of +-1e4 put every gate at exactly 0 or 1 (the
+    # candidate at -1 or 1); nothing may overflow or underflow on the way
+    hidden = 4
+    rng = stream(7, "lstm-saturated")
+    sign = rng.choice([-1.0, 1.0], size=(sum(lengths), 4 * hidden))
+    zx = nn.Parameter((1e4 * sign).astype(dtype))
+    U = nn.Parameter(rng.normal(size=(4 * hidden, hidden)).astype(dtype))
+    b = nn.Parameter(np.zeros(4 * hidden, dtype=dtype))
+    with np.errstate(all="raise"):
+        out = nn.lstm(zx, lengths, U, b)
+        nn.backward(nn.vsum(out))
+    expected, start = np.empty_like(out.data), 0
+    for n in lengths:
+        c = np.zeros(hidden, dtype=dtype)
+        for t in range(start, start + n):
+            gate = (sign[t] > 0).astype(dtype)
+            gate[2 * hidden:3 * hidden] = sign[t, 2 * hidden:3 * hidden]
+            i, f, g, o = gate.reshape(4, hidden)
+            c = f * c + i * g
+            expected[t] = o * np.tanh(c)
+        start += n
+    np.testing.assert_array_equal(out.data, expected)
+    # exact 0/1 gates pass no gradient back
+    for p in (zx, U, b):
+        np.testing.assert_array_equal(p.grad, 0.0)
 
 
 def test_lstm_rejects_bad_shapes():
@@ -196,6 +266,17 @@ def test_bow_ce_matches_naive_formula():
         s = 1.0 / (1.0 + np.exp(-logits))
         naive = -np.sum(target * np.log(s) + (1 - target) * np.log(1 - s))
         assert float(loss.data) == pytest.approx(naive, abs=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bow_ce_saturated_logits_raise_nothing(dtype):
+    logits = nn.Parameter(np.array([1e4, -1e4, 1e4, -1e4], dtype=dtype))
+    target = np.array([1.0, 0.0, 0.0, 1.0], dtype=dtype)
+    with np.errstate(all="raise"):
+        loss = nn.bow_sigmoid_ce(logits, target)
+        nn.backward(loss)
+    assert float(loss.data) == 2e4
+    np.testing.assert_array_equal(logits.grad, [0.0, 0.0, 1.0, -1.0])
 
 
 def test_bow_ce_rejects_non_binary_targets():
@@ -467,6 +548,14 @@ def test_clip_global_norm_of_large_float32_gradients_is_finite():
     norm = nn.clip_global_norm(grads, max_norm=5.0)
     assert norm == pytest.approx(2e20, rel=1e-6)
     np.testing.assert_allclose(grads, 2.5, rtol=1e-6)
+
+
+@pytest.mark.parametrize("size", [5, nn.Adam.BLOCK, 3 * nn.Adam.BLOCK + 11])
+def test_clip_global_norm_matches_an_exact_sum(size):
+    grads = stream(8, "clip", size).normal(size=size).astype(np.float32)
+    exact = math.sqrt(math.fsum(float(g) * float(g) for g in grads))
+    norm = nn.clip_global_norm(grads.copy(), max_norm=np.inf)
+    assert abs(norm - exact) <= 1e-12 * exact
 
 
 def test_clip_global_norm_leaves_a_non_finite_gradient():
