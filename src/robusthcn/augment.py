@@ -293,6 +293,9 @@ def parse_labels(text):
 
 def apply_labels(dialogs, labels):
     """Attach sidecar labels to parsed dialogs (ids and lengths must agree)."""
+    unknown = sorted(set(labels) - {dialog.id for dialog in dialogs})
+    if unknown:
+        raise ValueError("labels name dialog %d, which the transcript does not have" % unknown[0])
     out = []
     for dialog in dialogs:
         per_dialog = labels.get(dialog.id)

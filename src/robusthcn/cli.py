@@ -229,6 +229,8 @@ def _evaluate_to_record(model, data, dialogs, prefix):
 def cmd_evaluate(args):
     if args.test is None and args.plain_test is None:
         raise CliError("at least one of --test or --plain-test is required")
+    if args.labels is not None and args.test is None:
+        raise CliError("--labels requires --test (it labels the --test transcript)")
     loaded = models.load_checkpoint(args.checkpoint)
     model = models.model_from_checkpoint(loaded)
     data = corpus.Featurizer(loaded.lexicon, loaded.vocab, loaded.action_set)
@@ -236,7 +238,7 @@ def cmd_evaluate(args):
     lines.extend("config.checkpoint.%s = %s" % (k, v) for k, v in sorted(loaded.extra.items()))
     if args.test is not None:
         dialogs = _load_dialogs(args.test, "--test")
-        if args.labels:
+        if args.labels is not None:
             labels = _parse_file(aug.parse_labels, args.labels, "--labels")
             dialogs = aug.apply_labels(dialogs, labels)
         lines.extend(_evaluate_to_record(model, data, dialogs, "augmented"))

@@ -37,8 +37,9 @@ from .seeding import stream
 
 VARIANTS = ("HCN", "HHCN", "VHCN")
 
-# format 2 adds lexicon_hash; format 1 files, which lack it, still load
-CHECKPOINT_FORMAT = 2
+# format 2 adds lexicon_hash; format 3 stores weights (in, out), and the
+# (out, in) weights of format 1 and 2 files load transposed
+CHECKPOINT_FORMAT = 3
 _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
 
 DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
@@ -100,7 +101,7 @@ class Model:
 
     A fresh model draws its parameters from ``rng``; ``embedding_table``,
     a (V, d) array, replaces the drawn embedding.  ``arrays`` (name ->
-    array, as a checkpoint stores them) gives every parameter's value
+    array, as ``load_checkpoint`` returns them) gives every parameter's value
     instead, and nothing is drawn.
     """
 
@@ -143,11 +144,11 @@ class Model:
             return param(name, shape, lambda: nn.glorot_uniform(rng, shape, dtype, **fans))
 
         def linear(name, in_size, out_size):
-            return nn.Linear(glorot(name + ".weight", (out_size, in_size)),
+            return nn.Linear(glorot(name + ".weight", (in_size, out_size)),
                              param(name + ".bias", (out_size,), lambda: np.zeros(out_size, dtype)))
 
         def recurrent(name, hidden):
-            return (param(name + ".w_recurrent", (4 * hidden, hidden),
+            return (param(name + ".w_recurrent", (hidden, 4 * hidden),
                           lambda: nn.lstm_recurrent_init(rng, hidden, dtype)),
                     param(name + ".bias", (4 * hidden,), lambda: nn.lstm_bias_init(hidden, dtype)))
 
@@ -164,7 +165,7 @@ class Model:
 
         if cfg.variant in ("HHCN", "VHCN"):
             size = cfg.embedding_size
-            self.turn_w_input = glorot("turn_lstm.w_input", (4 * size, size),
+            self.turn_w_input = glorot("turn_lstm.w_input", (size, 4 * size),
                                        fan_in=size, fan_out=size)
             self.turn_u, self.turn_b = recurrent("turn_lstm", size)
         if cfg.variant == "VHCN":
@@ -175,11 +176,11 @@ class Model:
         hidden = cfg.dialog_hidden_size
         turn_dim = cfg.turn_vector_size
         fans = dict(fan_in=turn_dim + v_size + self.n_context + 2 * a_size, fan_out=hidden)
-        self.dlg_w_turn = glorot("dialog_lstm.w_turn", (4 * hidden, turn_dim), **fans)
-        self.dlg_w_bow = glorot("dialog_lstm.w_bow", (4 * hidden, v_size), **fans)
-        self.dlg_w_ctx = glorot("dialog_lstm.w_ctx", (4 * hidden, self.n_context), **fans)
-        self.dlg_w_prev = glorot("dialog_lstm.w_prev", (4 * hidden, a_size), **fans)
-        self.dlg_w_mask = glorot("dialog_lstm.w_mask", (4 * hidden, a_size), **fans)
+        self.dlg_w_turn = glorot("dialog_lstm.w_turn", (turn_dim, 4 * hidden), **fans)
+        self.dlg_w_bow = glorot("dialog_lstm.w_bow", (v_size, 4 * hidden), **fans)
+        self.dlg_w_ctx = glorot("dialog_lstm.w_ctx", (self.n_context, 4 * hidden), **fans)
+        self.dlg_w_prev = glorot("dialog_lstm.w_prev", (a_size, 4 * hidden), **fans)
+        self.dlg_w_mask = glorot("dialog_lstm.w_mask", (a_size, 4 * hidden), **fans)
         self.dlg_u, self.dlg_b = recurrent("dialog_lstm", hidden)
 
         self.pred_hidden = linear("predictor.hidden", hidden, cfg.predictor_hidden_size)
@@ -469,7 +470,9 @@ def load_checkpoint(path):
         raw = reader.read(4 * count)
         if len(raw) != 4 * count:
             raise CheckpointError("truncated parameter data for %s" % name)
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        array = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        arrays[name] = (array.T if version < 3 and array.ndim == 2 and name != "embedding"
+                        else array).copy()
     if reader.read(1):
         raise CheckpointError("trailing bytes after parameter data")
 

@@ -2,7 +2,8 @@
 
 This is not a general autodiff system: it supports exactly the shapes the
 models need (vector activations, per-token and per-turn row matrices, 2-D
-weights, scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`)
+weights stored (in, out) so that every forward product is ``rows @ W``,
+scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`)
 serves every recurrence: it runs a batch of variable-length sequences,
 packed row after row, as one graph node with one time loop, returns every
 row's hidden state and has a hand-written backward pass.  Graphs are built
@@ -143,20 +144,18 @@ def mul(a, b):
 
 
 def matvec(m, v):
-    """m @ v for a vector v; for a matrix v, m applied to each of its rows."""
+    """v @ m for an (in, out) weight m and a vector or rows v."""
     m, v = as_tensor(m), as_tensor(v)
-    if m.data.ndim != 2 or v.data.ndim not in (1, 2) or m.data.shape[1] != v.data.shape[-1]:
-        raise DimensionError("matvec shapes %s @ %s" % (m.data.shape, v.data.shape))
-    rows = v.data.ndim == 2
-    out_data = v.data @ m.data.T if rows else m.data @ v.data
+    if m.data.ndim != 2 or v.data.ndim not in (1, 2) or m.data.shape[0] != v.data.shape[-1]:
+        raise DimensionError("matvec shapes %s @ %s" % (v.data.shape, m.data.shape))
 
     def backward_fn(g):
         if m.requires_grad:
-            _accum(m, g.T @ v.data if rows else np.outer(g, v.data))
+            _accum(m, np.atleast_2d(v.data).T @ np.atleast_2d(g))
         if v.requires_grad:
-            _accum(v, g @ m.data if rows else m.data.T @ g)
+            _accum(v, g @ m.data.T)
 
-    return _node(out_data, (m, v), backward_fn)
+    return _node(v.data @ m.data, (m, v), backward_fn)
 
 
 def gather_rows(table, indices):
@@ -200,21 +199,14 @@ def vsum(x):
     return _node(x.data.sum(), (x,), backward_fn)
 
 
-def _rows_times(rows, w):
-    # rows @ w.T; one row takes the matrix-vector product, so a single
-    # sequence multiplies exactly as an unbatched LSTM does
-    if rows.shape[0] == 1:
-        return (w @ rows[0])[None]
-    return rows @ w.T
-
-
 def lstm(zx, lengths, w_recurrent, bias):
     """An LSTM over packed variable-length sequences, as one graph node.
 
-    ``zx`` holds W x_t for every step of every sequence, the sequences'
+    ``zx`` holds x_t W for every step of every sequence, the sequences'
     rows concatenated in order, shape (N, 4H); ``lengths`` gives their
     step counts (each at least 1, summing to N).  Every sequence starts
-    from a zero [h; c]; the op returns every row's hidden state, shape
+    from a zero [h; c], and a step adds h_{t-1} U for the (H, 4H)
+    ``w_recurrent`` U; the op returns every row's hidden state, shape
     (N, H), in input order.  Gate order along the 4H axis: input, forget,
     candidate, output.
 
@@ -223,15 +215,15 @@ def lstm(zx, lengths, w_recurrent, bias):
     running at step t are a prefix of that order and one time loop of
     max(lengths) steps serves them all.  The backward pass is hand-written
     BPTT that takes a gradient on every row; the recurrent weight gradient
-    is one product dZ^T H_prev over all steps and rows.  Without a graph
+    is one product H_prev^T dZ over all steps and rows.  Without a graph
     to record, no gate history is kept.
     """
     zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
-    hidden = w_recurrent.data.shape[1]
+    hidden = w_recurrent.data.shape[0]
     if (
         zx.data.ndim != 2
         or zx.data.shape[1] != 4 * hidden
-        or w_recurrent.data.shape != (4 * hidden, hidden)
+        or w_recurrent.data.shape != (hidden, 4 * hidden)
         or bias.data.shape != (4 * hidden,)
     ):
         raise DimensionError("inconsistent LSTM shapes")
@@ -269,17 +261,10 @@ def lstm(zx, lengths, w_recurrent, bias):
     scale = np.full(4 * hidden, 0.5, dtype=dtype)
     shift = np.full(4 * hidden, 0.5, dtype=dtype)
     scale[2 * hidden:3 * hidden], shift[2 * hidden:3 * hidden] = 1.0, 0.0
-    # Several sequences multiply their rows by one contiguous copy of u.T,
-    # since a product with the transposed view takes OpenBLAS's slow path
-    # (float32, H = 128, one OpenBLAS 0.3.31 thread: 45-79 us against
-    # 11-42 us for 3-17 rows).  A single sequence keeps the matrix-vector
-    # product and makes no copy.
-    u_t = np.ascontiguousarray(u.T) if n_seq > 1 else None
     for t, k in enumerate(active):
         p, q = start[t], start[t + 1]
         r = q - n_seq
-        h = hs[p:p + k]
-        z = zs[r:r + k] + (_rows_times(h, u) if u_t is None else h @ u_t) + b
+        z = zs[r:r + k] + hs[p:p + k] @ u + b
         z *= scale
         gate = gates[r:r + k] if record else z
         np.tanh(z, out=gate)
@@ -312,7 +297,7 @@ def lstm(zx, lengths, w_recurrent, bias):
             df[:] = dc * cs[p:p + k] * f * (1.0 - f)
             dg[:] = dc * i * (1.0 - g * g)
             do[:] = dh * tc * o * (1.0 - o)
-            dh = _rows_times(dz[r:r + k], u.T)
+            dh = dz[r:r + k] @ u.T
             dc = dc * f
         if zx.requires_grad:
             dzx = np.empty_like(dz)
@@ -321,8 +306,8 @@ def lstm(zx, lengths, w_recurrent, bias):
         if w_recurrent.requires_grad:
             # each row's previous state sits at its rank in the step before
             h_prev = hs[np.asarray(start)[step] + rank]
-            # np.dot, not matmul: matmul's (4H,1)x(1,H) path is ~6x slower
-            _accum(w_recurrent, np.dot(dz.T, h_prev))
+            # np.dot, not matmul: matmul's (H,1)x(1,4H) path is ~6x slower
+            _accum(w_recurrent, np.dot(h_prev.T, dz))
         _accum(bias, dz.sum(axis=0))
 
     return _node(out, (zx, w_recurrent, bias), backward_fn)
@@ -440,10 +425,11 @@ def zero_grads(params):
 
 
 def glorot_uniform(rng, shape, dtype, fan_in=None, fan_out=None):
-    fan_in = shape[1] if fan_in is None else fan_in
-    fan_out = shape[0] if fan_out is None else fan_out
+    """An (in, out) weight: the transpose of an (out, in) uniform draw."""
+    fan_in = shape[0] if fan_in is None else fan_in
+    fan_out = shape[1] if fan_out is None else fan_out
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape).astype(dtype)
+    return rng.uniform(-bound, bound, shape[::-1]).T.astype(dtype, order="C")
 
 
 def orthogonal(rng, n, dtype):
@@ -454,7 +440,7 @@ def orthogonal(rng, n, dtype):
 
 
 class Linear:
-    """Affine map W x + b (x one vector or one row per input)."""
+    """Affine map x W + b for an (in, out) weight W (x one vector or one row per input)."""
 
     def __init__(self, weight, bias):
         self.weight = weight
@@ -465,8 +451,9 @@ class Linear:
 
 
 def lstm_recurrent_init(rng, hidden_size, dtype):
-    """Four orthogonal recurrent blocks, one per gate."""
-    return np.concatenate([orthogonal(rng, hidden_size, dtype) for _ in range(4)], axis=0)
+    """Four orthogonal recurrent blocks, one per gate, side by side: (H, 4H)."""
+    blocks = [orthogonal(rng, hidden_size, dtype) for _ in range(4)]
+    return np.ascontiguousarray(np.concatenate(blocks).T)
 
 
 def lstm_bias_init(hidden_size, dtype):

@@ -131,6 +131,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
     model = Model(model_config, vocab, action_set, n_context,
                   rng=stream(seed, "init"), dtype=dtype, embedding_table=embedding_table)
     optimizer = nn.Adam(model.parameters(), learning_rate=cfg.learning_rate)
+    draws_noise = model_config.variant == "VHCN"  # HCN and HHCN read no latent noise
 
     td_config = None
     if cfg.turn_dropout_ratio > 0:
@@ -167,7 +168,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
                     dc_replace(t, f_turn=word_dropout(t.f_turn, cfg.word_dropout, wd_rng))
                     for t in dialog
                 ]
-            noise_rng = stream(seed, "vae-noise", epoch, int(i))
+            noise_rng = stream(seed, "vae-noise", epoch, int(i)) if draws_noise else None
             optimizer.zero_grad()
             # a non-finite loss or gradient norm ends the run as
             # TrainingDiverged, so numpy's overflow warnings on the way add nothing

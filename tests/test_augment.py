@@ -271,6 +271,9 @@ def test_apply_labels_validates_alignment():
         apply_labels(dialogs, {0: [OodLabel.IND]})
     with pytest.raises(ValueError):
         apply_labels(dialogs, {5: [OodLabel.IND] * 3})
+    # every dialog the sidecar names must be in the transcript
+    with pytest.raises(ValueError, match="labels name dialog 7, which the transcript"):
+        apply_labels(dialogs, {0: [OodLabel.IND] * 3, 7: [OodLabel.IND]})
 
 
 def test_config_validates_probabilities():

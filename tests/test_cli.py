@@ -24,7 +24,7 @@ def toy_files(tmp_path_factory):
 def test_version_flag(capsys):
     assert _run("--version") == 0
     out = capsys.readouterr().out
-    assert "corpus format 1" in out and "checkpoint format 2" in out
+    assert "corpus format 1" in out and "checkpoint format 3" in out
 
 
 def test_no_command_prints_help(capsys):
@@ -110,6 +110,30 @@ def test_evaluate_requires_some_test(toy_files, tmp_path, capsys):
     assert _run("evaluate", "--checkpoint", str(ckpt), "--report-out",
                 str(tmp_path / "r.txt")) == 1
     assert "--test" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_labels_it_cannot_apply(toy_files, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
+                "--out-checkpoint", str(ckpt)) == 0
+    labels = tmp_path / "test.labels"
+    labels.write_text("999\t0\tIND\n")
+    cases = [
+        # without --test, whether or not the sidecar exists
+        (["--plain-test", str(toy_files / "test.txt"), "--labels", str(tmp_path / "missing")],
+         "error: --labels requires --test (it labels the --test transcript)\n"),
+        (["--plain-test", str(toy_files / "test.txt"), "--labels", str(labels)],
+         "error: --labels requires --test (it labels the --test transcript)\n"),
+        # a dialog the --test transcript does not have
+        (["--test", str(toy_files / "test.txt"), "--labels", str(labels)],
+         "error: labels name dialog 999, which the transcript does not have\n"),
+    ]
+    capsys.readouterr()
+    for flags, message in cases:
+        assert _run("evaluate", "--checkpoint", str(ckpt), *flags,
+                    "--report-out", str(tmp_path / "r.txt")) == 1
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_train_config_file_precedence(toy_files, tmp_path):

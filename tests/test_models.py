@@ -141,7 +141,7 @@ def test_all_ones_mask_is_noop():
               (model.dlg_w_ctx, [f.f_ctx.vector(model.dtype) for f in dialog]),
               (model.dlg_w_prev, [f.prev_action for f in dialog]),
               (model.dlg_w_mask, [f.f_mask for f in dialog])]
-    z_x = sum(np.asarray(x, dtype=model.dtype) @ w.data.T for w, x in blocks)
+    z_x = sum(np.asarray(x, dtype=model.dtype) @ w.data for w, x in blocks)
     h = nn.lstm(z_x, [len(dialog)], model.dlg_u, model.dlg_b)
     expected = model.pred_out(nn.relu(model.pred_hidden(h)))
     np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
@@ -207,13 +207,13 @@ def _per_turn_reference(model, dialog, rng=None):
         x = {"turn": vec.data, "bow": f.bow_vector(len(model.vocab), np.float64),
              "ctx": f.f_ctx.vector(np.float64), "prev": f.prev_action.astype(np.float64),
              "mask": f.f_mask.astype(np.float64)}
-        z = sum(P["dialog_lstm.w_" + k] @ x[k] for k in x) + U @ h + b
+        z = sum(x[k] @ P["dialog_lstm.w_" + k] for k in x) + h @ U + b
         i, fg, g, o = _sig(z[:H]), _sig(z[H:2 * H]), np.tanh(z[2 * H:3 * H]), _sig(z[3 * H:])
         c_t = fg * c + i * g
         h_t = o * np.tanh(c_t)
-        a = W1 @ h_t + b1
+        a = h_t @ W1 + b1
         r = np.maximum(a, 0.0)
-        logits = W2 @ r + b2
+        logits = r @ W2 + b2
         p = np.exp(logits - logits.max())
         p /= p.sum()
         loss -= np.log(p[f.target]) / n
@@ -229,22 +229,22 @@ def _per_turn_reference(model, dialog, rng=None):
         dlogits = p.copy()
         dlogits[target] -= 1.0
         dlogits /= n
-        grads["predictor.out.weight"] += np.outer(dlogits, r)
+        grads["predictor.out.weight"] += np.outer(r, dlogits)
         grads["predictor.out.bias"] += dlogits
-        da = (W2.T @ dlogits) * (a > 0)
-        grads["predictor.hidden.weight"] += np.outer(da, h_t)
+        da = (W2 @ dlogits) * (a > 0)
+        grads["predictor.hidden.weight"] += np.outer(h_t, da)
         grads["predictor.hidden.bias"] += da
-        dh = W1.T @ da + dh_next
+        dh = W1 @ da + dh_next
         tc = np.tanh(c_t)
         dc = dh * o * (1.0 - tc * tc) + dc_next
         dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * fg * (1.0 - fg),
                              dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
         for k in x:
-            grads["dialog_lstm.w_" + k] += np.outer(dz, x[k])
-        grads["dialog_lstm.w_recurrent"] += np.outer(dz, h_prev)
+            grads["dialog_lstm.w_" + k] += np.outer(x[k], dz)
+        grads["dialog_lstm.w_recurrent"] += np.outer(h_prev, dz)
         grads["dialog_lstm.bias"] += dz
-        d_turn[t] = P["dialog_lstm.w_turn"].T @ dz
-        dh_next, dc_next = U.T @ dz, dc * fg
+        d_turn[t] = P["dialog_lstm.w_turn"] @ dz
+        dh_next, dc_next = U @ dz, dc * fg
 
     nn.zero_grads(model.parameters())
     surrogate = nn.as_tensor(0.0)
@@ -608,10 +608,28 @@ def _edit_header(path, edit):
     path.write_bytes(b"\n".join(lines) + b"end_header\n" + payload)
 
 
-def _as_format_1(lines):
-    # a format-1 header is format 2's without the lexicon hash
-    assert lines[0] == b"robusthcn-checkpoint 2"
-    return [b"robusthcn-checkpoint 1"] + [l for l in lines[1:] if not l.startswith(b"lexicon_hash = ")]
+def _as_old_format(path, version):
+    # formats 1 and 2 store every 2-D weight but the embedding (out, in),
+    # and format 1 has no lexicon hash
+    header, _, payload = path.read_bytes().partition(b"end_header\n")
+    lines = header.split(b"\n")
+    assert lines[0] == b"robusthcn-checkpoint 3"
+    kept, blobs, offset = [b"robusthcn-checkpoint %d" % version], [], 0
+    for line in lines[1:]:
+        if version == 1 and line.startswith(b"lexicon_hash = "):
+            continue
+        if line.startswith(b"param = "):
+            name, dims = line[len(b"param = "):].rsplit(b" ", 1)
+            shape = tuple(int(d) for d in dims.split(b","))
+            array = np.frombuffer(payload, "<f4", int(np.prod(shape)), offset).reshape(shape)
+            offset += array.nbytes
+            if array.ndim == 2 and name != b"embedding":
+                array = array.T
+                line = b"param = %s %d,%d" % ((name,) + array.shape)
+            blobs.append(np.ascontiguousarray(array).tobytes())
+        kept.append(line)
+    assert offset == len(payload)
+    path.write_bytes(b"\n".join(kept) + b"end_header\n" + b"".join(blobs))
 
 
 def _edit_one_lexicon_value(lines):
@@ -629,21 +647,32 @@ def test_checkpoint_rejects_an_edited_lexicon_value(tmp_path, toy_trained):
         load_checkpoint(path)
 
 
-def test_format_1_checkpoint_loads_and_predicts_as_before(tmp_path, toy_trained):
-    domain, vocab, _, model, dev_feats = toy_trained
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, domain.lexicon)
-    _edit_header(path, _as_format_1)
-    loaded = load_checkpoint(path)
-    assert loaded.lexicon == domain.lexicon and loaded.vocab == vocab
-    restored = model_from_checkpoint(loaded)
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(restored.params[name].data, p.data)
-    for dialog in dev_feats:
-        assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
-    # format 1 has no hash to check an edited lexicon against
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_format_checkpoint_loads_and_predicts_as_before(tmp_path, toy_trained, version):
+    domain, vocab, actions, trained, dev_feats = toy_trained
+    vhcn = Model(ModelConfig("VHCN", embedding_size=6, latent_size=3, dialog_hidden_size=8,
+                             predictor_hidden_size=8),
+                 vocab, actions, n_context=len(domain.lexicon.slot_types) + 1,
+                 rng=stream(4, "old-format"))
+    for model in (trained, vhcn):
+        path = tmp_path / ("%s.ckpt" % model.config.variant)
+        save_checkpoint(path, model, domain.lexicon)
+        _as_old_format(path, version)
+        loaded = load_checkpoint(path)
+        assert loaded.lexicon == domain.lexicon and loaded.vocab == vocab
+        restored = model_from_checkpoint(loaded)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(restored.params[name].data, p.data, err_msg=name)
+            assert restored.params[name].data.flags.c_contiguous, name
+        for dialog in dev_feats:
+            assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
     _edit_header(path, _edit_one_lexicon_value)
-    assert load_checkpoint(path).lexicon != domain.lexicon
+    if version == 1:
+        # format 1 has no hash to check an edited lexicon against
+        assert load_checkpoint(path).lexicon != domain.lexicon
+    else:
+        with pytest.raises(CheckpointError, match="lexicon hash"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_format_2_requires_the_lexicon_hash(tmp_path, toy_trained):

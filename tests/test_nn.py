@@ -10,7 +10,7 @@ from robusthcn.seeding import stream
 # ------------------------------------------------------------------- lstm
 
 def _zero_weights(hidden, dtype=np.float64):
-    return (nn.Parameter(np.zeros((4 * hidden, hidden), dtype=dtype)),
+    return (nn.Parameter(np.zeros((hidden, 4 * hidden), dtype=dtype)),
             nn.Parameter(np.zeros(4 * hidden, dtype=dtype)))
 
 
@@ -34,17 +34,18 @@ def test_lstm_zero_weights_halve_cell_state():
 
 
 def _lstm_oracle(x, h_prev, c_prev, W, U, b, hidden):
-    # independently coded step with explicit per-gate slices
+    # independently coded step with explicit per-gate column slices of the
+    # (in, 4H) input and (H, 4H) recurrent weights
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    wi, wf, wg, wo = (W[k * hidden:(k + 1) * hidden] for k in range(4))
-    ui, uf, ug, uo = (U[k * hidden:(k + 1) * hidden] for k in range(4))
+    wi, wf, wg, wo = (W[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    ui, uf, ug, uo = (U[:, k * hidden:(k + 1) * hidden] for k in range(4))
     bi, bf, bg, bo = (b[k * hidden:(k + 1) * hidden] for k in range(4))
-    i = sig(wi @ x + ui @ h_prev + bi)
-    f = sig(wf @ x + uf @ h_prev + bf)
-    g = np.tanh(wg @ x + ug @ h_prev + bg)
-    o = sig(wo @ x + uo @ h_prev + bo)
+    i = sig(x @ wi + h_prev @ ui + bi)
+    f = sig(x @ wf + h_prev @ uf + bf)
+    g = np.tanh(x @ wg + h_prev @ ug + bg)
+    o = sig(x @ wo + h_prev @ uo + bo)
     c = f * c_prev + i * g
     return o * np.tanh(c), c
 
@@ -54,8 +55,8 @@ def test_lstm_matches_independent_implementation():
     hidden, inputs = 5, 4
     for steps in (1, 5):
         for _ in range(20):
-            W = rng.normal(size=(4 * hidden, inputs))
-            U = rng.normal(size=(4 * hidden, hidden))
+            W = rng.normal(size=(inputs, 4 * hidden))
+            U = rng.normal(size=(hidden, 4 * hidden))
             b = rng.normal(size=4 * hidden)
             xs = rng.normal(size=(steps, inputs))
             out = nn.lstm(nn.matvec(W, xs), [steps], U, b)
@@ -71,8 +72,8 @@ def test_lstm_packed_sequences_match_separate_runs():
     # every row equals the same sequence run on its own
     rng = stream(3, "lstm-packed")
     hidden, inputs = 4, 3
-    W = rng.normal(size=(4 * hidden, inputs))
-    U = rng.normal(size=(4 * hidden, hidden))
+    W = rng.normal(size=(inputs, 4 * hidden))
+    U = rng.normal(size=(hidden, 4 * hidden))
     b = rng.normal(size=4 * hidden)
     for lengths in ([3, 1, 5, 3, 2], [1], [2, 2], [1, 4, 1]):
         xs = rng.normal(size=(sum(lengths), inputs))
@@ -89,7 +90,7 @@ def test_lstm_packed_sequences_match_separate_runs():
 
 def test_lstm_without_graph_matches_recorded_run():
     rng = stream(4, "lstm-nograd")
-    U = nn.Parameter(rng.normal(size=(12, 3)))
+    U = nn.Parameter(rng.normal(size=(3, 12)))
     b = nn.Parameter(rng.normal(size=12))
     zx = rng.normal(size=(7, 12))
     recorded = nn.lstm(zx, [2, 4, 1], U, b)
@@ -109,12 +110,11 @@ def _fast_path_lengths(n_seq):
 
 @pytest.mark.parametrize("n_seq", [1, 2, 3, 9, 17, 40])
 def test_lstm_at_model_size_matches_separate_runs(n_seq):
-    # hidden 128, as the models run it: several sequences multiply by the
-    # contiguous copy of U^T, a single one by U itself
+    # hidden 128, as the models run it, from one sequence to 40
     hidden = 128
     rng = stream(6, "lstm-model-size", n_seq)
     lengths = _fast_path_lengths(n_seq)
-    U = rng.normal(size=(4 * hidden, hidden)) / np.sqrt(hidden)
+    U = rng.normal(size=(hidden, 4 * hidden)) / np.sqrt(hidden)
     b = rng.normal(size=4 * hidden)
     zx = rng.normal(size=(sum(lengths), 4 * hidden))
     out64 = nn.lstm(zx, lengths, U, b).data
@@ -146,7 +146,7 @@ def test_lstm_saturated_gates_are_exact_and_raise_nothing(dtype, lengths):
     rng = stream(7, "lstm-saturated")
     sign = rng.choice([-1.0, 1.0], size=(sum(lengths), 4 * hidden))
     zx = nn.Parameter((1e4 * sign).astype(dtype))
-    U = nn.Parameter(rng.normal(size=(4 * hidden, hidden)).astype(dtype))
+    U = nn.Parameter(rng.normal(size=(hidden, 4 * hidden)).astype(dtype))
     b = nn.Parameter(np.zeros(4 * hidden, dtype=dtype))
     with np.errstate(all="raise"):
         out = nn.lstm(zx, lengths, U, b)
@@ -175,8 +175,12 @@ def test_lstm_rejects_bad_shapes():
     ]:
         with pytest.raises(nn.DimensionError):
             nn.lstm(zx, [1], *_zero_weights(3))
-    with pytest.raises(nn.DimensionError):
-        nn.lstm(np.zeros((2, 12)), [2], nn.Parameter(np.zeros((12, 3))), nn.Parameter(np.zeros(8)))
+    for w_recurrent, bias in [
+        (np.zeros((3, 12)), np.zeros(8)),   # bias not 4H long
+        (np.zeros((12, 3)), np.zeros(12)),  # recurrent weight in the old (4H, H) layout
+    ]:
+        with pytest.raises(nn.DimensionError):
+            nn.lstm(np.zeros((2, 12)), [2], nn.Parameter(w_recurrent), nn.Parameter(bias))
     for lengths in ([], [3], [1, 0, 1], [[2]], [-1, 3]):
         with pytest.raises(nn.DimensionError, match="lengths"):
             nn.lstm(np.zeros((2, 12)), lengths, *_zero_weights(3))
@@ -190,8 +194,8 @@ def test_grad_check_lstm_sequence(tokens):
     tokens = np.concatenate(tokens)
     rng = stream(12, "lstm-grad", len(tokens))
     hidden, inputs = 3, 4
-    w_input = nn.Parameter(rng.normal(size=(4 * hidden, inputs)) * 0.5, "W")
-    w_recurrent = nn.Parameter(rng.normal(size=(4 * hidden, hidden)) * 0.5, "U")
+    w_input = nn.Parameter(rng.normal(size=(inputs, 4 * hidden)) * 0.5, "W")
+    w_recurrent = nn.Parameter(rng.normal(size=(hidden, 4 * hidden)) * 0.5, "U")
     bias = nn.Parameter(rng.normal(size=4 * hidden) * 0.5, "b")
     table = nn.Parameter(rng.normal(size=(5, inputs)), "emb")
     coef = rng.normal(size=(len(tokens), hidden))
@@ -494,6 +498,39 @@ def test_grad_check_elementwise_ops(op_name):
     assert nn.grad_check(fn, [w]) < 1e-6
 
 
+@pytest.mark.parametrize("v_shape", [(3,), (4, 3)])
+def test_matvec_multiplies_by_an_in_out_weight(v_shape):
+    # one vector or one row per input, times a (3, 5) weight: shape (5,) or (4, 5)
+    rng = stream(13, "matvec", len(v_shape))
+    m = nn.Parameter(rng.normal(size=(3, 5)), "m")
+    v = nn.Parameter(rng.normal(size=v_shape), "v")
+    coef = rng.normal(size=v_shape[:-1] + (5,))
+    out = nn.matvec(m, v)
+    np.testing.assert_allclose(out.data, np.einsum("...i,io->...o", v.data, m.data), atol=1e-12)
+
+    def fn():
+        return nn.vsum(nn.mul(nn.matvec(m, v), nn.as_tensor(coef)))
+
+    assert nn.grad_check(fn, [m, v]) < 1e-6
+    with pytest.raises(nn.DimensionError, match="matvec shapes"):
+        nn.matvec(nn.Parameter(rng.normal(size=(5, 3))), v)
+
+
+def test_weight_inits_are_out_in_draws_transposed():
+    # one seed draws the same numbers as an (out, in) layout would, stored (in, out)
+    w = nn.glorot_uniform(stream(1, "init"), (3, 5), np.float32)
+    bound = np.sqrt(6.0 / (3 + 5))
+    expected = stream(1, "init").uniform(-bound, bound, (5, 3)).astype(np.float32).T
+    np.testing.assert_array_equal(w, expected)
+    u = nn.lstm_recurrent_init(stream(2, "init"), 3, np.float32)
+    rng, blocks = stream(2, "init"), []
+    for _ in range(4):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        blocks.append(q * np.sign(np.diag(r)))
+    np.testing.assert_array_equal(u, np.vstack(blocks).astype(np.float32).T)
+    assert w.flags.c_contiguous and u.flags.c_contiguous
+
+
 def _mean_of_rows(table, ids):
     total = nn.gather_rows(table, ids[0])
     for i in ids[1:]:
@@ -504,12 +541,12 @@ def _mean_of_rows(table, ids):
 def test_grad_check_losses_and_lstm_path():
     rng = stream(11, "composite")
     hidden, inputs = 3, 4
-    cell_w = nn.Parameter(rng.normal(size=(4 * hidden, inputs)) * 0.5, "W")
-    cell_u = nn.Parameter(rng.normal(size=(4 * hidden, hidden)) * 0.5, "U")
+    cell_w = nn.Parameter(rng.normal(size=(inputs, 4 * hidden)) * 0.5, "W")
+    cell_u = nn.Parameter(rng.normal(size=(hidden, 4 * hidden)) * 0.5, "U")
     cell_b = nn.Parameter(rng.normal(size=4 * hidden) * 0.5, "b")
     table = nn.Parameter(rng.normal(size=(5, inputs)), "emb")
-    mu_w = nn.Parameter(rng.normal(size=(2, hidden)) * 0.5, "mu")
-    lv_w = nn.Parameter(rng.normal(size=(2, hidden)) * 0.5, "lv")
+    mu_w = nn.Parameter(rng.normal(size=(hidden, 2)) * 0.5, "mu")
+    lv_w = nn.Parameter(rng.normal(size=(hidden, 2)) * 0.5, "lv")
     noise = rng.standard_normal(2)
     x_bow = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     params = [cell_w, cell_u, cell_b, table, mu_w, lv_w]
