@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import OodLabel
-from .models import check_compatible, predict_dialog
+from .models import check_compatible, predict_dialogs
 
 
 class OodF1(NamedTuple):
@@ -128,14 +128,10 @@ def evaluate_model(model, featurized_dialogs, vocab=None, action_set=None):
     """
     if vocab is not None and action_set is not None:
         check_compatible(model, vocab, action_set)
-    predictions = []
-    golds = []
-    labels = []
-    for dialog in featurized_dialogs:
-        predictions.extend(predict_dialog(model, dialog))
-        golds.extend(t.target for t in dialog)
-        labels.extend(t.ood_label for t in dialog)
-    return evaluate_predictions(predictions, golds, labels, model.action_set.fallback_action_id)
+    predictions = predict_dialogs(model, featurized_dialogs)
+    turns = [t for dialog in featurized_dialogs for t in dialog]
+    return evaluate_predictions(predictions, [t.target for t in turns],
+                                [t.ood_label for t in turns], model.action_set.fallback_action_id)
 
 
 _TABLE_COLUMNS = (

@@ -21,6 +21,14 @@ LSTM state, so a dialog runs as one pass with no per-turn step:
 turn LSTM runs once over all turns, packed by length), each input block is
 one product over all T turns, the same LSTM op returns every step's hidden
 state, and the predictor and the loss see (T, .) matrices.
+
+Training takes one dialog per step.  Inference (evaluation and the
+per-epoch dev accuracy) packs whole dialogs into chunks of about
+``INFER_CHUNK_TOKENS`` (512) tokens and runs each chunk as one no-grad
+pass: the turn LSTM over all the chunk's turns, the dialog LSTM over its
+dialogs as packed sequences.  A chunk predicts the same actions as its
+dialogs one at a time, though its logits may differ in the last bits,
+since a product over more rows need not round like a smaller one.
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
 
 DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
 DEFAULT_LATENT_SIZE = 8
+
+# Inference closes a chunk of dialogs once it holds this many tokens.  A
+# fixed dialog count would let long dialogs grow the turn LSTM's
+# (tokens, 4H) arrays past the cache and raise peak memory; HHCN and
+# VHCN run no faster with bigger chunks.
+INFER_CHUNK_TOKENS = 512
 
 
 # header scalars load_checkpoint reads
@@ -232,18 +246,20 @@ class Model:
             z = mu
         return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
 
-    def dialog_step(self, turn_vectors, featurized_dialog):
-        """The dialog level over a whole dialog: (T, |A|) action logits.
+    def dialog_step(self, turn_vectors, turns, lengths=None):
+        """The dialog level over one or more dialogs: (T, |A|) action logits.
 
-        ``turn_vectors`` stacks the T turn encodings as rows.  No input
-        block depends on the LSTM state, so the whole input projection is
-        five products before the recurrence starts.
+        ``turns`` holds the T turns of the dialogs, concatenated, and
+        ``turn_vectors`` their encodings as rows; ``lengths`` gives each
+        dialog's turn count (None: one dialog).  No input block depends on
+        the LSTM state, so the whole input projection is five products
+        before the recurrence, which runs the dialogs as packed sequences.
         """
         dtype = self.dtype
-        bow = self.bow_rows(featurized_dialog)
-        ctx = np.stack([f.f_ctx.vector(dtype) for f in featurized_dialog])
-        prev = np.array([f.prev_action for f in featurized_dialog], dtype=dtype)
-        mask = np.array([f.f_mask for f in featurized_dialog], dtype=dtype)
+        bow = self.bow_rows(turns)
+        ctx = np.stack([f.f_ctx.vector(dtype) for f in turns])
+        prev = np.array([f.prev_action for f in turns], dtype=dtype)
+        mask = np.array([f.f_mask for f in turns], dtype=dtype)
         z_x = nn.add(
             nn.add(nn.matvec(self.dlg_w_turn, turn_vectors), nn.matvec(self.dlg_w_bow, bow)),
             nn.add(
@@ -251,7 +267,7 @@ class Model:
                 nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)),
             ),
         )
-        h = nn.lstm(z_x, [len(featurized_dialog)], self.dlg_u, self.dlg_b)
+        h = nn.lstm(z_x, [len(turns)] if lengths is None else lengths, self.dlg_u, self.dlg_b)
         return self.pred_out(nn.relu(self.pred_hidden(h)))
 
     def bow_rows(self, featurized_dialog):
@@ -306,17 +322,42 @@ def dialog_loss(model, featurized_dialog, rng=None):
     return mean, breakdown
 
 
-def predict_dialog(model, featurized_dialog):
-    """Greedy argmax actions for one dialog.
+def predict_dialog(model, turns, lengths=None):
+    """Greedy argmax actions for the turns of one or more dialogs.
 
+    ``turns`` and ``lengths`` are as in :meth:`Model.dialog_step`; the
+    result is one action id per turn, a flat list in input order.
     Inference is deterministic for every variant (VHCN uses the posterior
     mean); argmax ties resolve to the lowest action id.
     """
-    if not featurized_dialog:
+    if not turns:
         return []
     with nn.no_grad():
-        logits = model.dialog_step(model.encode_turn(featurized_dialog)[0], featurized_dialog)
-    return [int(a) for a in np.argmax(logits.data, axis=1)]
+        logits = model.dialog_step(model.encode_turn(turns)[0], turns, lengths)
+    return np.argmax(logits.data, axis=1).tolist()
+
+
+def predict_dialogs(model, featurized_dialogs):
+    """Greedy actions for every turn of a list of dialogs, a flat list in order.
+
+    Whole dialogs go into one ``predict_dialog`` call until the call holds
+    ``INFER_CHUNK_TOKENS`` tokens; a longer dialog is a chunk of its own.
+    Empty dialogs add nothing.
+    """
+    predictions = []
+    turns, lengths, tokens = [], [], 0
+    for dialog in featurized_dialogs:
+        if not dialog:
+            continue
+        turns += dialog
+        lengths.append(len(dialog))
+        tokens += sum(len(f.f_turn) for f in dialog)
+        if tokens >= INFER_CHUNK_TOKENS:
+            predictions += predict_dialog(model, turns, lengths)
+            turns, lengths, tokens = [], [], 0
+    if turns:
+        predictions += predict_dialog(model, turns, lengths)
+    return predictions
 
 
 def _header_lines(model, lexicon, extra):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .corpus import UNK_INDEX
-from .models import Model, ModelConfig, dialog_loss, predict_dialog
+from .models import Model, ModelConfig, dialog_loss, predict_dialogs
 from .seeding import stream
 from .turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
 
@@ -101,14 +101,9 @@ def word_dropout(tokens, p, rng, unk_index=UNK_INDEX):
 
 
 def _dev_accuracy(model, dev_dialogs):
-    correct = 0
-    total = 0
-    for dialog in dev_dialogs:
-        preds = predict_dialog(model, dialog)
-        for features, pred in zip(dialog, preds):
-            correct += int(pred == features.target)
-            total += 1
-    return correct / total if total else 0.0
+    preds = predict_dialogs(model, dev_dialogs)
+    targets = [features.target for dialog in dev_dialogs for features in dialog]
+    return sum(p == t for p, t in zip(preds, targets)) / len(targets) if targets else 0.0
 
 
 def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, action_set,
