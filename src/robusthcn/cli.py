@@ -177,20 +177,23 @@ def cmd_train(args):
     return 0
 
 
-def _parse_stage1(text):
-    cells = []
+def _parse_grid(text, flag, parse, form):
+    """The comma-separated items of a grid flag, each through ``parse``."""
+    values = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
-        if ":" in item:
-            emb, latent = item.split(":", 1)
-            cells.append((int(emb), int(latent)))
-        else:
-            cells.append((int(item), None))
-    if not cells:
-        raise CliError("--stage1-grid is empty")
-    return cells
+        try:
+            values.append(parse(item))
+        except ValueError:
+            raise CliError("%s item %r is not %s" % (flag, item, form)) from None
+    return values
+
+
+def _stage1_cell(item):
+    emb, colon, latent = item.partition(":")
+    return int(emb), int(latent) if colon else None
 
 
 # the stage-1 grid sets the sizes, and grid cells train from random embeddings
@@ -205,8 +208,11 @@ def cmd_gridsearch(args):
     if owned:
         raise CliError("gridsearch does not take %s from --config "
                        "(--stage1-grid sets the model sizes)" % ", ".join(owned))
-    stage1 = _parse_stage1(args.stage1_grid)
-    stage2 = [float(x) for x in args.stage2_grid.split(",") if x.strip()]
+    stage1 = _parse_grid(args.stage1_grid, "--stage1-grid", _stage1_cell,
+                         "EMBEDDING or EMBEDDING:LATENT in integers")
+    if not stage1:
+        raise CliError("--stage1-grid is empty")
+    stage2 = _parse_grid(args.stage2_grid, "--stage2-grid", float, "a number")
     result = grid_search(
         model_config.variant, stage1, stage2, train_feats, dev_feats, data.vocab,
         data.action_set, n_context=data.n_context, base_model_config=model_config,

@@ -393,16 +393,13 @@ class ContextFeatures:
     slot_provided: tuple
     api_returned: int
 
-    def vector(self, dtype=np.float32):
-        return np.array(list(self.slot_provided) + [self.api_returned], dtype=dtype)
-
 
 @dataclass
 class TurnFeatures:
     """Model input record for one turn.
 
     ``bow_indices`` is the sorted set of distinct token indices in
-    ``f_turn``; :meth:`bow_vector` materializes the binary vector.
+    ``f_turn``; ``Model.bow_rows`` materializes the binary vectors.
     ``f_mask`` is all ones; the models read it as an input feature and
     never apply it to the logits.
     """
@@ -414,11 +411,6 @@ class TurnFeatures:
     prev_action: np.ndarray
     target: int
     ood_label: OodLabel = OodLabel.IND
-
-    def bow_vector(self, vocab_size, dtype=np.float32):
-        vec = np.zeros(vocab_size, dtype=dtype)
-        vec[self.bow_indices] = 1.0
-        return vec
 
 
 def featurize_dialog(dialog, vocab, action_set, lexicon):

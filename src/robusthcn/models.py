@@ -23,12 +23,18 @@ one product over all T turns, the same LSTM op returns every step's hidden
 state, and the predictor and the loss see (T, .) matrices.
 
 Training takes one dialog per step.  Inference (evaluation and the
-per-epoch dev accuracy) packs whole dialogs into chunks of about
-``INFER_CHUNK_TOKENS`` (512) tokens and runs each chunk as one no-grad
-pass: the turn LSTM over all the chunk's turns, the dialog LSTM over its
-dialogs as packed sequences.  A chunk predicts the same actions as its
-dialogs one at a time, though its logits may differ in the last bits,
-since a product over more rows need not round like a smaller one.
+per-epoch dev accuracy) packs whole dialogs into chunks of at most
+``INFER_CHUNK_TURNS`` (256) turns and runs each chunk as one no-grad
+pass.  HCN encodes the chunk's turns in one call.  HHCN and VHCN sort
+them by token count and run the turn LSTM over sub-chunks of at most
+``INFER_CHUNK_TOKENS`` (512) tokens, so the turns of a sub-chunk run
+nearly the same number of steps (sequence bucketing); the turn vectors go
+back to input order for the one dialog LSTM pass over the chunk's
+dialogs as packed sequences.  Without a graph, the turn LSTM's input
+projection is computed once per distinct token of the call.  A chunk
+predicts the same actions as its dialogs one at a time, though its logits
+may differ in the last bits, since a product over more rows need not
+round like a smaller one.
 """
 
 from __future__ import annotations
@@ -53,10 +59,13 @@ _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
 DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
 DEFAULT_LATENT_SIZE = 8
 
-# Inference closes a chunk of dialogs once it holds this many tokens.  A
-# fixed dialog count would let long dialogs grow the turn LSTM's
-# (tokens, 4H) arrays past the cache and raise peak memory; HHCN and
-# VHCN run no faster with bigger chunks.
+# Inference runs at most this many dialog-level turns per pass.  Bigger
+# chunks pack the dialog level better, but at 1024 turns peak memory grew
+# by a tenth on long augmented dialogs.
+INFER_CHUNK_TURNS = 256
+# The turn LSTM encodes a chunk's turns in sub-chunks of at most this many
+# tokens, which keeps its (tokens, 4H) arrays small; HHCN and VHCN run no
+# faster with bigger ones.
 INFER_CHUNK_TOKENS = 512
 
 
@@ -213,12 +222,13 @@ class Model:
 
         HCN averages each turn's frozen embeddings in numpy, outside the
         graph, since no gradient reaches them.  HHCN and VHCN project
-        every token of the dialog at once, run the turn LSTM once over the
-        turns as packed sequences of their own lengths, and read each
-        turn's last hidden state.  VHCN samples the latents from ``rng``
-        when one is given (training: one (T, k) standard-normal draw, the
-        same numbers as T per-turn draws in turn order) and uses the
-        posterior mean otherwise (inference).
+        every token of the dialog at once (without a graph, every distinct
+        token once), run the turn LSTM once over the turns as packed
+        sequences of their own lengths, and read each turn's last hidden
+        state.  VHCN samples the latents from ``rng`` when one is given
+        (training: one (T, k) standard-normal draw, the same numbers as T
+        per-turn draws in turn order) and uses the posterior mean otherwise
+        (inference).
         """
         cfg = self.config
         lengths = np.array([len(f.f_turn) for f in featurized_dialog])
@@ -232,7 +242,16 @@ class Model:
             sums = np.zeros((lengths.size, cfg.embedding_size), dtype=self.dtype)
             np.add.at(sums, turn_of_token, self.embedding.data[tokens])
             return nn.Tensor(sums / lengths.astype(self.dtype)[:, None]), None
-        zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
+        if nn.grad_enabled():
+            zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
+        else:
+            # one product row per distinct token, each equal to its row of
+            # the per-token product bit for bit; a one-row product would
+            # take numpy's vector path, which rounds differently
+            distinct, inverse = np.unique(tokens, return_inverse=True)
+            if distinct.size == 1:
+                distinct, inverse = tokens, slice(None)
+            zx = (self.embedding.data[distinct] @ self.turn_w_input.data)[inverse]
         hs = nn.lstm(zx, lengths, self.turn_u, self.turn_b)
         h = nn.gather_rows(hs, np.cumsum(lengths) - 1)
         if cfg.variant == "HHCN":
@@ -257,13 +276,12 @@ class Model:
         """
         dtype = self.dtype
         bow = self.bow_rows(turns)
-        ctx = np.stack([f.f_ctx.vector(dtype) for f in turns])
         prev = np.array([f.prev_action for f in turns], dtype=dtype)
         mask = np.array([f.f_mask for f in turns], dtype=dtype)
         z_x = nn.add(
             nn.add(nn.matvec(self.dlg_w_turn, turn_vectors), nn.matvec(self.dlg_w_bow, bow)),
             nn.add(
-                nn.matvec(self.dlg_w_ctx, ctx),
+                nn.matvec(self.dlg_w_ctx, self.context_rows(turns)),
                 nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)),
             ),
         )
@@ -272,7 +290,16 @@ class Model:
 
     def bow_rows(self, featurized_dialog):
         """The binary bag-of-words vectors of a dialog's turns, as rows."""
-        return np.stack([f.bow_vector(len(self.vocab), self.dtype) for f in featurized_dialog])
+        indices = [f.bow_indices for f in featurized_dialog]
+        rows = np.zeros((len(indices), len(self.vocab)), dtype=self.dtype)
+        rows[np.repeat(np.arange(len(indices)), [len(i) for i in indices]),
+             np.concatenate(indices)] = 1.0
+        return rows
+
+    def context_rows(self, featurized_dialog):
+        """The context features of a dialog's turns (slots provided, api returned), as rows."""
+        return np.array([f.f_ctx.slot_provided + (f.f_ctx.api_returned,)
+                         for f in featurized_dialog], dtype=self.dtype)
 
     def bow_logits(self, encoding):
         return self.bow_head(encoding.z)
@@ -322,6 +349,32 @@ def dialog_loss(model, featurized_dialog, rng=None):
     return mean, breakdown
 
 
+def _infer_turn_vectors(model, turns):
+    """The (T, d) no-grad turn encodings of ``turns``, rows in input order.
+
+    HCN encodes all turns in one call.  HHCN and VHCN encode the turns
+    stably sorted by token count, in sub-chunks of at most
+    ``INFER_CHUNK_TOKENS`` tokens (a longer turn is a sub-chunk of its
+    own), and put each row back at its turn's position.
+    """
+    if model.config.variant == "HCN":
+        return model.encode_turn(turns)[0].data
+    lengths = [len(f.f_turn) for f in turns]
+    order = np.argsort(lengths, kind="stable")
+    bounds, tokens = [0], 0
+    for end, i in enumerate(order.tolist()):
+        if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
+            bounds.append(end)
+            tokens = 0
+        tokens += lengths[i]
+    bounds.append(len(turns))
+    vectors = np.empty((len(turns), model.config.turn_vector_size), dtype=model.dtype)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = order[lo:hi]
+        vectors[rows] = model.encode_turn([turns[i] for i in rows])[0].data
+    return vectors
+
+
 def predict_dialog(model, turns, lengths=None):
     """Greedy argmax actions for the turns of one or more dialogs.
 
@@ -333,28 +386,27 @@ def predict_dialog(model, turns, lengths=None):
     if not turns:
         return []
     with nn.no_grad():
-        logits = model.dialog_step(model.encode_turn(turns)[0], turns, lengths)
+        logits = model.dialog_step(_infer_turn_vectors(model, turns), turns, lengths)
     return np.argmax(logits.data, axis=1).tolist()
 
 
 def predict_dialogs(model, featurized_dialogs):
     """Greedy actions for every turn of a list of dialogs, a flat list in order.
 
-    Whole dialogs go into one ``predict_dialog`` call until the call holds
-    ``INFER_CHUNK_TOKENS`` tokens; a longer dialog is a chunk of its own.
-    Empty dialogs add nothing.
+    Whole dialogs go into one ``predict_dialog`` call while it holds at
+    most ``INFER_CHUNK_TURNS`` turns; a longer dialog is a call of its
+    own.  Empty dialogs add nothing.
     """
     predictions = []
-    turns, lengths, tokens = [], [], 0
+    turns, lengths = [], []
     for dialog in featurized_dialogs:
         if not dialog:
             continue
+        if turns and len(turns) + len(dialog) > INFER_CHUNK_TURNS:
+            predictions += predict_dialog(model, turns, lengths)
+            turns, lengths = [], []
         turns += dialog
         lengths.append(len(dialog))
-        tokens += sum(len(f.f_turn) for f in dialog)
-        if tokens >= INFER_CHUNK_TOKENS:
-            predictions += predict_dialog(model, turns, lengths)
-            turns, lengths, tokens = [], [], 0
     if turns:
         predictions += predict_dialog(model, turns, lengths)
     return predictions

@@ -47,6 +47,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled():
+    """Whether ops record a graph: False inside :func:`no_grad`."""
+    return _grad_enabled
+
+
 class Tensor:
     """A numpy array plus the backward plumbing that produced it."""
 

@@ -226,6 +226,8 @@ def _foreign_utterance(rng, domain):
 
 def generate_foreign_dialogs(seed, n_per_domain=40):
     """Foreign-domain dialogs whose first user turns feed the OOD pool."""
+    if n_per_domain < 0:
+        raise ValueError("foreign dialogs per domain must be at least 0, got %d" % n_per_domain)
     dialogs = []
     for domain in ("travel", "weather", "transit"):
         for j in range(n_per_domain):

@@ -9,6 +9,7 @@ from derived streams, so a fixed seed reproduces the run exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
@@ -47,6 +48,9 @@ class TrainConfig:
     dev_turn_dropout: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be a finite number above 0, got %r"
+                             % self.learning_rate)
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:

@@ -271,6 +271,44 @@ def test_gridsearch_jobs_below_one_is_an_error(toy_files, tmp_path, capsys, jobs
     assert not (tmp_path / "grid.tsv").exists()
 
 
+@pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(toy_files, tmp_path,
+                                                                      capsys, rate):
+    config = tmp_path / "train.cfg"
+    config.write_text("train.learning_rate = %s\n" % rate)
+    for source in (["--learning-rate", rate], ["--config", str(config)]):
+        code = _run("train", "--variant", "HCN", *_domain_flags(toy_files), *source,
+                    "--max-epochs", "1", "--out-checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 1, source
+        assert capsys.readouterr().err.startswith("error: learning_rate must be a finite "
+                                                  "number above 0"), source
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_toy_rejects_a_negative_foreign_count(tmp_path, capsys):
+    code = _run("toy", "--out-dir", str(tmp_path / "toy"), "--foreign-per-domain", "-1")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "toy").exists()
+
+
+@pytest.mark.parametrize("flag, grid, message", [
+    ("--stage1-grid", "8,abc", "--stage1-grid item 'abc' is not EMBEDDING or "
+                               "EMBEDDING:LATENT in integers"),
+    ("--stage1-grid", "8:", "--stage1-grid item '8:' is not EMBEDDING or "
+                            "EMBEDDING:LATENT in integers"),
+    ("--stage2-grid", "0.2,x", "--stage2-grid item 'x' is not a number"),
+], ids=["stage1-word", "stage1-empty-latent", "stage2-word"])
+def test_gridsearch_names_the_bad_grid_item(toy_files, tmp_path, capsys, flag, grid, message):
+    grids = {"--stage1-grid": "8", "--stage2-grid": "0.2", flag: grid}
+    code = _run("gridsearch", "--variant", "HCN", *_domain_flags(toy_files),
+                *[a for item in grids.items() for a in item],
+                "--results-out", str(tmp_path / "grid.tsv"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "grid.tsv").exists()
+
+
 def test_evaluate_unknown_action_is_an_error(toy_files, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",

@@ -41,7 +41,7 @@ from robusthcn.corpus import (
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_foreign_dialogs, generate_toy_domain, segment_pool_text
 
-from util import random_embedding_table, read_lexicon_file, write_embedding_file
+from util import bow_vector, random_embedding_table, read_lexicon_file, write_embedding_file
 
 
 LEX = Lexicon({
@@ -361,7 +361,7 @@ def test_featurize_bow_support_matches_distinct_tokens(small_domain):
             # recount oracle
             distinct = sorted(set(int(i) for i in features.f_turn))
             assert list(features.bow_indices) == distinct
-            vec = features.bow_vector(len(vocab))
+            vec = bow_vector(features, len(vocab))
             assert vec.sum() == len(distinct)
             assert all(vec[i] == 1 for i in distinct)
 

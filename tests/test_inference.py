@@ -1,13 +1,17 @@
 """Chunked no-grad inference: one packed pass over several dialogs.
 
 ``predict_dialogs`` packs whole dialogs into ``predict_dialog`` calls of
-about ``INFER_CHUNK_TOKENS`` tokens.  These tests hold it to the
-per-dialog path on trained toy models, and hold every caller to the
-contract the benchmark's inference review counts on: each turn's action
-comes back from ``predict_dialog`` exactly once.
+at most ``INFER_CHUNK_TURNS`` turns, and ``predict_dialog`` runs the turn
+LSTM over length-sorted sub-chunks of at most ``INFER_CHUNK_TOKENS``
+tokens.  These tests hold it to the per-dialog path on trained toy
+models, and hold every caller to the contract the benchmark's inference
+review counts on: each turn's action comes back from ``predict_dialog``
+exactly once.
 """
 
+import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from robusthcn.evaluation import evaluate_model
 from robusthcn.models import ModelConfig, predict_dialog, predict_dialogs
 from robusthcn.toy import generate_toy_domain
 from robusthcn.train import TrainConfig, train_model
+
+from util import bow_vector, context_vector
 
 CONFIGS = {
     "HCN": ModelConfig("HCN", embedding_size=12, dialog_hidden_size=16, predictor_hidden_size=16),
@@ -87,32 +93,81 @@ def predict_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Records the turns of every ``Model.encode_turn`` call."""
+    original = models.Model.encode_turn
+    calls = []
+
+    def recording(self, turns, rng=None):
+        calls.append(list(turns))
+        return original(self, turns, rng)
+
+    monkeypatch.setattr(models.Model, "encode_turn", recording)
+    return calls
+
+
+# (turn budget, token budget): the defaults, and budgets small enough that
+# chunks close on the turn count and sub-chunks split every chunk
+BUDGETS = [(models.INFER_CHUNK_TURNS, models.INFER_CHUNK_TOKENS), (20, 60)]
+
+
 @pytest.mark.parametrize("variant", list(CONFIGS))
-@pytest.mark.parametrize("budget", [models.INFER_CHUNK_TOKENS, 60])
+@pytest.mark.parametrize("budgets", BUDGETS, ids=[str(tokens) for _, tokens in BUDGETS])
 def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predict_calls,
-                                                          monkeypatch, variant, budget):
+                                                          encode_calls, monkeypatch, variant,
+                                                          budgets):
     model = trained[variant]
     dialogs = _mixed_dialogs(domain)
     per_dialog = [predict_dialog(model, d) for d in dialogs]
     del predict_calls[:]
-    monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", budget)
+    del encode_calls[:]
+    turn_budget, token_budget = budgets
+    monkeypatch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
+    monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", token_budget)
 
     assert predict_dialogs(model, dialogs) == [a for preds in per_dialog for a in preds]
 
-    # the chunks hold whole dialogs, several where they fit, and close as
-    # soon as they reach the budget
-    spans = []
+    # the chunks hold whole dialogs, several where they fit, at most the
+    # turn budget unless one dialog is longer, and close only when the
+    # next dialog would not fit
+    spans, sizes = [], []
     for turns, lengths, _ in predict_calls:
         assert sum(lengths) == len(turns)
+        assert len(turns) <= turn_budget or len(lengths) == 1
         offsets = np.cumsum([0] + list(lengths))
-        chunk = [turns[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-        assert sum(_tokens(d) for d in chunk[:-1]) < budget
-        spans += chunk
+        spans += [turns[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        sizes.append((len(turns), lengths[0]))
     assert [len(d) for d in spans] == [len(d) for d in dialogs]
+    for (size, _), (_, next_first) in zip(sizes[:-1], sizes[1:]):
+        assert size + next_first > turn_budget
     assert len(predict_calls) > 1
     assert any(len(lengths) > 1 for _, lengths, _ in predict_calls)
-    assert max(_tokens(d) for d in dialogs) > 60
+    assert max(len(d) for d in dialogs) > 20
     assert min(len(d) for d in dialogs) == 1
+
+    # HCN encodes a chunk in one call; the turn LSTM's variants encode it
+    # in sub-chunks of at most the token budget (a longer turn alone),
+    # shortest turns first, each turn once
+    chunks = iter(turns for turns, _, _ in predict_calls)
+    remaining = Counter()
+    split = False
+    for call in encode_calls:
+        if not remaining:
+            remaining = Counter(map(id, next(chunks)))
+            split |= len(call) < remaining.total()
+            last_length = 0
+        assert Counter(map(id, call)) <= remaining
+        remaining -= Counter(map(id, call))
+        if variant == "HCN":
+            assert not remaining
+            continue
+        lengths = [len(f.f_turn) for f in call]
+        assert _tokens(call) <= token_budget or len(call) == 1
+        assert lengths == sorted(lengths) and lengths[0] >= last_length
+        last_length = lengths[-1]
+    assert not remaining and next(chunks, None) is None
+    assert split == (variant != "HCN")
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
@@ -121,10 +176,98 @@ def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
     dialogs = _mixed_dialogs(domain)
     turns = [f for d in dialogs for f in d]
     with nn.no_grad():
-        batched = model.dialog_step(model.encode_turn(turns)[0], turns, [len(d) for d in dialogs])
+        batched = model.dialog_step(models._infer_turn_vectors(model, turns), turns,
+                                    [len(d) for d in dialogs])
         single = [model.dialog_step(model.encode_turn(d)[0], d).data for d in dialogs]
     # a product over more rows need not round like a smaller one
     np.testing.assert_allclose(batched.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("variant", ["HHCN", "VHCN"])
+def test_sub_chunks_put_turn_vectors_back_in_input_order(domain, trained, encode_calls,
+                                                         monkeypatch, variant):
+    model = trained[variant]
+    dialog = domain["dev"][0] + domain["dev"][1]
+    lengths = [len(f.f_turn) for f in dialog]
+    long_turn = dataclasses.replace(dialog[0], f_turn=np.concatenate([f.f_turn for f in dialog]))
+    turns = dialog[:3] + [long_turn] + dialog[3:]
+    budget = 2 * max(lengths)
+    assert lengths != sorted(lengths) and len(long_turn.f_turn) > budget
+    monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", budget)
+    with nn.no_grad():
+        vectors = models._infer_turn_vectors(model, turns)
+        position = {id(f): i for i, f in enumerate(turns)}
+        sub_chunks = [[position[id(f)] for f in call] for call in encode_calls]
+        one_by_one = np.concatenate([model.encode_turn([f])[0].data for f in turns])
+    # the long turn is a sub-chunk of its own, and the input positions of
+    # two sub-chunks interleave
+    assert [3] in sub_chunks and len(sub_chunks) >= 3
+    assert any(max(a) > min(b) for a, b in zip(sub_chunks[:-1], sub_chunks[1:]))
+    np.testing.assert_allclose(vectors, one_by_one, rtol=1e-5, atol=1e-6)
+    # the rows differ by more than that, so a row out of place would show
+    gaps = np.abs(one_by_one[:, None] - one_by_one[None]).max(axis=2)
+    distinct_turns = [tuple(f.f_turn) for f in turns]
+    for i in range(len(turns)):
+        for j in range(i):
+            if distinct_turns[i] != distinct_turns[j]:
+                assert gaps[i, j] > 1e-4
+
+
+def _lstm_inputs(monkeypatch):
+    original = nn.lstm
+    seen = []
+
+    def recording(zx, lengths, w_recurrent, bias):
+        seen.append(zx)
+        return original(zx, lengths, w_recurrent, bias)
+
+    monkeypatch.setattr(nn, "lstm", recording)
+    return seen
+
+
+@pytest.mark.parametrize("variant", ["HHCN", "VHCN", "HHCN-default"])
+def test_no_grad_projects_each_distinct_token_once(domain, trained, monkeypatch, variant):
+    if variant == "HHCN-default":
+        data = domain["data"]
+        model = models.Model(ModelConfig("HHCN"), data.vocab, data.action_set, data.n_context)
+    else:
+        model = trained[variant]
+    dialogs = domain["dev"] + domain["test"]
+    seen = _lstm_inputs(monkeypatch)
+    # many turns, a one-token turn, and two turns of one repeated token
+    cases = [[f for d in dialogs for f in d], dialogs[0][:1],
+             [dataclasses.replace(dialogs[0][1], f_turn=np.array([5, 5, 5]))] * 2]
+    for turns in cases:
+        tokens = np.concatenate([f.f_turn for f in turns])
+        per_token = model.embedding.data[tokens] @ model.turn_w_input.data
+        del seen[:]
+        with nn.no_grad():
+            model.encode_turn(turns)
+        assert nn.as_tensor(seen[0]).data.tobytes() == per_token.tobytes()
+
+        # while a graph is recorded, zx is the product of the gathered
+        # per-token rows, so every token's gradient reaches the embedding
+        del seen[:]
+        model.encode_turn(turns)
+        zx = seen[0]
+        assert nn.grad_enabled() and zx.requires_grad
+        weight, gathered = zx._parents
+        assert weight is model.turn_w_input and gathered.data.shape[0] == tokens.size
+        np.testing.assert_array_equal(zx.data, per_token)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bow_and_context_rows_equal_the_per_turn_vectors(domain, dtype):
+    data = domain["data"]
+    model = models.Model(CONFIGS["HCN"], data.vocab, data.action_set, data.n_context, dtype=dtype)
+    dialogs = domain["dev"] + domain["test"]
+    for turns in ([f for d in dialogs for f in d], dialogs[0][:1]):
+        bow = model.bow_rows(turns)
+        expected = np.stack([bow_vector(f, len(data.vocab), dtype) for f in turns])
+        assert bow.dtype == dtype and np.array_equal(bow, expected)
+        ctx = model.context_rows(turns)
+        expected = np.stack([context_vector(f, dtype) for f in turns])
+        assert ctx.dtype == dtype and np.array_equal(ctx, expected)
 
 
 def test_empty_dialogs_score_nothing(domain, trained, predict_calls):

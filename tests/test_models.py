@@ -25,7 +25,8 @@ from robusthcn.toy import generate_toy_domain
 from robusthcn.train import TrainConfig, train_model
 from robusthcn.turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
 
-from util import ReplayNoise, tiny_actions, tiny_model, tiny_turn, tiny_vocab, two_turn_dialog
+from util import (ReplayNoise, bow_vector, context_vector, tiny_actions, tiny_model, tiny_turn,
+                  tiny_vocab, two_turn_dialog)
 
 VOCAB = tiny_vocab(10)
 ACTIONS = tiny_actions(4)
@@ -137,8 +138,8 @@ def test_all_ones_mask_is_noop():
     logits = model.dialog_step(vecs, dialog)
     # the mask enters only as an input block, never applied to the logits
     blocks = [(model.dlg_w_turn, vecs.data),
-              (model.dlg_w_bow, [f.bow_vector(len(VOCAB), model.dtype) for f in dialog]),
-              (model.dlg_w_ctx, [f.f_ctx.vector(model.dtype) for f in dialog]),
+              (model.dlg_w_bow, [bow_vector(f, len(VOCAB), model.dtype) for f in dialog]),
+              (model.dlg_w_ctx, [context_vector(f, model.dtype) for f in dialog]),
               (model.dlg_w_prev, [f.prev_action for f in dialog]),
               (model.dlg_w_mask, [f.f_mask for f in dialog])]
     z_x = sum(np.asarray(x, dtype=model.dtype) @ w.data for w, x in blocks)
@@ -204,8 +205,8 @@ def _per_turn_reference(model, dialog, rng=None):
     h, c = np.zeros(H), np.zeros(H)
     loss, preds, cache = 0.0, [], []
     for (vec, _), f in zip(encoded, dialog):
-        x = {"turn": vec.data, "bow": f.bow_vector(len(model.vocab), np.float64),
-             "ctx": f.f_ctx.vector(np.float64), "prev": f.prev_action.astype(np.float64),
+        x = {"turn": vec.data, "bow": bow_vector(f, len(model.vocab), np.float64),
+             "ctx": context_vector(f, np.float64), "prev": f.prev_action.astype(np.float64),
              "mask": f.f_mask.astype(np.float64)}
         z = sum(x[k] @ P["dialog_lstm.w_" + k] for k in x) + h @ U + b
         i, fg, g, o = _sig(z[:H]), _sig(z[H:2 * H]), np.tanh(z[2 * H:3 * H]), _sig(z[3 * H:])
@@ -251,7 +252,7 @@ def _per_turn_reference(model, dialog, rng=None):
     for (vec, enc), f, dv in zip(encoded, dialog, d_turn):
         surrogate = nn.add(surrogate, nn.vsum(nn.mul(vec, dv)))
         if enc is not None:
-            x_bow = f.bow_vector(len(model.vocab), np.float64)
+            x_bow = bow_vector(f, len(model.vocab), np.float64)
             term = nn.add(nn.bow_sigmoid_ce(model.bow_logits(enc), x_bow),
                           nn.gaussian_kl(enc.mu, enc.sigma))
             loss += float(term.data) / n

@@ -83,6 +83,12 @@ def test_foreign_dialogs_have_disjoint_flavor():
     assert len(unseen) >= len(pool_tokens) * 0.4
 
 
+def test_foreign_dialogs_reject_a_negative_count():
+    assert generate_foreign_dialogs(9, n_per_domain=0) == []
+    with pytest.raises(ValueError, match="at least 0"):
+        generate_foreign_dialogs(9, n_per_domain=-1)
+
+
 def test_segment_pool_text_round_trips():
     lines = [line for line in segment_pool_text().split("\n") if line]
     assert tuple(lines) == SEGMENT_INTERJECTIONS

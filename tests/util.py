@@ -39,6 +39,19 @@ class ReplayNoise:
         return np.reshape(out, shape)
 
 
+def bow_vector(features, vocab_size, dtype=np.float32):
+    """One turn's binary bag-of-words vector, the reference for ``Model.bow_rows``."""
+    vec = np.zeros(vocab_size, dtype=dtype)
+    vec[features.bow_indices] = 1.0
+    return vec
+
+
+def context_vector(features, dtype=np.float32):
+    """One turn's context features, the reference for ``Model.context_rows``."""
+    ctx = features.f_ctx
+    return np.array(list(ctx.slot_provided) + [ctx.api_returned], dtype=dtype)
+
+
 def tiny_vocab(n_words=10):
     return Vocabulary(["w%02d" % i for i in range(n_words)])
 
