@@ -23,16 +23,19 @@ one product over all T turns, the same LSTM op returns every step's hidden
 state, and the predictor and the loss see (T, .) matrices.
 
 Training takes one dialog per step.  Inference (evaluation and the
-per-epoch dev accuracy) packs whole dialogs into chunks of at most
-``INFER_CHUNK_TURNS`` (256) turns and runs each chunk as one no-grad
-pass.  HCN encodes the chunk's turns in one call.  HHCN and VHCN sort
-them by token count and run the turn LSTM over sub-chunks of at most
-``INFER_CHUNK_TOKENS`` (512) tokens, so the turns of a sub-chunk run
-nearly the same number of steps (sequence bucketing); the turn vectors go
-back to input order for the one dialog LSTM pass over the chunk's
-dialogs as packed sequences.  Without a graph, the turn LSTM's input
-projection is computed once per distinct token of the call.  A chunk
-predicts the same actions as its dialogs one at a time, though its logits
+per-epoch dev accuracy) encodes every distinct turn of a
+``predict_dialogs`` call once: without a graph a turn's vector depends on
+its tokens alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's
+posterior mean), and user turns repeat heavily.  HCN encodes the distinct
+turns in one call.  HHCN and VHCN sort them by token count and run the
+turn LSTM over sub-chunks of at most ``INFER_CHUNK_TOKENS`` (512) tokens,
+so the turns of a sub-chunk run nearly the same number of steps
+(sequence bucketing); without a graph, the turn LSTM's input projection
+is computed once per distinct token of a sub-chunk.  The dialog level
+then packs whole dialogs into chunks of at most ``INFER_CHUNK_TURNS``
+(256) turns, gathers each chunk's turn vectors from the distinct rows and
+runs the dialog LSTM once over the chunk's dialogs as packed sequences.
+The predictions equal those of one dialog at a time, though the logits
 may differ in the last bits, since a product over more rows need not
 round like a smaller one.
 """
@@ -63,9 +66,9 @@ DEFAULT_LATENT_SIZE = 8
 # chunks pack the dialog level better, but at 1024 turns peak memory grew
 # by a tenth on long augmented dialogs.
 INFER_CHUNK_TURNS = 256
-# The turn LSTM encodes a chunk's turns in sub-chunks of at most this many
-# tokens, which keeps its (tokens, 4H) arrays small; HHCN and VHCN run no
-# faster with bigger ones.
+# The turn LSTM encodes the distinct turns in sub-chunks of at most this
+# many tokens, which keeps its (tokens, 4H) arrays small; HHCN and VHCN run
+# no faster with bigger ones.
 INFER_CHUNK_TOKENS = 512
 
 
@@ -350,65 +353,93 @@ def dialog_loss(model, featurized_dialog, rng=None):
 
 
 def _infer_turn_vectors(model, turns):
-    """The (T, d) no-grad turn encodings of ``turns``, rows in input order.
+    """The no-grad encodings of the distinct turns of ``turns``.
 
-    HCN encodes all turns in one call.  HHCN and VHCN encode the turns
-    stably sorted by token count, in sub-chunks of at most
-    ``INFER_CHUNK_TOKENS`` tokens (a longer turn is a sub-chunk of its
-    own), and put each row back at its turn's position.
+    Returns ``(rows, inverse)``: ``rows`` holds one encoding per distinct
+    token sequence and ``rows[inverse]`` the (T, d) turn vectors in input
+    order.  Without a graph a turn's vector depends on its tokens alone
+    (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior mean), so
+    each distinct sequence is encoded once.  HCN encodes the distinct
+    turns in one call.  HHCN and VHCN encode them stably sorted by token
+    count, in sub-chunks of at most ``INFER_CHUNK_TOKENS`` tokens (a
+    longer turn is a sub-chunk of its own), and ``rows`` keep that order.
     """
-    if model.config.variant == "HCN":
-        return model.encode_turn(turns)[0].data
-    lengths = [len(f.f_turn) for f in turns]
-    order = np.argsort(lengths, kind="stable")
-    bounds, tokens = [0], 0
-    for end, i in enumerate(order.tolist()):
-        if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
-            bounds.append(end)
-            tokens = 0
-        tokens += lengths[i]
-    bounds.append(len(turns))
-    vectors = np.empty((len(turns), model.config.turn_vector_size), dtype=model.dtype)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = order[lo:hi]
-        vectors[rows] = model.encode_turn([turns[i] for i in rows])[0].data
-    return vectors
+    row_of, distinct = {}, []
+    inverse = np.empty(len(turns), dtype=np.intp)
+    for i, f in enumerate(turns):
+        key = f.f_turn.tobytes()
+        if key not in row_of:
+            row_of[key] = len(distinct)
+            distinct.append(f)
+        inverse[i] = row_of[key]
+    with nn.no_grad():
+        if model.config.variant == "HCN":
+            return model.encode_turn(distinct)[0].data, inverse
+        lengths = [len(f.f_turn) for f in distinct]
+        order = np.argsort(lengths, kind="stable")
+        bounds, tokens = [0], 0
+        for end, i in enumerate(order.tolist()):
+            if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
+                bounds.append(end)
+                tokens = 0
+            tokens += lengths[i]
+        bounds.append(len(distinct))
+        rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows[lo:hi] = model.encode_turn([distinct[i] for i in order[lo:hi]])[0].data
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows, rank[inverse]
 
 
-def predict_dialog(model, turns, lengths=None):
+def predict_dialog(model, turns, lengths=None, turn_vectors=None):
     """Greedy argmax actions for the turns of one or more dialogs.
 
     ``turns`` and ``lengths`` are as in :meth:`Model.dialog_step`; the
     result is one action id per turn, a flat list in input order.
-    Inference is deterministic for every variant (VHCN uses the posterior
-    mean); argmax ties resolve to the lowest action id.
+    ``turn_vectors``, one row per turn, are the turns' no-grad encodings
+    when the caller has them (:func:`predict_dialogs` does); without them
+    the turns are encoded here.  Inference is deterministic for every
+    variant (VHCN uses the posterior mean); argmax ties resolve to the
+    lowest action id.
     """
+    if turn_vectors is not None and len(turn_vectors) != len(turns):
+        raise nn.DimensionError("%d turn vectors for %d turns" % (len(turn_vectors), len(turns)))
     if not turns:
         return []
+    if turn_vectors is None:
+        rows, inverse = _infer_turn_vectors(model, turns)
+        turn_vectors = rows[inverse]
     with nn.no_grad():
-        logits = model.dialog_step(_infer_turn_vectors(model, turns), turns, lengths)
+        logits = model.dialog_step(turn_vectors, turns, lengths)
     return np.argmax(logits.data, axis=1).tolist()
 
 
 def predict_dialogs(model, featurized_dialogs):
     """Greedy actions for every turn of a list of dialogs, a flat list in order.
 
-    Whole dialogs go into one ``predict_dialog`` call while it holds at
-    most ``INFER_CHUNK_TURNS`` turns; a longer dialog is a call of its
-    own.  Empty dialogs add nothing.
+    The turns of all the dialogs are encoded in one
+    :func:`_infer_turn_vectors` call, so each distinct token sequence is
+    encoded once per call.  The dialog level then runs in chunks: whole
+    dialogs go into one ``predict_dialog`` call while it holds at most
+    ``INFER_CHUNK_TURNS`` turns (a longer dialog is a call of its own),
+    with the chunk's turn vectors gathered from the distinct rows.  Empty
+    dialogs add nothing.  The predictions equal those of
+    ``predict_dialog`` on one dialog at a time.
     """
-    predictions = []
-    turns, lengths = [], []
-    for dialog in featurized_dialogs:
-        if not dialog:
-            continue
-        if turns and len(turns) + len(dialog) > INFER_CHUNK_TURNS:
-            predictions += predict_dialog(model, turns, lengths)
-            turns, lengths = [], []
-        turns += dialog
+    dialogs = [dialog for dialog in featurized_dialogs if dialog]
+    turns = [f for dialog in dialogs for f in dialog]
+    if not turns:
+        return []
+    rows, inverse = _infer_turn_vectors(model, turns)
+    predictions, lengths, lo, hi = [], [], 0, 0
+    for dialog in dialogs:
+        if lengths and hi - lo + len(dialog) > INFER_CHUNK_TURNS:
+            predictions += predict_dialog(model, turns[lo:hi], lengths, rows[inverse[lo:hi]])
+            lengths, lo = [], hi
         lengths.append(len(dialog))
-    if turns:
-        predictions += predict_dialog(model, turns, lengths)
+        hi += len(dialog)
+    predictions += predict_dialog(model, turns[lo:hi], lengths, rows[inverse[lo:hi]])
     return predictions
 
 

@@ -1,20 +1,20 @@
 """Chunked no-grad inference: one packed pass over several dialogs.
 
-``predict_dialogs`` packs whole dialogs into ``predict_dialog`` calls of
-at most ``INFER_CHUNK_TURNS`` turns, and ``predict_dialog`` runs the turn
+``predict_dialogs`` encodes each distinct turn of the call once, the turn
 LSTM over length-sorted sub-chunks of at most ``INFER_CHUNK_TOKENS``
-tokens.  These tests hold it to the per-dialog path on trained toy
-models, and hold every caller to the contract the benchmark's inference
-review counts on: each turn's action comes back from ``predict_dialog``
-exactly once.
+tokens, then packs whole dialogs into ``predict_dialog`` calls of at most
+``INFER_CHUNK_TURNS`` turns, each given its turns' vectors.  These tests
+hold it to the per-dialog path on trained toy models, and hold every
+caller to the contract the benchmark's inference review counts on: each
+turn's action comes back from ``predict_dialog`` exactly once.
 """
 
 import dataclasses
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robusthcn import evaluation, models, nn
 from robusthcn.corpus import prepare
@@ -58,6 +58,15 @@ def _tokens(dialog):
     return sum(len(f.f_turn) for f in dialog)
 
 
+def _key(features):
+    return features.f_turn.tobytes()
+
+
+def _infer(model, turns):
+    rows, inverse = models._infer_turn_vectors(model, turns)
+    return rows[inverse]
+
+
 def _mixed_dialogs(domain):
     # whole toy dialogs, one-turn dialogs and one dialog of four toy
     # dialogs back to back, longer than a small budget on its own
@@ -74,7 +83,7 @@ def _library_modules():
 
 @pytest.fixture
 def predict_calls(monkeypatch):
-    """Records (turns, lengths, result) of every ``predict_dialog`` call.
+    """Records (turns, lengths, turn_vectors, result) of every ``predict_dialog`` call.
 
     Like the benchmark's tracer, it replaces the name in every library
     module that holds it, so calls through any import path are seen.
@@ -82,9 +91,9 @@ def predict_calls(monkeypatch):
     original = models.predict_dialog
     calls = []
 
-    def recording(model, turns, lengths=None):
-        result = original(model, turns, lengths)
-        calls.append((turns, lengths, result))
+    def recording(model, turns, lengths=None, turn_vectors=None):
+        result = original(model, turns, lengths, turn_vectors)
+        calls.append((turns, lengths, turn_vectors, result))
         return result
 
     for module in _library_modules():
@@ -130,11 +139,12 @@ def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predi
 
     # the chunks hold whole dialogs, several where they fit, at most the
     # turn budget unless one dialog is longer, and close only when the
-    # next dialog would not fit
+    # next dialog would not fit; each gets one turn vector per turn
     spans, sizes = [], []
-    for turns, lengths, _ in predict_calls:
+    for turns, lengths, vectors, _ in predict_calls:
         assert sum(lengths) == len(turns)
         assert len(turns) <= turn_budget or len(lengths) == 1
+        assert vectors.shape == (len(turns), model.config.turn_vector_size)
         offsets = np.cumsum([0] + list(lengths))
         spans += [turns[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
         sizes.append((len(turns), lengths[0]))
@@ -142,32 +152,27 @@ def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predi
     for (size, _), (_, next_first) in zip(sizes[:-1], sizes[1:]):
         assert size + next_first > turn_budget
     assert len(predict_calls) > 1
-    assert any(len(lengths) > 1 for _, lengths, _ in predict_calls)
+    assert any(len(lengths) > 1 for _, lengths, _, _ in predict_calls)
     assert max(len(d) for d in dialogs) > 20
     assert min(len(d) for d in dialogs) == 1
 
-    # HCN encodes a chunk in one call; the turn LSTM's variants encode it
-    # in sub-chunks of at most the token budget (a longer turn alone),
-    # shortest turns first, each turn once
-    chunks = iter(turns for turns, _, _ in predict_calls)
-    remaining = Counter()
-    split = False
+    # the whole call encodes each distinct token sequence once, though
+    # the corpus repeats turns across chunks: HCN in one call, the turn
+    # LSTM's variants in sub-chunks of at most the token budget (a longer
+    # turn alone), shortest turns first
+    encoded = [_key(f) for call in encode_calls for f in call]
+    distinct = {_key(f) for d in dialogs for f in d}
+    assert sorted(encoded) == sorted(distinct)
+    assert len(distinct) < sum(len(d) for d in dialogs)
+    if variant == "HCN":
+        assert len(encode_calls) == 1
+        return
+    lengths = [len(f.f_turn) for call in encode_calls for f in call]
+    assert lengths == sorted(lengths)
     for call in encode_calls:
-        if not remaining:
-            remaining = Counter(map(id, next(chunks)))
-            split |= len(call) < remaining.total()
-            last_length = 0
-        assert Counter(map(id, call)) <= remaining
-        remaining -= Counter(map(id, call))
-        if variant == "HCN":
-            assert not remaining
-            continue
-        lengths = [len(f.f_turn) for f in call]
         assert _tokens(call) <= token_budget or len(call) == 1
-        assert lengths == sorted(lengths) and lengths[0] >= last_length
-        last_length = lengths[-1]
-    assert not remaining and next(chunks, None) is None
-    assert split == (variant != "HCN")
+    assert (len(encode_calls) > 1) == (sum(lengths) > token_budget)
+    assert sum(lengths) > 60
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
@@ -176,8 +181,7 @@ def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
     dialogs = _mixed_dialogs(domain)
     turns = [f for d in dialogs for f in d]
     with nn.no_grad():
-        batched = model.dialog_step(models._infer_turn_vectors(model, turns), turns,
-                                    [len(d) for d in dialogs])
+        batched = model.dialog_step(_infer(model, turns), turns, [len(d) for d in dialogs])
         single = [model.dialog_step(model.encode_turn(d)[0], d).data for d in dialogs]
     # a product over more rows need not round like a smaller one
     np.testing.assert_allclose(batched.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
@@ -195,7 +199,7 @@ def test_sub_chunks_put_turn_vectors_back_in_input_order(domain, trained, encode
     assert lengths != sorted(lengths) and len(long_turn.f_turn) > budget
     monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", budget)
     with nn.no_grad():
-        vectors = models._infer_turn_vectors(model, turns)
+        vectors = _infer(model, turns)
         position = {id(f): i for i, f in enumerate(turns)}
         sub_chunks = [[position[id(f)] for f in call] for call in encode_calls]
         one_by_one = np.concatenate([model.encode_turn([f])[0].data for f in turns])
@@ -211,6 +215,100 @@ def test_sub_chunks_put_turn_vectors_back_in_input_order(domain, trained, encode
         for j in range(i):
             if distinct_turns[i] != distinct_turns[j]:
                 assert gaps[i, j] > 1e-4
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_duplicate_turns_get_equal_rows(domain, trained, predict_calls, encode_calls, variant):
+    model = trained[variant]
+    dialog = domain["dev"][0]
+    # each turn's tokens again, in another array, with another turn's
+    # position, previous action and context
+    copies = [dataclasses.replace(g, f_turn=f.f_turn.copy(), bow_indices=f.bow_indices)
+              for f, g in zip(dialog, dialog[::-1])]
+    dialogs = [dialog, copies, dialog[::-1]]
+    predictions = predict_dialogs(model, dialogs)
+    distinct = {_key(f) for f in dialog}
+    assert sorted(_key(f) for call in encode_calls for f in call) == sorted(distinct)
+    rows = {}
+    for turns, _, vectors, _ in predict_calls:
+        for f, row in zip(turns, vectors):
+            assert rows.setdefault(_key(f), row.tobytes()) == row.tobytes()
+    assert len(rows) == len(distinct)
+    # each row is the turn encoded on its own; VHCN's is the posterior
+    # mean, not a sample
+    with nn.no_grad():
+        for f in dialog:
+            vector, encoding = model.encode_turn([f])
+            expected = vector.data if encoding is None else encoding.mu.data
+            np.testing.assert_allclose(np.frombuffer(rows[_key(f)], dtype=model.dtype),
+                                       expected[0], rtol=1e-5, atol=1e-6)
+    assert predictions == [a for d in dialogs for a in predict_dialog(model, d)]
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+@pytest.mark.parametrize("corpus", ["identical", "distinct"])
+def test_corpus_of_identical_or_of_distinct_turns(domain, trained, encode_calls, monkeypatch,
+                                                  variant, corpus):
+    model = trained[variant]
+    turns = [f for d in domain["train"] + domain["dev"] + domain["test"] for f in d]
+    if corpus == "identical":
+        one = turns[1]
+        turns = [dataclasses.replace(f, f_turn=one.f_turn.copy(), bow_indices=one.bow_indices)
+                 for f in turns]
+    else:
+        first = {}
+        for f in turns:
+            first.setdefault(_key(f), f)
+        turns = list(first.values())
+    dialogs = [turns[i:i + 7] for i in range(0, len(turns), 7)]
+    per_dialog = [a for d in dialogs for a in predict_dialog(model, d)]
+    del encode_calls[:]
+    monkeypatch.setattr(models, "INFER_CHUNK_TURNS", 20)
+    assert predict_dialogs(model, dialogs) == per_dialog
+    encoded = [_key(f) for call in encode_calls for f in call]
+    assert len(turns) > 2 * 20
+    if corpus == "identical":
+        assert encoded == [_key(turns[0])]
+    else:
+        assert sorted(encoded) == sorted(map(_key, turns))
+
+
+# a few toy turns, one of them twice in separate arrays
+def _turn_pool(domain):
+    first = {}
+    for f in domain["dev"][0] + domain["dev"][1]:
+        first.setdefault(_key(f), f)
+    pool = list(first.values())[:5]
+    return pool + [dataclasses.replace(pool[1], f_turn=pool[1].f_turn.copy())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_predict_dialogs_equals_per_dialog_path_on_random_corpora(domain, trained, data):
+    pool = _turn_pool(domain)
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=12),
+                               max_size=8))
+    dialogs = [[pool[i] for i in dialog] for dialog in picks]
+    turn_budget, token_budget = data.draw(st.sampled_from(BUDGETS))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
+        patch.setattr(models, "INFER_CHUNK_TOKENS", token_budget)
+        for model in trained.values():
+            assert predict_dialogs(model, dialogs) == [
+                a for dialog in dialogs for a in predict_dialog(model, dialog)]
+
+
+def test_predict_dialog_rejects_turn_vectors_of_another_row_count(domain, trained):
+    model = trained["HHCN"]
+    turns = domain["dev"][0][:3]
+    rows, inverse = models._infer_turn_vectors(model, turns)
+    vectors = rows[inverse]
+    assert predict_dialog(model, turns, None, vectors) == predict_dialog(model, turns)
+    for wrong in (vectors[:2], np.concatenate([vectors, vectors[:1]]), vectors[:0]):
+        with pytest.raises(nn.DimensionError):
+            predict_dialog(model, turns, [3], wrong)
+    with pytest.raises(nn.DimensionError):
+        predict_dialog(model, [], None, vectors)
 
 
 def _lstm_inputs(monkeypatch):
@@ -294,7 +392,7 @@ def test_predict_dialog_returns_each_scored_turn_once(domain, trained, predict_c
     # calls and checks every entry is a valid action id
     model = trained[variant]
     row = evaluate_model(model, domain["dev"] + domain["test"])
-    actions = [a for _, _, result in predict_calls for a in result]
+    actions = [a for _, _, _, result in predict_calls for a in result]
     assert len(actions) == row.n_turns
     assert all(type(a) is int for a in actions)
     assert all(0 <= a < model.action_set.size for a in actions)
@@ -314,5 +412,5 @@ def test_dev_selection_predicts_without_evaluate_model(domain, predict_calls, mo
                 domain["train"][:4], domain["dev"], data.vocab, data.action_set,
                 n_context=data.n_context)
     dev_turns = sum(len(d) for d in domain["dev"])
-    assert sum(len(result) for _, _, result in predict_calls) == epochs * dev_turns
+    assert sum(len(result) for _, _, _, result in predict_calls) == epochs * dev_turns
 
