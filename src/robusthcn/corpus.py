@@ -355,25 +355,43 @@ class ActionSet:
         return _sha256_lines(self.templates)
 
 
+def _delexicalizer(lexicon):
+    """``delexicalize`` with ``lexicon``, run once per distinct utterance.
+
+    System utterances repeat heavily; the memo lives as long as the
+    function returned, one call of its caller.
+    """
+    memo = {}
+
+    def template(utterance):
+        if utterance not in memo:
+            memo[utterance] = delexicalize(utterance, lexicon)
+        return memo[utterance]
+
+    return template
+
+
 def extract_action_set(dialogs, lexicon, fallback_template=DEFAULT_FALLBACK_TEMPLATE):
     """Action inventory = distinct delexicalized system utterances + fallback."""
     if not dialogs:
         raise ValueError("empty dialog collection")
-    templates = {delexicalize(fallback_template, lexicon)}
+    template = _delexicalizer(lexicon)
+    templates = {template(fallback_template)}
     for dialog in dialogs:
         for turn in dialog.turns:
-            templates.add(delexicalize(turn.system_utterance, lexicon))
+            templates.add(template(turn.system_utterance))
     ordered = tuple(sorted(templates))
-    fallback_id = ordered.index(delexicalize(fallback_template, lexicon))
+    fallback_id = ordered.index(template(fallback_template))
     return ActionSet(templates=ordered, fallback_action_id=fallback_id)
 
 
 def assign_actions(dialogs, action_set, lexicon):
     """Resolve every turn's system utterance to its action id."""
+    template = _delexicalizer(lexicon)
     out = []
     for dialog in dialogs:
         turns = tuple(
-            replace(t, system_action=action_set.action_id(delexicalize(t.system_utterance, lexicon)))
+            replace(t, system_action=action_set.action_id(template(t.system_utterance)))
             for t in dialog.turns
         )
         out.append(Dialog(id=dialog.id, turns=turns))

@@ -15,12 +15,16 @@ predictor over actions.  They differ on the turn level:
 
 The dialog-level input projection is stored in blocks (one weight matrix
 per feature group), which is arithmetically identical to a single affine
-map over the concatenated input.  No dialog-level input depends on the
-LSTM state, so a dialog runs as one pass with no per-turn step:
-``encode_turn`` returns the (T, d) turn encodings of the whole dialog (the
-turn LSTM runs once over all turns, packed by length), each input block is
-one product over all T turns, the same LSTM op returns every step's hidden
-state, and the predictor and the loss see (T, .) matrices.
+map over the concatenated input.  The blocks form two halves, each one
+``Model`` method: the token half (turn vector and bag of words), which
+without a graph depends on a turn's tokens alone, and the context half
+(context features, previous action and mask).  No dialog-level input
+depends on the LSTM state, so a dialog runs as one pass with no per-turn
+step: ``encode_turn`` returns the (T, d) turn encodings of the whole
+dialog (the turn LSTM runs once over all turns, packed by length), each
+input block is one product over all T turns, ``dialog_step`` runs the
+same LSTM op over the summed rows, returning every step's hidden state,
+and the predictor and the loss see (T, .) matrices.
 
 Training takes one dialog per step.  Inference (evaluation and the
 per-epoch dev accuracy) encodes every distinct turn of a
@@ -31,13 +35,15 @@ turns in one call.  HHCN and VHCN sort them by token count and run the
 turn LSTM over sub-chunks of at most ``INFER_CHUNK_TOKENS`` (512) tokens,
 so the turns of a sub-chunk run nearly the same number of steps
 (sequence bucketing); without a graph, the turn LSTM's input projection
-is computed once per distinct token of a sub-chunk.  The dialog level
-then packs whole dialogs into chunks of at most ``INFER_CHUNK_TURNS``
-(256) turns, gathers each chunk's turn vectors from the distinct rows and
-runs the dialog LSTM once over the chunk's dialogs as packed sequences.
-The predictions equal those of one dialog at a time, though the logits
-may differ in the last bits, since a product over more rows need not
-round like a smaller one.
+is computed once per distinct token of a sub-chunk.  The call then
+projects the token half once per distinct turn and the context half once
+per distinct (context, previous action, mask) row.  The dialog level
+packs whole dialogs into chunks of at most ``INFER_CHUNK_TURNS`` (256)
+turns, gathers each chunk's input rows from the two tables, adds them in
+the order training does, and runs the dialog LSTM once over the chunk's
+dialogs as packed sequences.  The predictions equal those of one dialog
+at a time, though the logits may differ in the last bits, since a
+product over more rows need not round like a smaller one.
 """
 
 from __future__ import annotations
@@ -268,27 +274,41 @@ class Model:
             z = mu
         return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
 
-    def dialog_step(self, turn_vectors, turns, lengths=None):
+    def token_inputs(self, turn_vectors, turns):
+        """The token half of the dialog-level input rows: (turn @ w_turn) + (bow @ w_bow).
+
+        ``turn_vectors`` are the encodings of ``turns``, one row each.
+        Without a graph the half depends on a turn's tokens alone.
+        """
+        return nn.add(nn.matvec(self.dlg_w_turn, turn_vectors),
+                      nn.matvec(self.dlg_w_bow, self.bow_rows(turns)))
+
+    def context_inputs(self, turns):
+        """The context half of the dialog-level input rows.
+
+        That is (ctx @ w_ctx) + ((prev @ w_prev) + (mask @ w_mask)) for the
+        context features, previous action and action mask of ``turns``.
+        """
+        prev = np.array([f.prev_action for f in turns], dtype=self.dtype)
+        mask = np.array([f.f_mask for f in turns], dtype=self.dtype)
+        return nn.add(nn.matvec(self.dlg_w_ctx, self.context_rows(turns)),
+                      nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)))
+
+    def dialog_inputs(self, turn_vectors, turns):
+        """The (T, 4H) dialog-level input rows of ``turns``: token half + context half."""
+        return nn.add(self.token_inputs(turn_vectors, turns), self.context_inputs(turns))
+
+    def dialog_step(self, inputs, lengths=None):
         """The dialog level over one or more dialogs: (T, |A|) action logits.
 
-        ``turns`` holds the T turns of the dialogs, concatenated, and
-        ``turn_vectors`` their encodings as rows; ``lengths`` gives each
-        dialog's turn count (None: one dialog).  No input block depends on
-        the LSTM state, so the whole input projection is five products
-        before the recurrence, which runs the dialogs as packed sequences.
+        ``inputs`` holds the dialog-level input rows of the dialogs' T
+        turns, concatenated (:meth:`dialog_inputs`); ``lengths`` gives each
+        dialog's turn count (None: one dialog).  No input depends on the
+        LSTM state, so the recurrence runs the dialogs as packed sequences
+        over rows projected beforehand.
         """
-        dtype = self.dtype
-        bow = self.bow_rows(turns)
-        prev = np.array([f.prev_action for f in turns], dtype=dtype)
-        mask = np.array([f.f_mask for f in turns], dtype=dtype)
-        z_x = nn.add(
-            nn.add(nn.matvec(self.dlg_w_turn, turn_vectors), nn.matvec(self.dlg_w_bow, bow)),
-            nn.add(
-                nn.matvec(self.dlg_w_ctx, self.context_rows(turns)),
-                nn.add(nn.matvec(self.dlg_w_prev, prev), nn.matvec(self.dlg_w_mask, mask)),
-            ),
-        )
-        h = nn.lstm(z_x, [len(turns)] if lengths is None else lengths, self.dlg_u, self.dlg_b)
+        h = nn.lstm(inputs, [inputs.shape[0]] if lengths is None else lengths,
+                    self.dlg_u, self.dlg_b)
         return self.pred_out(nn.relu(self.pred_hidden(h)))
 
     def bow_rows(self, featurized_dialog):
@@ -337,7 +357,7 @@ def dialog_loss(model, featurized_dialog, rng=None):
     if not featurized_dialog:
         raise ValueError("empty dialog")
     turn_vectors, encoding = model.encode_turn(featurized_dialog, rng)
-    logits = model.dialog_step(turn_vectors, featurized_dialog)
+    logits = model.dialog_step(model.dialog_inputs(turn_vectors, featurized_dialog))
     targets = [features.target for features in featurized_dialog]
     if encoding is not None:
         total, sums = loss_vhcn(logits, targets, encoding, model.bow_logits(encoding),
@@ -352,29 +372,49 @@ def dialog_loss(model, featurized_dialog, rng=None):
     return mean, breakdown
 
 
-def _infer_turn_vectors(model, turns):
-    """The no-grad encodings of the distinct turns of ``turns``.
+def _distinct(turns, key):
+    """The first turn of each distinct ``key(turn)``, and each turn's index among them.
 
-    Returns ``(rows, inverse)``: ``rows`` holds one encoding per distinct
-    token sequence and ``rows[inverse]`` the (T, d) turn vectors in input
-    order.  Without a graph a turn's vector depends on its tokens alone
-    (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior mean), so
-    each distinct sequence is encoded once.  HCN encodes the distinct
-    turns in one call.  HHCN and VHCN encode them stably sorted by token
-    count, in sub-chunks of at most ``INFER_CHUNK_TOKENS`` tokens (a
-    longer turn is a sub-chunk of its own), and ``rows`` keep that order.
+    Returns ``(distinct, inverse)``, ``distinct`` in input order.
     """
     row_of, distinct = {}, []
     inverse = np.empty(len(turns), dtype=np.intp)
     for i, f in enumerate(turns):
-        key = f.f_turn.tobytes()
-        if key not in row_of:
-            row_of[key] = len(distinct)
+        k = key(f)
+        if k not in row_of:
+            row_of[k] = len(distinct)
             distinct.append(f)
-        inverse[i] = row_of[key]
+        inverse[i] = row_of[k]
+    return distinct, inverse
+
+
+def _token_key(f):
+    return f.f_turn.tobytes()
+
+
+def _context_key(f):
+    return (f.f_ctx.slot_provided, f.f_ctx.api_returned, f.prev_action.tobytes(),
+            f.f_mask.tobytes())
+
+
+def _infer_turn_vectors(model, turns):
+    """The no-grad encodings of the distinct turns of ``turns``.
+
+    Returns ``(rows, inverse, row_turns)``: ``rows`` holds one encoding
+    per distinct token sequence, ``rows[inverse]`` the (T, d) turn vectors
+    in input order, and ``row_turns[r]`` a turn whose encoding is
+    ``rows[r]``.  Without a graph a turn's vector depends on its tokens
+    alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior
+    mean), so each distinct sequence is encoded once.  HCN encodes the
+    distinct turns in one call.  HHCN and VHCN encode them stably sorted
+    by token count, in sub-chunks of at most ``INFER_CHUNK_TOKENS`` tokens
+    (a longer turn is a sub-chunk of its own), and ``rows`` keep that
+    order.
+    """
+    distinct, inverse = _distinct(turns, _token_key)
     with nn.no_grad():
         if model.config.variant == "HCN":
-            return model.encode_turn(distinct)[0].data, inverse
+            return model.encode_turn(distinct)[0].data, inverse, distinct
         lengths = [len(f.f_turn) for f in distinct]
         order = np.argsort(lengths, kind="stable")
         bounds, tokens = [0], 0
@@ -384,62 +424,96 @@ def _infer_turn_vectors(model, turns):
                 tokens = 0
             tokens += lengths[i]
         bounds.append(len(distinct))
+        row_turns = [distinct[i] for i in order]
         rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows[lo:hi] = model.encode_turn([distinct[i] for i in order[lo:hi]])[0].data
+            rows[lo:hi] = model.encode_turn(row_turns[lo:hi])[0].data
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return rows, rank[inverse]
+    return rows, rank[inverse], row_turns
 
 
-def predict_dialog(model, turns, lengths=None, turn_vectors=None):
+def _infer_inputs(model, turns):
+    """The no-grad dialog-level input rows of ``turns``, as two tables.
+
+    Returns ``(token, token_of, context, context_of)``: the rows of
+    :meth:`Model.dialog_inputs`, in input order, are
+    ``token[token_of] + context[context_of]``.  Without a graph the token
+    half depends on a turn's tokens alone, so it is projected once per
+    distinct row of :func:`_infer_turn_vectors`; the context half depends
+    on the context, previous action and mask alone, so it is projected
+    once per distinct (context, previous action, mask) row.  One distinct
+    row among several turns is projected at every turn instead, since a
+    one-row product would take numpy's vector path, which rounds
+    differently.
+    """
+    vectors, token_of, token_turns = _infer_turn_vectors(model, turns)
+    context_turns, context_of = _distinct(turns, _context_key)
+    if len(token_turns) == 1:
+        vectors, token_turns, token_of = vectors[token_of], turns, np.arange(len(turns))
+    if len(context_turns) == 1:
+        context_turns, context_of = turns, np.arange(len(turns))
+    with nn.no_grad():
+        return (model.token_inputs(vectors, token_turns).data, token_of,
+                model.context_inputs(context_turns).data, context_of)
+
+
+def predict_dialog(model, turns, lengths=None, inputs=None):
     """Greedy argmax actions for the turns of one or more dialogs.
 
     ``turns`` and ``lengths`` are as in :meth:`Model.dialog_step`; the
     result is one action id per turn, a flat list in input order.
-    ``turn_vectors``, one row per turn, are the turns' no-grad encodings
-    when the caller has them (:func:`predict_dialogs` does); without them
-    the turns are encoded here.  Inference is deterministic for every
-    variant (VHCN uses the posterior mean); argmax ties resolve to the
-    lowest action id.
+    ``inputs``, one row per turn, are the turns' no-grad dialog-level
+    input rows when the caller has them (:func:`predict_dialogs` does);
+    without them they are built here, through :func:`_infer_inputs`.
+    Only the dialog LSTM and the predictor run here.  Inference is
+    deterministic for every variant (VHCN uses the posterior mean); argmax
+    ties resolve to the lowest action id.
     """
-    if turn_vectors is not None and len(turn_vectors) != len(turns):
-        raise nn.DimensionError("%d turn vectors for %d turns" % (len(turn_vectors), len(turns)))
+    if inputs is not None and len(inputs) != len(turns):
+        raise nn.DimensionError("%d input rows for %d turns" % (len(inputs), len(turns)))
     if not turns:
         return []
-    if turn_vectors is None:
-        rows, inverse = _infer_turn_vectors(model, turns)
-        turn_vectors = rows[inverse]
+    if inputs is None:
+        token, token_of, context, context_of = _infer_inputs(model, turns)
+        inputs = token[token_of] + context[context_of]
     with nn.no_grad():
-        logits = model.dialog_step(turn_vectors, turns, lengths)
+        logits = model.dialog_step(inputs, lengths)
     return np.argmax(logits.data, axis=1).tolist()
 
 
 def predict_dialogs(model, featurized_dialogs):
     """Greedy actions for every turn of a list of dialogs, a flat list in order.
 
-    The turns of all the dialogs are encoded in one
-    :func:`_infer_turn_vectors` call, so each distinct token sequence is
-    encoded once per call.  The dialog level then runs in chunks: whole
-    dialogs go into one ``predict_dialog`` call while it holds at most
-    ``INFER_CHUNK_TURNS`` turns (a longer dialog is a call of its own),
-    with the chunk's turn vectors gathered from the distinct rows.  Empty
-    dialogs add nothing.  The predictions equal those of
-    ``predict_dialog`` on one dialog at a time.
+    The dialog-level input rows of all the dialogs' turns are built in one
+    :func:`_infer_inputs` call: each distinct token sequence is encoded
+    and its token half projected once per call, and each distinct
+    (context, previous action, mask) row has its context half projected
+    once.  The dialog level then runs in chunks: whole dialogs go into one
+    ``predict_dialog`` call while it holds at most ``INFER_CHUNK_TURNS``
+    turns (a longer dialog is a call of its own), with the chunk's input
+    rows gathered from the two tables and added.  Empty dialogs add
+    nothing.  The predictions equal those of ``predict_dialog`` on one
+    dialog at a time.
     """
     dialogs = [dialog for dialog in featurized_dialogs if dialog]
     turns = [f for dialog in dialogs for f in dialog]
     if not turns:
         return []
-    rows, inverse = _infer_turn_vectors(model, turns)
+    token, token_of, context, context_of = _infer_inputs(model, turns)
+
+    def score(lo, hi, lengths):
+        inputs = token[token_of[lo:hi]] + context[context_of[lo:hi]]
+        return predict_dialog(model, turns[lo:hi], lengths, inputs)
+
     predictions, lengths, lo, hi = [], [], 0, 0
     for dialog in dialogs:
         if lengths and hi - lo + len(dialog) > INFER_CHUNK_TURNS:
-            predictions += predict_dialog(model, turns[lo:hi], lengths, rows[inverse[lo:hi]])
+            predictions += score(lo, hi, lengths)
             lengths, lo = [], hi
         lengths.append(len(dialog))
         hi += len(dialog)
-    predictions += predict_dialog(model, turns[lo:hi], lengths, rows[inverse[lo:hi]])
+    predictions += score(lo, hi, lengths)
     return predictions
 
 

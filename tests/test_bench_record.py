@@ -66,9 +66,11 @@ def test_record_summarises_seed_matched_pairs(tmp_path, bench_record):
     assert turns["parent"]["median"] == 100.0 and turns["change"]["median"] == 200.0
     assert turns["parent"]["q1"] <= 100.0 <= turns["parent"]["q3"]
     assert turns["ratios"] == pytest.approx([2.0, 180.0 / 110.0, 210.0 / 90.0])
+    assert turns["median_ratio"] == pytest.approx(2.0)
     assert turns["wins"] == 3
     # equal values are ties, won by neither side
     assert infer["metrics"]["wall_s"]["ratios"] == [1.0, 1.0, 1.0]
+    assert infer["metrics"]["wall_s"]["median_ratio"] == 1.0
     assert infer["metrics"]["wall_s"]["wins"] == 0
 
     traced = record["traced"]["ood_infer_long"]
@@ -97,3 +99,23 @@ def test_record_needs_shared_seeds(tmp_path, bench_record, capsys):
     _write_result(change, "ood_infer_long", 2, {"turns_per_s": 1.0}, "b" * 40)
     assert bench_record.main([str(parent), str(change), "--out", str(tmp_path)]) == 1
     assert "no seed" in capsys.readouterr().err
+
+
+def test_median_ratio_is_over_the_pairs_that_have_a_ratio(tmp_path, bench_record):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # an even count of defined ratios (0.5, 1.5, 4.0, 2.0) takes the mean
+    # of the middle two; the pair with a parent value of 0 has no ratio
+    for seed, (p, c) in enumerate([(2.0, 1.0), (2.0, 3.0), (0.0, 5.0), (1.0, 4.0), (1.0, 2.0)]):
+        _write_result(parent, "train_recurrent", seed, {"wall_s": p}, "a" * 40)
+        _write_result(change, "train_recurrent", seed, {"wall_s": c}, "b" * 40)
+    wall = bench_record.build_record(str(parent), str(change))["workloads"]["train_recurrent"][
+        "metrics"]["wall_s"]
+    assert wall["ratios"] == [0.5, 1.5, None, 4.0, 2.0]
+    assert wall["median_ratio"] == pytest.approx(1.75)
+
+    zero = tmp_path / "zero"
+    for seed in range(2):
+        _write_result(zero, "train_recurrent", seed, {"wall_s": 0.0}, "c" * 40)
+    wall = bench_record.build_record(str(zero), str(change))["workloads"]["train_recurrent"][
+        "metrics"]["wall_s"]
+    assert wall["ratios"] == [None, None] and wall["median_ratio"] is None

@@ -284,6 +284,29 @@ def test_action_set_rejects_empty():
         extract_action_set([], LEX)
 
 
+# system utterances built from lexicon values and plain words, so that
+# some delexicalize to one template and many repeat across turns
+_SYSTEM_WORDS = ["north", "american", "star", "prezzo", "thai", "cheap", "food", "is", "api_call"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.lists(st.sampled_from(_SYSTEM_WORDS), min_size=1, max_size=5)
+                         .map(" ".join), min_size=1, max_size=6), min_size=1, max_size=6))
+def test_action_set_and_action_ids_equal_the_per_turn_delexicalization(system_utterances):
+    dialogs = [Dialog(id=i, turns=tuple(Turn(user_tokens=("hi",), system_utterance=u)
+                                        for u in utterances))
+               for i, utterances in enumerate(system_utterances)]
+    actions = extract_action_set(dialogs, LEX)
+    templates = {delexicalize(t.system_utterance, LEX) for d in dialogs for t in d.turns}
+    assert actions.templates == tuple(sorted(templates | {DEFAULT_FALLBACK_TEMPLATE}))
+    assert actions.fallback_template == DEFAULT_FALLBACK_TEMPLATE
+    assigned = assign_actions(dialogs, actions, LEX)
+    assert [[t.system_action for t in d.turns] for d in assigned] == [
+        [actions.action_id(delexicalize(t.system_utterance, LEX)) for t in d.turns]
+        for d in dialogs]
+    assert [[t.system_utterance for t in d.turns] for d in assigned] == system_utterances
+
+
 # ------------------------------------------------------------ context bits
 
 def _context_trace(turns, lexicon=LEX):

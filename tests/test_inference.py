@@ -2,11 +2,14 @@
 
 ``predict_dialogs`` encodes each distinct turn of the call once, the turn
 LSTM over length-sorted sub-chunks of at most ``INFER_CHUNK_TOKENS``
-tokens, then packs whole dialogs into ``predict_dialog`` calls of at most
-``INFER_CHUNK_TURNS`` turns, each given its turns' vectors.  These tests
-hold it to the per-dialog path on trained toy models, and hold every
-caller to the contract the benchmark's inference review counts on: each
-turn's action comes back from ``predict_dialog`` exactly once.
+tokens.  It projects the dialog level's token half once per distinct
+turn and its context half once per distinct (context, previous action,
+mask) row, then packs whole dialogs into ``predict_dialog`` calls of at
+most ``INFER_CHUNK_TURNS`` turns, each given its turns' input rows.
+These tests hold it to the per-dialog path and to the all-rows projection
+on trained toy models, and hold every caller to the contract the
+benchmark's inference review counts on: each turn's action comes back
+from ``predict_dialog`` exactly once.
 """
 
 import dataclasses
@@ -63,8 +66,19 @@ def _key(features):
 
 
 def _infer(model, turns):
-    rows, inverse = models._infer_turn_vectors(model, turns)
+    rows, inverse, _ = models._infer_turn_vectors(model, turns)
     return rows[inverse]
+
+
+def _all_rows_inputs(model, turns):
+    """The dialog-level input rows projected at every turn, as training does."""
+    with nn.no_grad():
+        return model.dialog_inputs(_infer(model, turns), turns).data
+
+
+def _context_key(features):
+    return (features.f_ctx.slot_provided, features.f_ctx.api_returned,
+            features.prev_action.tobytes(), features.f_mask.tobytes())
 
 
 def _mixed_dialogs(domain):
@@ -83,7 +97,7 @@ def _library_modules():
 
 @pytest.fixture
 def predict_calls(monkeypatch):
-    """Records (turns, lengths, turn_vectors, result) of every ``predict_dialog`` call.
+    """Records (turns, lengths, inputs, result) of every ``predict_dialog`` call.
 
     Like the benchmark's tracer, it replaces the name in every library
     module that holds it, so calls through any import path are seen.
@@ -91,9 +105,9 @@ def predict_calls(monkeypatch):
     original = models.predict_dialog
     calls = []
 
-    def recording(model, turns, lengths=None, turn_vectors=None):
-        result = original(model, turns, lengths, turn_vectors)
-        calls.append((turns, lengths, turn_vectors, result))
+    def recording(model, turns, lengths=None, inputs=None):
+        result = original(model, turns, lengths, inputs)
+        calls.append((turns, lengths, inputs, result))
         return result
 
     for module in _library_modules():
@@ -137,14 +151,34 @@ def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predi
 
     assert predict_dialogs(model, dialogs) == [a for preds in per_dialog for a in preds]
 
+    # the whole call encodes each distinct token sequence once, though
+    # the corpus repeats turns across chunks: HCN in one call, the turn
+    # LSTM's variants in sub-chunks of at most the token budget (a longer
+    # turn alone), shortest turns first
+    encoded = [_key(f) for call in encode_calls for f in call]
+    distinct = {_key(f) for d in dialogs for f in d}
+    assert sorted(encoded) == sorted(distinct)
+    assert len(distinct) < sum(len(d) for d in dialogs)
+    if variant == "HCN":
+        assert len(encode_calls) == 1
+    else:
+        lengths = [len(f.f_turn) for call in encode_calls for f in call]
+        assert lengths == sorted(lengths)
+        for call in encode_calls:
+            assert _tokens(call) <= token_budget or len(call) == 1
+        assert (len(encode_calls) > 1) == (sum(lengths) > token_budget)
+        assert sum(lengths) > 60
+
     # the chunks hold whole dialogs, several where they fit, at most the
     # turn budget unless one dialog is longer, and close only when the
-    # next dialog would not fit; each gets one turn vector per turn
+    # next dialog would not fit; each gets one input row per turn, equal
+    # bit for bit to the chunk's turns projected row by row
     spans, sizes = [], []
-    for turns, lengths, vectors, _ in predict_calls:
+    for turns, lengths, inputs, _ in predict_calls:
         assert sum(lengths) == len(turns)
         assert len(turns) <= turn_budget or len(lengths) == 1
-        assert vectors.shape == (len(turns), model.config.turn_vector_size)
+        assert inputs.shape == (len(turns), 4 * model.config.dialog_hidden_size)
+        assert inputs.tobytes() == _all_rows_inputs(model, turns).tobytes()
         offsets = np.cumsum([0] + list(lengths))
         spans += [turns[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
         sizes.append((len(turns), lengths[0]))
@@ -156,24 +190,6 @@ def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predi
     assert max(len(d) for d in dialogs) > 20
     assert min(len(d) for d in dialogs) == 1
 
-    # the whole call encodes each distinct token sequence once, though
-    # the corpus repeats turns across chunks: HCN in one call, the turn
-    # LSTM's variants in sub-chunks of at most the token budget (a longer
-    # turn alone), shortest turns first
-    encoded = [_key(f) for call in encode_calls for f in call]
-    distinct = {_key(f) for d in dialogs for f in d}
-    assert sorted(encoded) == sorted(distinct)
-    assert len(distinct) < sum(len(d) for d in dialogs)
-    if variant == "HCN":
-        assert len(encode_calls) == 1
-        return
-    lengths = [len(f.f_turn) for call in encode_calls for f in call]
-    assert lengths == sorted(lengths)
-    for call in encode_calls:
-        assert _tokens(call) <= token_budget or len(call) == 1
-    assert (len(encode_calls) > 1) == (sum(lengths) > token_budget)
-    assert sum(lengths) > 60
-
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
 def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
@@ -181,8 +197,10 @@ def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
     dialogs = _mixed_dialogs(domain)
     turns = [f for d in dialogs for f in d]
     with nn.no_grad():
-        batched = model.dialog_step(_infer(model, turns), turns, [len(d) for d in dialogs])
-        single = [model.dialog_step(model.encode_turn(d)[0], d).data for d in dialogs]
+        batched = model.dialog_step(model.dialog_inputs(_infer(model, turns), turns),
+                                    [len(d) for d in dialogs])
+        single = [model.dialog_step(model.dialog_inputs(model.encode_turn(d)[0], d)).data
+                  for d in dialogs]
     # a product over more rows need not round like a smaller one
     np.testing.assert_allclose(batched.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
 
@@ -229,11 +247,24 @@ def test_duplicate_turns_get_equal_rows(domain, trained, predict_calls, encode_c
     predictions = predict_dialogs(model, dialogs)
     distinct = {_key(f) for f in dialog}
     assert sorted(_key(f) for call in encode_calls for f in call) == sorted(distinct)
+    turns = [f for d in dialogs for f in d]
     rows = {}
-    for turns, _, vectors, _ in predict_calls:
-        for f, row in zip(turns, vectors):
-            assert rows.setdefault(_key(f), row.tobytes()) == row.tobytes()
+    for f, row in zip(turns, _infer(model, turns)):
+        assert rows.setdefault(_key(f), row.tobytes()) == row.tobytes()
     assert len(rows) == len(distinct)
+    # equal tokens share one token-half row, equal contexts one
+    # context-half row, and the chunk's input rows are their sums
+    token, token_of, context, context_of = models._infer_inputs(model, turns)
+    assert len(token) == len(distinct)
+    assert len(context) == len({_context_key(f) for f in turns})
+    for of, key in ((token_of, _key), (context_of, _context_key)):
+        first = {}
+        for f, i in zip(turns, of):
+            assert first.setdefault(key(f), i) == i
+        assert len(set(first.values())) == len(first)
+    (chunk_turns, _, inputs, _), = predict_calls
+    assert list(map(id, chunk_turns)) == list(map(id, turns))
+    assert inputs.tobytes() == (token[token_of] + context[context_of]).tobytes()
     # each row is the turn encoded on its own; VHCN's is the posterior
     # mean, not a sample
     with nn.no_grad():
@@ -298,17 +329,16 @@ def test_predict_dialogs_equals_per_dialog_path_on_random_corpora(domain, traine
                 a for dialog in dialogs for a in predict_dialog(model, dialog)]
 
 
-def test_predict_dialog_rejects_turn_vectors_of_another_row_count(domain, trained):
+def test_predict_dialog_rejects_inputs_of_another_row_count(domain, trained):
     model = trained["HHCN"]
     turns = domain["dev"][0][:3]
-    rows, inverse = models._infer_turn_vectors(model, turns)
-    vectors = rows[inverse]
-    assert predict_dialog(model, turns, None, vectors) == predict_dialog(model, turns)
-    for wrong in (vectors[:2], np.concatenate([vectors, vectors[:1]]), vectors[:0]):
+    inputs = _all_rows_inputs(model, turns)
+    assert predict_dialog(model, turns, None, inputs) == predict_dialog(model, turns)
+    for wrong in (inputs[:2], np.concatenate([inputs, inputs[:1]]), inputs[:0]):
         with pytest.raises(nn.DimensionError):
             predict_dialog(model, turns, [3], wrong)
     with pytest.raises(nn.DimensionError):
-        predict_dialog(model, [], None, vectors)
+        predict_dialog(model, [], None, inputs)
 
 
 def _lstm_inputs(monkeypatch):
@@ -354,6 +384,107 @@ def test_no_grad_projects_each_distinct_token_once(domain, trained, monkeypatch,
         np.testing.assert_array_equal(zx.data, per_token)
 
 
+def _edge_cases(domain):
+    """Turn lists that reach each guard of the two dialog-level tables."""
+    turns = [f for d in domain["dev"] + domain["test"] for f in d]
+    one, other = turns[1], turns[2]
+    assert _key(one) != _key(other) and _context_key(one) != _context_key(other)
+    return {
+        "many": turns,
+        "one-token-sequence": [dataclasses.replace(f, f_turn=one.f_turn.copy(),
+                                                   bow_indices=one.bow_indices)
+                               for f in turns],
+        "one-context": [dataclasses.replace(f, f_ctx=one.f_ctx,
+                                            prev_action=one.prev_action.copy(),
+                                            f_mask=one.f_mask.copy())
+                        for f in turns],
+        "one-turn": [one],
+        "one-row-of-each": [one, dataclasses.replace(one, f_turn=one.f_turn.copy())],
+    }
+
+
+@pytest.mark.parametrize("case", ["many", "one-token-sequence", "one-context", "one-turn",
+                                  "one-row-of-each"])
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_inference_inputs_equal_the_all_rows_projection(domain, trained, variant, case):
+    model = trained[variant]
+    turns = _edge_cases(domain)[case]
+    token, token_of, context, context_of = models._infer_inputs(model, turns)
+    expected = _all_rows_inputs(model, turns)
+    assert (token[token_of] + context[context_of]).tobytes() == expected.tobytes()
+    # the all-rows projection adds the five blocks in one fixed order
+    turn, bow, ctx, prev, mask = (
+        np.asarray(rows, dtype=model.dtype) @ w.data for rows, w in (
+            (_infer(model, turns), model.dlg_w_turn), (model.bow_rows(turns), model.dlg_w_bow),
+            (model.context_rows(turns), model.dlg_w_ctx),
+            ([f.prev_action for f in turns], model.dlg_w_prev),
+            ([f.f_mask for f in turns], model.dlg_w_mask)))
+    assert expected.tobytes() == ((turn + bow) + (ctx + (prev + mask))).tobytes()
+    assert predict_dialog(model, turns) == predict_dialogs(model, [turns])
+
+
+def _dialog_products(monkeypatch, model):
+    """Records the rows each dialog-level input weight multiplies, per call."""
+    original = nn.matvec
+    names = {id(w): name for name, w in (("turn", model.dlg_w_turn), ("bow", model.dlg_w_bow),
+                                         ("ctx", model.dlg_w_ctx), ("prev", model.dlg_w_prev),
+                                         ("mask", model.dlg_w_mask))}
+    seen = {name: [] for name in names.values()}
+
+    def recording(m, v):
+        out = original(m, v)
+        if id(m) in names:
+            seen[names[id(m)]].append((nn.as_tensor(v).data, out))
+        return out
+
+    monkeypatch.setattr(nn, "matvec", recording)
+    return seen
+
+
+def _row_set(rows):
+    return sorted(row.tobytes() for row in rows)
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_no_grad_projects_each_distinct_row_once(domain, trained, monkeypatch, variant):
+    model = trained[variant]
+    seen = _dialog_products(monkeypatch, model)
+    for case, turns in _edge_cases(domain).items():
+        n_tokens = len({_key(f) for f in turns})
+        n_contexts = len({_context_key(f) for f in turns})
+        all_rows = {"turn": _infer(model, turns), "bow": model.bow_rows(turns),
+                    "ctx": model.context_rows(turns),
+                    "prev": np.array([f.prev_action for f in turns], dtype=model.dtype),
+                    "mask": np.array([f.f_mask for f in turns], dtype=model.dtype)}
+        for calls in seen.values():
+            del calls[:]
+        predict_dialogs(model, [turns[i:i + 9] for i in range(0, len(turns), 9)])
+
+        # each block multiplies its half's distinct rows, once per call,
+        # or every turn's row where one distinct row stands for them all
+        for names, n in ((("turn", "bow"), n_tokens), (("ctx", "prev", "mask"), n_contexts)):
+            for name in names:
+                (rows, _), = seen[name]
+                assert len(rows) == (n if n > 1 else len(turns)), (case, name)
+                assert _row_set(np.unique(rows, axis=0)) == _row_set(
+                    np.unique(all_rows[name], axis=0)), (case, name)
+        if n_contexts > 1:
+            context = np.hstack([seen[name][0][0] for name in ("ctx", "prev", "mask")])
+            assert len(np.unique(context, axis=0)) == n_contexts
+        if case == "many":
+            assert n_tokens < len(turns) and n_contexts < len(turns)
+
+    # while a graph is recorded, every block multiplies all T rows once,
+    # and each product is part of the graph
+    dialog = domain["train"][0]
+    for calls in seen.values():
+        del calls[:]
+    models.dialog_loss(model, dialog)
+    for calls in seen.values():
+        (rows, out), = calls
+        assert len(rows) == len(dialog) and out.requires_grad
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bow_and_context_rows_equal_the_per_turn_vectors(domain, dtype):
     data = domain["data"]
@@ -380,10 +511,10 @@ def test_empty_dialogs_score_nothing(domain, trained, predict_calls):
 def test_dialog_step_rejects_lengths_that_do_not_split_the_turns(domain, trained):
     model = trained["HCN"]
     turns = domain["dev"][0][:3]
-    vectors = model.encode_turn(turns)[0]
+    inputs = model.dialog_inputs(model.encode_turn(turns)[0], turns)
     for lengths in ([1, 1], [2, 2], [3, 0]):
         with pytest.raises(nn.DimensionError):
-            model.dialog_step(vectors, turns, lengths)
+            model.dialog_step(inputs, lengths)
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))

@@ -131,11 +131,15 @@ def _turn_vectors(model, dialog):
     return model.encode_turn(dialog)[0]
 
 
+def _logits(model, turn_vectors, dialog):
+    return model.dialog_step(model.dialog_inputs(turn_vectors, dialog))
+
+
 def test_all_ones_mask_is_noop():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
     vecs = _turn_vectors(model, dialog)
-    logits = model.dialog_step(vecs, dialog)
+    logits = _logits(model, vecs, dialog)
     # the mask enters only as an input block, never applied to the logits
     blocks = [(model.dlg_w_turn, vecs.data),
               (model.dlg_w_bow, [bow_vector(f, len(VOCAB), model.dtype) for f in dialog]),
@@ -151,7 +155,7 @@ def test_all_ones_mask_is_noop():
 def test_same_turn_different_positions_different_logits():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     features = tiny_turn(VOCAB, ACTIONS, [1, 2], 0)
-    logits = model.dialog_step(_turn_vectors(model, [features] * 2), [features] * 2)
+    logits = _logits(model, _turn_vectors(model, [features] * 2), [features] * 2)
     assert np.abs(logits.data[0] - logits.data[1]).max() > 1e-9
 
 
@@ -160,7 +164,7 @@ def test_zero_weight_model_is_uniform_and_predicts_action_zero():
     for p in model.parameters():
         p.data = np.zeros_like(p.data)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
-    logits = model.dialog_step(_turn_vectors(model, dialog), dialog)
+    logits = _logits(model, _turn_vectors(model, dialog), dialog)
     np.testing.assert_array_equal(logits.data, np.zeros((2, ACTIONS.size)))
     loss = nn.softmax_ce(logits, [2, 1])
     assert float(loss.data) == pytest.approx(2 * np.log(ACTIONS.size), rel=1e-9)

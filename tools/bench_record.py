@@ -15,8 +15,10 @@ tree on top of that commit.
 The record holds both sides' git sha and dirty flag, the environment
 block, and per workload the seeds both sides ran and, for every metric,
 each side's median and quartiles, the change/parent ratio of each
-seed-matched pair and how many pairs the change won (ties count for
-neither), and the operations each side's runs failed.  Untraced runs
+seed-matched pair and the median of those ratios (pairs whose parent
+value is 0 have no ratio and are left out of it), how many pairs the
+change won (ties count for neither), and the operations each side's runs
+failed.  Untraced runs
 (``--trace 0``) give the end-to-end metrics under ``workloads``; traced
 runs give the per-layer metrics under ``traced``.
 """
@@ -25,6 +27,7 @@ import argparse
 import glob
 import json
 import os
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,12 +78,15 @@ def compare_runs(parent, change):
             continue
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(parent, change)]
+        ratios = [c / p if p else None for p, c in pairs]
+        defined = [r for r in ratios if r is not None]
         metrics[name] = {
             "unit": metric.unit,
             "better": metric.better,
             "parent": _side_summary([p for p, _ in pairs]),
             "change": _side_summary([c for _, c in pairs]),
-            "ratios": [c / p if p else None for p, c in pairs],
+            "ratios": ratios,
+            "median_ratio": statistics.median(defined) if defined else None,
             "wins": sum(1 for p, c in pairs if (c < p if metric.better == "lower" else c > p)),
         }
     return {
