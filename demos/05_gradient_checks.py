@@ -17,7 +17,7 @@ from robusthcn.seeding import stream
 def tiny_domain():
     vocab = Vocabulary(["w%d" % i for i in range(8)])
     actions = ActionSet(templates=("greet", "ask", "reply", "bye"), fallback_action_id=0)
-    ctx = ContextFeatures(slot_types=("s0", "s1"), slot_provided=(1, 0), api_returned=0)
+    ctx = ContextFeatures(slot_provided=(1, 0), api_returned=0)
 
     def turn(tokens, target, prev):
         f_turn = np.asarray(tokens)

@@ -38,5 +38,5 @@ from .corpus import (
 from .evaluation import MetricsRow, evaluate_model, ood_f1, per_utterance_accuracy
 from .models import Model, ModelConfig, dialog_loss, predict_dialog
 from .toy import generate_toy_domain
-from .train import TrainConfig, grid_search, multi_seed_run, train_model, word_dropout
+from .train import GridCell, TrainConfig, grid_search, train_cells, train_model, word_dropout
 from .turndrop import TurnDropoutConfig, apply_turn_dropout, synth_turn

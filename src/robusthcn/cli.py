@@ -222,8 +222,8 @@ def cmd_gridsearch(args):
     lines.append("# config.seed = %d" % base_train.seed)
     _write_text(args.results_out, "\n".join(lines) + "\n")
     print("grid search done: embedding=%d latent=%s td_ratio=%.2f"
-          % (result.best_embedding_size, result.best_latent_size,
-             result.best_turn_dropout_ratio))
+          % (result.model_config.embedding_size, result.model_config.latent_size,
+             result.train_config.turn_dropout_ratio))
     return 0
 
 

@@ -407,7 +407,6 @@ def _is_api_call(turn):
 class ContextFeatures:
     """Binary slot-provided indicators plus the api-results indicator."""
 
-    slot_types: tuple
     slot_provided: tuple
     api_returned: int
 
@@ -465,7 +464,6 @@ def featurize_dialog(dialog, vocab, action_set, lexicon):
             f_turn=f_turn,
             bow_indices=np.unique(f_turn),
             f_ctx=ContextFeatures(
-                slot_types=lexicon.slot_types,
                 slot_provided=tuple(int(s in provided) for s in lexicon.slot_types),
                 api_returned=api_returned,
             ),

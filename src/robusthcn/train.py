@@ -1,4 +1,4 @@
-"""Training loop, word dropout, early stopping, grid search, multi-seed runs.
+"""Training loop, word dropout, early stopping, one runner for grid search and seed sweeps.
 
 Training data must be the clean in-domain corpus; robustness to OOD input
 comes from turn dropout, not from OOD examples.  One dialog is one
@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 
 import numpy as np
 
@@ -210,23 +211,27 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
 @dataclass
 class GridCell:
     stage: int
-    embedding_size: int
-    latent_size: int | None
-    turn_dropout_ratio: float
-    dev_acc: float
-    best_epoch: int
-    n_epochs: int
+    model_config: ModelConfig
+    train_config: TrainConfig
+    history: TrainHistory
     seconds: float
-    history: TrainHistory | None = None
+
+    @property
+    def dev_acc(self):
+        return self.history.best_dev_acc
+
+    @property
+    def n_epochs(self):
+        return len(self.history.epochs)
 
     def to_line(self):
         return "%d\t%d\t%s\t%.4f\t%.6f\t%d\t%d\t%.3f" % (
             self.stage,
-            self.embedding_size,
-            "-" if self.latent_size is None else self.latent_size,
-            self.turn_dropout_ratio,
+            self.model_config.embedding_size,
+            "-" if self.model_config.latent_size is None else self.model_config.latent_size,
+            self.train_config.turn_dropout_ratio,
             self.dev_acc,
-            self.best_epoch,
+            self.history.best_epoch,
             self.n_epochs,
             self.seconds,
         )
@@ -235,46 +240,45 @@ class GridCell:
 @dataclass
 class GridSearchResult:
     cells: list
-    best_embedding_size: int
-    best_latent_size: int | None
-    best_turn_dropout_ratio: float
     model_config: ModelConfig
     train_config: TrainConfig
 
     def to_lines(self):
         lines = ["stage\tembedding\tlatent\ttd_ratio\tdev_acc\tbest_epoch\tepochs\tseconds"]
         lines.extend(cell.to_line() for cell in self.cells)
-        lines.append("# best_embedding_size = %d" % self.best_embedding_size)
-        lines.append("# best_latent_size = %s" % (self.best_latent_size,))
-        lines.append("# best_turn_dropout_ratio = %.4f" % self.best_turn_dropout_ratio)
+        lines.append("# best_embedding_size = %d" % self.model_config.embedding_size)
+        lines.append("# best_latent_size = %s" % (self.model_config.latent_size,))
+        lines.append("# best_turn_dropout_ratio = %.4f" % self.train_config.turn_dropout_ratio)
         return lines
 
 
-def _run_grid_cell(args):
-    (variant, emb, latent, ratio, stage, base_model_cfg, base_train_cfg,
-     train_dialogs, dev_dialogs, vocab, action_set, n_context, dtype) = args
-    model_cfg = dc_replace(base_model_cfg, variant=variant, embedding_size=emb,
-                           latent_size=latent)
-    train_cfg = dc_replace(base_train_cfg, turn_dropout_ratio=ratio)
+def _train_cell(stage, data, configs):
+    model_config, train_config = configs
     started = time.perf_counter()
-    _, history = train_model(model_cfg, train_cfg, train_dialogs, dev_dialogs,
-                             vocab, action_set, n_context, dtype=dtype)
-    return GridCell(
-        stage=stage,
-        embedding_size=emb,
-        latent_size=latent,
-        turn_dropout_ratio=ratio,
-        dev_acc=history.best_dev_acc,
-        best_epoch=history.best_epoch,
-        n_epochs=len(history.epochs),
-        seconds=time.perf_counter() - started,
-        history=history,
-    )
+    _, history = train_model(model_config, train_config, *data)
+    return GridCell(stage, model_config, train_config, history, time.perf_counter() - started)
+
+
+def train_cells(configs, train_dialogs, dev_dialogs, vocab, action_set, n_context,
+                stage=0, jobs=1):
+    """Train each (ModelConfig, TrainConfig) pair of ``configs`` on one dataset.
+
+    Returns a GridCell labelled ``stage`` per pair, in input order; ``jobs`` > 1
+    trains them in a pool of that many processes.  A seed sweep is one call
+    whose TrainConfigs differ only in ``seed``.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %r" % (jobs,))
+    run = partial(_train_cell, stage, (train_dialogs, dev_dialogs, vocab, action_set, n_context))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, configs))
+    return [run(pair) for pair in configs]
 
 
 def grid_search(variant, stage1_grid, stage2_grid, train_dialogs, dev_dialogs, vocab,
                 action_set, n_context, base_model_config=None, base_train_config=None,
-                jobs=1, dtype=np.float32):
+                jobs=1):
     """Two-stage hyperparameter search on dev accuracy.
 
     Stage 1 fixes the embedding size (and latent size) with turn dropout
@@ -286,84 +290,20 @@ def grid_search(variant, stage1_grid, stage2_grid, train_dialogs, dev_dialogs, v
         raise ValueError("grids must be non-empty")
     base_model_cfg = base_model_config or ModelConfig(variant)
     base_train_cfg = base_train_config or TrainConfig()
+    data = (train_dialogs, dev_dialogs, vocab, action_set, n_context)
 
-    def run_cells(specs):
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_run_grid_cell, specs))
-        return [_run_grid_cell(spec) for spec in specs]
+    stage1 = train_cells(
+        [(dc_replace(base_model_cfg, variant=variant, embedding_size=emb, latent_size=latent),
+          dc_replace(base_train_cfg, turn_dropout_ratio=0.0))
+         for emb, latent in stage1_grid],
+        *data, stage=1, jobs=jobs)
+    best1 = min(stage1, key=lambda c: (-c.dev_acc, c.model_config.embedding_size,
+                                       c.model_config.latent_size or 0))
 
-    stage1_specs = [
-        (variant, emb, latent, 0.0, 1, base_model_cfg, base_train_cfg,
-         train_dialogs, dev_dialogs, vocab, action_set, n_context, dtype)
-        for emb, latent in stage1_grid
-    ]
-    cells = run_cells(stage1_specs)
-    best1 = min(cells, key=lambda c: (-c.dev_acc, c.embedding_size, c.latent_size or 0))
-
-    stage2_specs = [
-        (variant, best1.embedding_size, best1.latent_size, float(ratio), 2,
-         base_model_cfg, base_train_cfg, train_dialogs, dev_dialogs, vocab,
-         action_set, n_context, dtype)
-        for ratio in stage2_grid
-    ]
-    stage2_cells = run_cells(stage2_specs)
-    cells.extend(stage2_cells)
-    best2 = min(stage2_cells, key=lambda c: (-c.dev_acc, c.turn_dropout_ratio))
-
-    model_config = dc_replace(base_model_cfg, variant=variant,
-                              embedding_size=best1.embedding_size,
-                              latent_size=best1.latent_size)
-    train_config = dc_replace(base_train_cfg, turn_dropout_ratio=best2.turn_dropout_ratio)
-    return GridSearchResult(
-        cells=cells,
-        best_embedding_size=best1.embedding_size,
-        best_latent_size=best1.latent_size,
-        best_turn_dropout_ratio=best2.turn_dropout_ratio,
-        model_config=model_config,
-        train_config=train_config,
-    )
-
-
-@dataclass
-class SeedRun:
-    seed: int
-    dev_acc: float
-    metrics: object
-
-
-@dataclass
-class MultiSeedResult:
-    runs: list
-
-    @property
-    def mean_dev_acc(self):
-        return float(np.mean([r.dev_acc for r in self.runs]))
-
-    def mean_metric(self, name):
-        values = [getattr(r.metrics, name) for r in self.runs]
-        if any(v is None for v in values):
-            return None
-        return float(np.mean(values))
-
-
-def multi_seed_run(model_config, train_config, train_dialogs, dev_dialogs, vocab, action_set,
-                   n_context, n=3, evaluate=None, dtype=np.float32, seeds=None):
-    """Train n models with consecutive seeds and average the metrics.
-
-    VHCN scores are stochastic across seeds, so its headline numbers are
-    means over runs.  ``evaluate`` maps a trained model to a metrics
-    object; pass ``seeds`` to pin the exact seed list.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seeds is None:
-        seeds = [train_config.seed + i for i in range(n)]
-    runs = []
-    for seed in seeds:
-        cfg = dc_replace(train_config, seed=seed)
-        model, history = train_model(model_config, cfg, train_dialogs, dev_dialogs,
-                                     vocab, action_set, n_context, dtype=dtype)
-        metrics = evaluate(model) if evaluate is not None else None
-        runs.append(SeedRun(seed=seed, dev_acc=history.best_dev_acc, metrics=metrics))
-    return MultiSeedResult(runs=runs)
+    stage2 = train_cells(
+        [(best1.model_config, dc_replace(base_train_cfg, turn_dropout_ratio=float(ratio)))
+         for ratio in stage2_grid],
+        *data, stage=2, jobs=jobs)
+    best2 = min(stage2, key=lambda c: (-c.dev_acc, c.train_config.turn_dropout_ratio))
+    return GridSearchResult(cells=stage1 + stage2, model_config=best2.model_config,
+                            train_config=best2.train_config)

@@ -171,6 +171,28 @@ def test_gridsearch_cli(toy_files, tmp_path):
     assert len(lines) == 1 + 3  # header + one stage-1 cell + two stage-2 cells
 
 
+def _without_seconds(results):
+    """The result file's lines with each cell row's trailing seconds column cut off."""
+    return [line if line.startswith("#") else line.rsplit("\t", 1)[0]
+            for line in results.read_text().splitlines()]
+
+
+def test_gridsearch_pool_writes_the_serial_result_file(toy_files, tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        results = tmp_path / ("grid-jobs%s.tsv" % jobs)
+        code = _run("gridsearch", "--variant", "VHCN", *_domain_flags(toy_files),
+                    "--stage1-grid", "8:2,12:3", "--stage2-grid", "0.2,0.4",
+                    "--max-epochs", "2", "--seed", "4", "--jobs", jobs,
+                    "--results-out", str(results))
+        assert code == 0
+        outputs.append((_without_seconds(results), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    lines = outputs[0][0]
+    assert len(lines) == 1 + 4 + 4  # header, two cells per stage, three best_* lines and seed
+    assert [line.split("\t")[0] for line in lines[1:5]] == ["1", "1", "2", "2"]
+
+
 def test_pipeline_and_rerun_identical(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

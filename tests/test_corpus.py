@@ -330,7 +330,7 @@ def test_track_context_empty_prefix():
 def test_track_context_price_bit():
     turn = Turn(user_tokens=("i", "want", "something", "cheap"), system_utterance="ok")
     (ctx,) = _context_trace([turn])
-    provided = dict(zip(ctx.slot_types, ctx.slot_provided))
+    provided = dict(zip(LEX.slot_types, ctx.slot_provided))
     assert provided["pricerange"] == 1
     assert sum(ctx.slot_provided) == 1
 
@@ -436,11 +436,7 @@ def _reference_track_context(dialog_prefix, lexicon):
     api_returned = 0
     if last_api is not None:
         api_returned = int(any(len(t.kb_facts) > 0 for t in prefix[last_api + 1 :]))
-    return ContextFeatures(
-        slot_types=lexicon.slot_types,
-        slot_provided=tuple(provided),
-        api_returned=api_returned,
-    )
+    return ContextFeatures(slot_provided=tuple(provided), api_returned=api_returned)
 
 
 def _reference_featurize_turn(turn, prefix, vocab, action_set, lexicon):

@@ -11,7 +11,7 @@ from robusthcn.train import (
     TrainConfig,
     TrainingDiverged,
     grid_search,
-    multi_seed_run,
+    train_cells,
     train_model,
     word_dropout,
 )
@@ -226,9 +226,8 @@ def test_grid_search_single_cell_reduces_to_train_model(toy):
     stage1, stage2 = result.cells
     assert stage1.dev_acc == hist1.best_dev_acc
     assert stage2.dev_acc == hist2.best_dev_acc
-    assert result.best_embedding_size == 16
-    assert result.best_turn_dropout_ratio == 0.3
-    assert result.train_config.turn_dropout_ratio == 0.3
+    assert result.model_config == direct_cfg
+    assert result.train_config == replace(tc, turn_dropout_ratio=0.3)
 
 
 def test_grid_search_tie_breaks_toward_smaller(toy, monkeypatch):
@@ -244,8 +243,11 @@ def test_grid_search_tie_breaks_toward_smaller(toy, monkeypatch):
         train_f, dev_f, vocab, actions, nctx,
         base_train_config=TrainConfig(max_epochs=1),
     )
-    assert result.best_embedding_size == 32
-    assert result.best_turn_dropout_ratio == 0.05
+    assert result.model_config.embedding_size == 32
+    assert result.train_config.turn_dropout_ratio == 0.05
+    assert [c.model_config.embedding_size for c in result.cells[:3]] == [128, 32, 64]
+    assert [c.train_config.turn_dropout_ratio for c in result.cells[3:]] == [0.7, 0.05, 0.4]
+    assert all(c.model_config == result.model_config for c in result.cells[3:])
 
 
 def test_grid_search_default_stage2_grid():
@@ -259,30 +261,47 @@ def test_grid_search_rejects_empty_grids(toy):
         grid_search("HCN", [], [0.1], train_f, dev_f, vocab, actions, nctx)
 
 
-# ---------------------------------------------------------- multi-seed runs
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_an_error(toy, monkeypatch, jobs):
+    domain, vocab, actions, nctx, train_f, dev_f = toy
 
-def test_multi_seed_single_run_matches_train_model(toy):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite jobs=%d" % jobs)
+
+    monkeypatch.setattr(train, "train_model", no_training)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        grid_search("HCN", [(16, None)], [0.1], train_f, dev_f, vocab, actions, nctx, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        train_cells([(ModelConfig("HCN", **SMALL), TrainConfig())], train_f, dev_f, vocab,
+                    actions, nctx, jobs=jobs)
+
+
+# ------------------------------------------------------------- cell runner
+
+def test_train_cells_single_cell_matches_train_model(toy):
     domain, vocab, actions, nctx, train_f, dev_f = toy
     config = ModelConfig("HCN", **SMALL)
     tc = TrainConfig(turn_dropout_ratio=0.0, max_epochs=4, patience=4, seed=11)
-    result = multi_seed_run(config, tc, train_f, dev_f, vocab, actions, nctx, n=1)
+    (cell,) = train_cells([(config, tc)], train_f, dev_f, vocab, actions, nctx)
     _, hist = train_model(config, tc, train_f, dev_f, vocab, actions, nctx)
-    assert len(result.runs) == 1
-    assert result.runs[0].dev_acc == hist.best_dev_acc
-    assert result.mean_dev_acc == hist.best_dev_acc
+    assert (cell.model_config, cell.train_config) == (config, tc)
+    assert cell.history.epochs == hist.epochs
+    assert cell.history.best_epoch == hist.best_epoch
+    assert cell.dev_acc == hist.best_dev_acc
+    assert cell.n_epochs == len(hist.epochs)
 
 
-def test_multi_seed_forced_identical_seeds_zero_variance(toy):
+def test_train_cells_identical_seeds_give_identical_histories(toy):
     domain, vocab, actions, nctx, train_f, dev_f = toy
     config = ModelConfig("HCN", **SMALL)
     tc = TrainConfig(turn_dropout_ratio=0.0, max_epochs=3, patience=3, seed=13)
-    result = multi_seed_run(config, tc, train_f, dev_f, vocab, actions, nctx,
-                            n=3, seeds=[13, 13, 13])
-    accs = [r.dev_acc for r in result.runs]
-    assert np.var(accs) == 0.0
+    cells = train_cells([(config, tc)] * 3, train_f, dev_f, vocab, actions, nctx)
+    assert len(cells) == 3
+    assert all(c.history.epochs == cells[0].history.epochs for c in cells)
+    assert all(c.history.best_epoch == cells[0].history.best_epoch for c in cells)
 
 
-def test_multi_seed_vhcn_runs_differ_across_seeds(toy):
+def test_vhcn_train_losses_differ_across_seeds(toy):
     domain, vocab, actions, nctx, train_f, dev_f = toy
     config = ModelConfig("VHCN", embedding_size=12, latent_size=3,
                          dialog_hidden_size=24, predictor_hidden_size=24)

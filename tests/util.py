@@ -71,8 +71,7 @@ def tiny_turn(vocab, actions, tokens, target, prev=None, ctx_bits=(0, 1), api=0)
     return TurnFeatures(
         f_turn=f_turn,
         bow_indices=np.unique(f_turn),
-        f_ctx=ContextFeatures(slot_types=("s0", "s1"), slot_provided=tuple(ctx_bits),
-                              api_returned=api),
+        f_ctx=ContextFeatures(slot_provided=tuple(ctx_bits), api_returned=api),
         f_mask=np.ones(actions.size, dtype=np.float32),
         prev_action=prev_action,
         target=int(target),
