@@ -3,9 +3,10 @@
 
 Trains the same HCN twice on the clean toy corpus, once without and once
 with turn dropout, evaluates both on the OOD-augmented test split, and
-prints the four-metric comparison.  Expect a few minutes on a laptop CPU:
-the plain model never picks the fallback action on foreign turns, the
-regularized one handles most of them while keeping its in-domain accuracy.
+prints the four-metric comparison; it runs in about 10 s on one CPU core.
+Expect the plain model never to pick the fallback action on foreign turns,
+and the regularized one to handle most of them while keeping its in-domain
+accuracy.
 """
 
 import time

@@ -36,7 +36,7 @@ from .corpus import (
     write_dialogs,
 )
 from .evaluation import MetricsRow, evaluate_model, ood_f1, per_utterance_accuracy
-from .models import Model, ModelConfig, dialog_loss, predict_dialog
+from .models import Model, ModelConfig, dialog_loss, predict_dialog, predict_dialogs
 from .toy import generate_toy_domain
 from .train import GridCell, TrainConfig, grid_search, train_cells, train_model, word_dropout
 from .turndrop import TurnDropoutConfig, apply_turn_dropout, synth_turn

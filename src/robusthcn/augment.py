@@ -119,29 +119,28 @@ def sample_ood_block(
     rng,
     config,
     pool,
-    fallback_id=None,
     fallback_utterance=DEFAULT_FALLBACK_TEMPLATE,
 ):
     """One inserted OOD block: length 1 + Geometric(1 - p_ood_cont).
 
-    Every turn of the block targets the fallback action and is labeled
-    TURN_OOD.
+    Every turn of the block is labeled TURN_OOD and answered with the
+    fallback utterance, which :func:`~robusthcn.corpus.assign_actions`
+    resolves to the fallback action.
     """
     if len(pool.utterances) == 0:
         raise PoolError("cannot sample from an empty OOD pool")
-    turns = [_make_ood_turn(rng, pool, fallback_id, fallback_utterance)]
+    turns = [_make_ood_turn(rng, pool, fallback_utterance)]
     while rng.random() < config.p_ood_cont:
-        turns.append(_make_ood_turn(rng, pool, fallback_id, fallback_utterance))
+        turns.append(_make_ood_turn(rng, pool, fallback_utterance))
     return turns
 
 
-def _make_ood_turn(rng, pool, fallback_id, fallback_utterance):
+def _make_ood_turn(rng, pool, fallback_utterance):
     return Turn(
         user_tokens=_draw_utterance(rng, pool),
         system_utterance=fallback_utterance,
         kb_facts=(),
         ood_label=OodLabel.TURN_OOD,
-        system_action=fallback_id,
     )
 
 
@@ -162,7 +161,6 @@ def augment_dialog(
     rng,
     pool,
     segment_pool,
-    fallback_id=None,
     fallback_utterance=DEFAULT_FALLBACK_TEMPLATE,
 ):
     """Insert OOD blocks and interjections into one dialog.
@@ -174,7 +172,7 @@ def augment_dialog(
     out = []
     for turn in dialog.turns:
         if config.p_ood_start > 0 and rng.random() < config.p_ood_start:
-            out.extend(sample_ood_block(rng, config, pool, fallback_id, fallback_utterance))
+            out.extend(sample_ood_block(rng, config, pool, fallback_utterance))
             turn = _prefix_interjection(rng, segment_pool, turn)
         elif config.independent_segment_prob > 0 and rng.random() < config.independent_segment_prob:
             turn = _prefix_interjection(rng, segment_pool, turn)
@@ -217,7 +215,6 @@ def augment_corpus(
     config,
     pool,
     segment_pool,
-    fallback_id=None,
     fallback_utterance=DEFAULT_FALLBACK_TEMPLATE,
 ):
     """Augment every dialog with a per-dialog derived random stream.
@@ -229,9 +226,7 @@ def augment_corpus(
     stats = AugmentStats()
     for dialog in dialogs:
         rng = stream(config.seed, "augment", dialog.id)
-        augmented = augment_dialog(
-            dialog, config, rng, pool, segment_pool, fallback_id, fallback_utterance
-        )
+        augmented = augment_dialog(dialog, config, rng, pool, segment_pool, fallback_utterance)
         out.append(augmented)
         stats.dialogs += 1
         stats.original_turns += len(dialog.turns)

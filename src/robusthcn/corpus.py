@@ -516,14 +516,15 @@ class EmbeddingFileError(ValueError):
         self.line_no = line_no
 
 
-def load_embedding_table(path, vocab, seed=0, scale=0.1):
+def load_embedding_table(path, vocab, seed=0):
     """Read an embedding file as a (V, d) float32 array aligned with ``vocab``.
 
     The file is a header ``V d`` and then V lines of a token and d
     numbers.  Tokens missing from the file get deterministic random
-    vectors; file tokens outside the vocabulary are ignored.  A malformed
-    header or row, a value that is not a number or not finite in float32,
-    or a row count other than V raises :class:`EmbeddingFileError`.
+    vectors, drawn per token from N(0, 0.1^2); file tokens outside the
+    vocabulary are ignored.  A malformed header or row, a value that is
+    not a number or not finite in float32, or a row count other than V
+    raises :class:`EmbeddingFileError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -556,5 +557,5 @@ def load_embedding_table(path, vocab, seed=0, scale=0.1):
         if tok in by_token:
             rows.append(by_token[tok])
         else:
-            rows.append(stream(seed, "embedding", tok).normal(0.0, scale, dim).astype(np.float32))
+            rows.append(stream(seed, "embedding", tok).normal(0.0, 0.1, dim).astype(np.float32))
     return np.stack(rows)

@@ -8,7 +8,7 @@ OOD turn, so it measures the model as a conventional OOD detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .corpus import OodLabel
@@ -39,6 +39,8 @@ class MetricsRow:
     n_ood: int
 
     def to_kv(self, prefix=""):
+        """One ``key = value`` line per field, in declaration order."""
+
         def fmt(v):
             if v is None:
                 return "absent"
@@ -48,12 +50,7 @@ class MetricsRow:
                 return "%.6f" % v
             return str(v)
 
-        keys = (
-            "overall_acc", "seg_ood_acc", "ood_acc", "ood_precision",
-            "ood_recall", "ood_f1", "f1_degenerate", "n_turns", "n_ind",
-            "n_segment", "n_ood",
-        )
-        return ["%s%s = %s" % (prefix, k, fmt(getattr(self, k))) for k in keys]
+        return ["%s%s = %s" % (prefix, f.name, fmt(getattr(self, f.name))) for f in fields(self)]
 
 
 def per_utterance_accuracy(predictions, golds, labels=None, subset="all"):

@@ -26,24 +26,23 @@ input block is one product over all T turns, ``dialog_step`` runs the
 same LSTM op over the summed rows, returning every step's hidden state,
 and the predictor and the loss see (T, .) matrices.
 
-Training takes one dialog per step.  Inference (evaluation and the
-per-epoch dev accuracy) encodes every distinct turn of a
-``predict_dialogs`` call once: without a graph a turn's vector depends on
-its tokens alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's
-posterior mean), and user turns repeat heavily.  HCN encodes the distinct
-turns in one call.  HHCN and VHCN sort them by token count and run the
-turn LSTM over sub-chunks of at most ``INFER_CHUNK_TOKENS`` (512) tokens,
-so the turns of a sub-chunk run nearly the same number of steps
-(sequence bucketing); without a graph, the turn LSTM's input projection
-is computed once per distinct token of a sub-chunk.  The call then
-projects the token half once per distinct turn and the context half once
-per distinct (context, previous action, mask) row.  The dialog level
-packs whole dialogs into chunks of at most ``INFER_CHUNK_TURNS`` (256)
-turns, gathers each chunk's input rows from the two tables, adds them in
-the order training does, and runs the dialog LSTM once over the chunk's
-dialogs as packed sequences.  The predictions equal those of one dialog
-at a time, though the logits may differ in the last bits, since a
-product over more rows need not round like a smaller one.
+Training takes one dialog per step.  Dialogs are scored by
+``predict_dialogs`` (evaluation and the per-epoch dev accuracy), which
+encodes every distinct turn of the call once: without a graph a turn's
+vector depends on its tokens alone (HCN's frozen mean, HHCN's last LSTM
+state, VHCN's posterior mean), and user turns repeat heavily.  It sorts
+them by token count and encodes them in sub-chunks of at most
+``INFER_CHUNK_TOKENS`` (512) tokens, so the turn LSTM runs nearly the same
+number of steps for each turn of a sub-chunk (sequence bucketing) and
+projects each distinct token of a sub-chunk once.  It projects the token
+half once per distinct turn and the context half once per distinct
+(context, previous action, mask) row, packs whole dialogs into chunks of
+at most ``INFER_CHUNK_TURNS`` (256) turns, and adds each chunk's rows from
+the two tables in the order training does.  ``predict_dialog`` then runs
+the dialog LSTM over the chunk's dialogs as packed sequences, the
+predictor and argmax.  The predictions equal those of one dialog at a
+time, though the logits may differ in the last bits: a product over other
+rows need not round the same.
 """
 
 from __future__ import annotations
@@ -72,9 +71,9 @@ DEFAULT_LATENT_SIZE = 8
 # chunks pack the dialog level better, but at 1024 turns peak memory grew
 # by a tenth on long augmented dialogs.
 INFER_CHUNK_TURNS = 256
-# The turn LSTM encodes the distinct turns in sub-chunks of at most this
-# many tokens, which keeps its (tokens, 4H) arrays small; HHCN and VHCN run
-# no faster with bigger ones.
+# Inference encodes the distinct turns in sub-chunks of at most this many
+# tokens, which keeps the turn LSTM's (tokens, 4H) arrays small; HHCN and
+# VHCN run no faster with bigger ones.
 INFER_CHUNK_TOKENS = 512
 
 
@@ -125,7 +124,6 @@ class ModelConfig:
 class VaeEncoding:
     mu: nn.Tensor
     sigma: nn.Tensor
-    z: nn.Tensor
 
 
 class Model:
@@ -272,7 +270,7 @@ class Model:
             z = nn.reparameterize(mu, sigma, np.asarray(noise, dtype=self.dtype))
         else:
             z = mu
-        return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
+        return z, VaeEncoding(mu=mu, sigma=sigma)
 
     def token_inputs(self, turn_vectors, turns):
         """The token half of the dialog-level input rows: (turn @ w_turn) + (bow @ w_bow).
@@ -324,9 +322,6 @@ class Model:
         return np.array([f.f_ctx.slot_provided + (f.f_ctx.api_returned,)
                          for f in featurized_dialog], dtype=self.dtype)
 
-    def bow_logits(self, encoding):
-        return self.bow_head(encoding.z)
-
 
 def loss_vhcn(logits, targets, encoding, bow_logits, x_bow):
     """Joint objective: action CE + bag-of-words CE + closed-form KL.
@@ -360,7 +355,7 @@ def dialog_loss(model, featurized_dialog, rng=None):
     logits = model.dialog_step(model.dialog_inputs(turn_vectors, featurized_dialog))
     targets = [features.target for features in featurized_dialog]
     if encoding is not None:
-        total, sums = loss_vhcn(logits, targets, encoding, model.bow_logits(encoding),
+        total, sums = loss_vhcn(logits, targets, encoding, model.bow_head(turn_vectors),
                                 model.bow_rows(featurized_dialog))
     else:
         total = nn.softmax_ce(logits, targets)
@@ -405,27 +400,25 @@ def _infer_turn_vectors(model, turns):
     in input order, and ``row_turns[r]`` a turn whose encoding is
     ``rows[r]``.  Without a graph a turn's vector depends on its tokens
     alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior
-    mean), so each distinct sequence is encoded once.  HCN encodes the
-    distinct turns in one call.  HHCN and VHCN encode them stably sorted
-    by token count, in sub-chunks of at most ``INFER_CHUNK_TOKENS`` tokens
-    (a longer turn is a sub-chunk of its own), and ``rows`` keep that
-    order.
+    mean), so each distinct sequence is encoded once.  The distinct turns
+    are encoded stably sorted by token count, in sub-chunks of at most
+    ``INFER_CHUNK_TOKENS`` tokens (a longer turn is a sub-chunk of its
+    own), and ``rows`` keep that order.  HCN's mean is computed row by row
+    in token order, so its rows do not depend on the sub-chunks.
     """
     distinct, inverse = _distinct(turns, _token_key)
+    lengths = [len(f.f_turn) for f in distinct]
+    order = np.argsort(lengths, kind="stable")
+    bounds, tokens = [0], 0
+    for end, i in enumerate(order.tolist()):
+        if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
+            bounds.append(end)
+            tokens = 0
+        tokens += lengths[i]
+    bounds.append(len(distinct))
+    row_turns = [distinct[i] for i in order]
+    rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)
     with nn.no_grad():
-        if model.config.variant == "HCN":
-            return model.encode_turn(distinct)[0].data, inverse, distinct
-        lengths = [len(f.f_turn) for f in distinct]
-        order = np.argsort(lengths, kind="stable")
-        bounds, tokens = [0], 0
-        for end, i in enumerate(order.tolist()):
-            if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
-                bounds.append(end)
-                tokens = 0
-            tokens += lengths[i]
-        bounds.append(len(distinct))
-        row_turns = [distinct[i] for i in order]
-        rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows[lo:hi] = model.encode_turn(row_turns[lo:hi])[0].data
     rank = np.empty_like(order)
@@ -436,16 +429,19 @@ def _infer_turn_vectors(model, turns):
 def _infer_inputs(model, turns):
     """The no-grad dialog-level input rows of ``turns``, as two tables.
 
-    Returns ``(token, token_of, context, context_of)``: the rows of
-    :meth:`Model.dialog_inputs`, in input order, are
-    ``token[token_of] + context[context_of]``.  Without a graph the token
-    half depends on a turn's tokens alone, so it is projected once per
-    distinct row of :func:`_infer_turn_vectors`; the context half depends
-    on the context, previous action and mask alone, so it is projected
-    once per distinct (context, previous action, mask) row.  One distinct
-    row among several turns is projected at every turn instead, since a
-    one-row product would take numpy's vector path, which rounds
-    differently.
+    Returns ``(token, token_of, context, context_of)``: the turns' input
+    rows, in input order, are ``token[token_of] + context[context_of]``.
+    Without a graph the token half depends on a turn's tokens alone, so it
+    is projected once per distinct row of :func:`_infer_turn_vectors`; the
+    context half depends on the context, previous action and mask alone,
+    so it is projected once per distinct (context, previous action, mask)
+    row.  One distinct row among several turns is projected at every turn
+    instead, since a one-row product would take numpy's vector path, which
+    rounds differently.
+
+    The rows equal :meth:`Model.dialog_inputs` over all the turns to within
+    float32 rounding: from a vocabulary of about 450 words, OpenBLAS can
+    round the bag-of-words product over a few distinct rows differently.
     """
     vectors, token_of, token_turns = _infer_turn_vectors(model, turns)
     context_turns, context_of = _distinct(turns, _context_key)
@@ -458,25 +454,16 @@ def _infer_inputs(model, turns):
                 model.context_inputs(context_turns).data, context_of)
 
 
-def predict_dialog(model, turns, lengths=None, inputs=None):
-    """Greedy argmax actions for the turns of one or more dialogs.
+def predict_dialog(model, inputs, lengths):
+    """Greedy argmax actions from the dialog-level input rows of one or more dialogs.
 
-    ``turns`` and ``lengths`` are as in :meth:`Model.dialog_step`; the
-    result is one action id per turn, a flat list in input order.
-    ``inputs``, one row per turn, are the turns' no-grad dialog-level
-    input rows when the caller has them (:func:`predict_dialogs` does);
-    without them they are built here, through :func:`_infer_inputs`.
-    Only the dialog LSTM and the predictor run here.  Inference is
-    deterministic for every variant (VHCN uses the posterior mean); argmax
-    ties resolve to the lowest action id.
+    ``inputs`` and ``lengths`` are as in :meth:`Model.dialog_step`: the
+    rows the dialog LSTM reads, one per turn, and each dialog's turn
+    count.  Only the dialog LSTM, the predictor and argmax run here; the
+    result is one action id per row, a flat list in input order.  Argmax
+    ties resolve to the lowest action id.  To score featurized dialogs,
+    call :func:`predict_dialogs`.
     """
-    if inputs is not None and len(inputs) != len(turns):
-        raise nn.DimensionError("%d input rows for %d turns" % (len(inputs), len(turns)))
-    if not turns:
-        return []
-    if inputs is None:
-        token, token_of, context, context_of = _infer_inputs(model, turns)
-        inputs = token[token_of] + context[context_of]
     with nn.no_grad():
         logits = model.dialog_step(inputs, lengths)
     return np.argmax(logits.data, axis=1).tolist()
@@ -485,16 +472,18 @@ def predict_dialog(model, turns, lengths=None, inputs=None):
 def predict_dialogs(model, featurized_dialogs):
     """Greedy actions for every turn of a list of dialogs, a flat list in order.
 
-    The dialog-level input rows of all the dialogs' turns are built in one
-    :func:`_infer_inputs` call: each distinct token sequence is encoded
-    and its token half projected once per call, and each distinct
-    (context, previous action, mask) row has its context half projected
-    once.  The dialog level then runs in chunks: whole dialogs go into one
-    ``predict_dialog`` call while it holds at most ``INFER_CHUNK_TURNS``
-    turns (a longer dialog is a call of its own), with the chunk's input
-    rows gathered from the two tables and added.  Empty dialogs add
-    nothing.  The predictions equal those of ``predict_dialog`` on one
-    dialog at a time.
+    This is how dialogs are scored; a turn is flagged OOD when its action
+    is the fallback action.  Inference is deterministic for every variant
+    (VHCN uses the posterior mean).  The dialog-level input rows of all
+    the dialogs' turns are built in one :func:`_infer_inputs` call: each
+    distinct token sequence is encoded and its token half projected once
+    per call, and each distinct (context, previous action, mask) row has
+    its context half projected once.  The dialog level then runs in
+    chunks: whole dialogs go into one :func:`predict_dialog` call while it
+    holds at most ``INFER_CHUNK_TURNS`` turns (a longer dialog is a call
+    of its own), with the chunk's input rows gathered from the two tables
+    and added.  Empty dialogs add nothing.  The predictions equal those of
+    one dialog at a time.
     """
     dialogs = [dialog for dialog in featurized_dialogs if dialog]
     turns = [f for dialog in dialogs for f in dialog]
@@ -503,8 +492,7 @@ def predict_dialogs(model, featurized_dialogs):
     token, token_of, context, context_of = _infer_inputs(model, turns)
 
     def score(lo, hi, lengths):
-        inputs = token[token_of[lo:hi]] + context[context_of[lo:hi]]
-        return predict_dialog(model, turns[lo:hi], lengths, inputs)
+        return predict_dialog(model, token[token_of[lo:hi]] + context[context_of[lo:hi]], lengths)
 
     predictions, lengths, lo, hi = [], [], 0, 0
     for dialog in dialogs:
@@ -685,10 +673,10 @@ def load_checkpoint(path):
     )
 
 
-def model_from_checkpoint(loaded, dtype=np.float32):
-    """Rebuild a model from a loaded checkpoint (exact parameter values)."""
+def model_from_checkpoint(loaded):
+    """Rebuild a float32 model from a loaded checkpoint (exact parameter values)."""
     return Model(loaded.config, loaded.vocab, loaded.action_set, loaded.n_context,
-                 dtype=dtype, arrays=loaded.arrays)
+                 arrays=loaded.arrays)
 
 
 def check_compatible(model, vocab, action_set):

@@ -94,14 +94,14 @@ class TrainHistory:
         return lines
 
 
-def word_dropout(tokens, p, rng, unk_index=UNK_INDEX):
+def word_dropout(tokens, p, rng):
     """Each token independently becomes UNK with probability p (train only)."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be in [0, 1]")
     if p == 0.0:
         return tokens
     out = np.array(tokens, copy=True)
-    out[rng.random(len(out)) < p] = unk_index
+    out[rng.random(len(out)) < p] = UNK_INDEX
     return out
 
 
@@ -112,7 +112,7 @@ def _dev_accuracy(model, dev_dialogs):
 
 
 def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, action_set,
-                n_context, embedding_table=None, dtype=np.float32):
+                n_context, embedding_table=None):
     """Train one model; returns (model restored to its best dev epoch, history).
 
     Dev accuracy is the selection signal.  When turn dropout is on and
@@ -129,7 +129,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
     fallback_id = action_set.fallback_action_id
 
     model = Model(model_config, vocab, action_set, n_context,
-                  rng=stream(seed, "init"), dtype=dtype, embedding_table=embedding_table)
+                  rng=stream(seed, "init"), embedding_table=embedding_table)
     optimizer = nn.Adam(model.parameters(), learning_rate=cfg.learning_rate)
     draws_noise = model_config.variant == "VHCN"  # HCN and HHCN read no latent noise
 
@@ -285,15 +285,19 @@ def grid_search(variant, stage1_grid, stage2_grid, train_dialogs, dev_dialogs, v
     off; stage 2 sweeps the turn-dropout ratio holding the stage-1 pick.
     Ties break toward the smaller value.  ``stage1_grid`` is a list of
     (embedding_size, latent_size) pairs, latent None except for VHCN.
+    ``base_model_config``, when given, must be of ``variant``.
     """
     if not stage1_grid or not stage2_grid:
         raise ValueError("grids must be non-empty")
     base_model_cfg = base_model_config or ModelConfig(variant)
+    if base_model_cfg.variant != variant:
+        raise ValueError("base_model_config is %s, but the grid search is for %s"
+                         % (base_model_cfg.variant, variant))
     base_train_cfg = base_train_config or TrainConfig()
     data = (train_dialogs, dev_dialogs, vocab, action_set, n_context)
 
     stage1 = train_cells(
-        [(dc_replace(base_model_cfg, variant=variant, embedding_size=emb, latent_size=latent),
+        [(dc_replace(base_model_cfg, embedding_size=emb, latent_size=latent),
           dc_replace(base_train_cfg, turn_dropout_ratio=0.0))
          for emb, latent in stage1_grid],
         *data, stage=1, jobs=jobs)

@@ -123,7 +123,7 @@ def test_criterion_3_augmentation_statistics():
             for i in range(10)
         )
         dialogs = [Dialog(id=i, turns=turns) for i in range(1100)]  # 11000 turns
-        _, stats = augment_corpus(dialogs, config, pool, segments, fallback_id=0)
+        _, stats = augment_corpus(dialogs, config, pool, segments)
         assert stats.original_turns >= 10_000
         assert abs(stats.block_start_rate - 0.2) <= 0.02
         assert abs(stats.mean_block_length - 5.0 / 3.0) <= 0.05
@@ -131,7 +131,7 @@ def test_criterion_3_augmentation_statistics():
         rng = stream(3, "gof")
         n = 100_000
         lengths = np.array(
-            [len(sample_ood_block(rng, config, pool, 0)) for _ in range(n)]
+            [len(sample_ood_block(rng, config, pool)) for _ in range(n)]
         )
         p = config.p_ood_cont
         k_max = 1

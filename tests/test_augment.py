@@ -16,12 +16,10 @@ from robusthcn.augment import (
     parse_labels,
     sample_ood_block,
 )
-from robusthcn.corpus import (Dialog, OodLabel, ParseError, SILENCE_TOKEN, Turn, parse_dialogs,
-                              write_dialogs)
+from robusthcn.corpus import (DEFAULT_FALLBACK_TEMPLATE, Dialog, OodLabel, ParseError,
+                              SILENCE_TOKEN, Turn, parse_dialogs, prepare, write_dialogs)
 from robusthcn.seeding import stream
 from robusthcn.toy import SEGMENT_INTERJECTIONS, generate_foreign_dialogs, generate_toy_domain
-
-FALLBACK_ID = 3
 
 POOL = OodPool(utterances=(("will", "it", "rain"), ("book", "a", "trip"),
                            ("next", "bus", "please")))
@@ -80,16 +78,18 @@ def test_block_length_one_when_cont_zero():
     config = AugmentationConfig(p_ood_start=1.0, p_ood_cont=0.0, seed=0)
     rng = stream(0, "block")
     for _ in range(50):
-        block = sample_ood_block(rng, config, POOL, FALLBACK_ID)
+        block = sample_ood_block(rng, config, POOL)
         assert len(block) == 1
 
 
 def test_block_turns_all_fallback_turn_ood():
     config = AugmentationConfig(p_ood_start=1.0, p_ood_cont=0.6, seed=0)
     rng = stream(1, "block")
-    block = sample_ood_block(rng, config, POOL, FALLBACK_ID)
+    block = sample_ood_block(rng, config, POOL)
     for turn in block:
-        assert turn.system_action == FALLBACK_ID
+        # the action id is resolved from the utterance, as for every turn
+        assert turn.system_utterance == DEFAULT_FALLBACK_TEMPLATE
+        assert turn.system_action is None
         assert turn.ood_label is OodLabel.TURN_OOD
         assert turn.user_tokens in POOL.utterances
 
@@ -97,7 +97,7 @@ def test_block_turns_all_fallback_turn_ood():
 def test_block_length_geometric_mean():
     config = AugmentationConfig(p_ood_start=1.0, p_ood_cont=0.4, seed=0)
     rng = stream(2, "block")
-    lengths = [len(sample_ood_block(rng, config, POOL, FALLBACK_ID)) for _ in range(100_000)]
+    lengths = [len(sample_ood_block(rng, config, POOL)) for _ in range(100_000)]
     assert np.mean(lengths) == pytest.approx(1.0 / 0.6, abs=0.02)
 
 
@@ -108,7 +108,7 @@ def test_block_length_geometric_goodness_of_fit():
     rng = stream(3, "gof")
     n = 100_000
     lengths = np.array(
-        [len(sample_ood_block(rng, config, POOL, FALLBACK_ID)) for _ in range(n)]
+        [len(sample_ood_block(rng, config, POOL)) for _ in range(n)]
     )
     # bin k = 1..K with a merged tail so every expected count is >= 5
     k_max = 1
@@ -129,7 +129,7 @@ def test_block_length_geometric_goodness_of_fit():
 def test_block_empty_pool_errors():
     config = AugmentationConfig(p_ood_start=1.0, p_ood_cont=0.0, seed=0)
     with pytest.raises(PoolError):
-        sample_ood_block(stream(0, "x"), config, OodPool(utterances=()), FALLBACK_ID)
+        sample_ood_block(stream(0, "x"), config, OodPool(utterances=()))
 
 
 # ---------------------------------------------------------- dialog-level
@@ -137,19 +137,20 @@ def test_block_empty_pool_errors():
 def test_augment_identity_when_p_start_zero():
     dialog = _ind_dialog(6)
     config = AugmentationConfig(p_ood_start=0.0, p_ood_cont=0.5, seed=0)
-    out = augment_dialog(dialog, config, stream(0, "a"), POOL, SEGMENTS, FALLBACK_ID)
+    out = augment_dialog(dialog, config, stream(0, "a"), POOL, SEGMENTS)
     assert out == dialog
 
 
 def test_augment_forced_pattern():
     dialog = _ind_dialog(5)
     config = AugmentationConfig(p_ood_start=1.0, p_ood_cont=0.0, seed=0)
-    out = augment_dialog(dialog, config, stream(1, "a"), POOL, SEGMENTS, FALLBACK_ID)
+    out = augment_dialog(dialog, config, stream(1, "a"), POOL, SEGMENTS)
     assert len(out.turns) == 10
     for i, turn in enumerate(out.turns):
         if i % 2 == 0:
             assert turn.ood_label is OodLabel.TURN_OOD
-            assert turn.system_action == FALLBACK_ID
+            assert turn.system_utterance == DEFAULT_FALLBACK_TEMPLATE
+            assert turn.system_action is None
         else:
             assert turn.ood_label is OodLabel.SEGMENT_OOD
             original = dialog.turns[i // 2]
@@ -162,7 +163,7 @@ def test_augment_forced_pattern():
 def test_augment_monte_carlo_block_rate():
     config = AugmentationConfig(p_ood_start=0.2, p_ood_cont=0.4, seed=0)
     dialogs = [_ind_dialog(10, did=i) for i in range(1200)]  # 12000 original turns
-    out, stats = augment_corpus(dialogs, config, POOL, SEGMENTS, FALLBACK_ID)
+    out, stats = augment_corpus(dialogs, config, POOL, SEGMENTS)
     assert stats.original_turns == 12_000
     assert stats.block_start_rate == pytest.approx(0.2, abs=0.02)
     assert stats.mean_block_length == pytest.approx(5.0 / 3.0, abs=0.05)
@@ -174,7 +175,7 @@ def test_augment_preserves_originals_exactly():
     # stripping inserted turns and interjection prefixes recovers the input
     config = AugmentationConfig(p_ood_start=0.35, p_ood_cont=0.5, seed=7)
     dialogs = [_ind_dialog(8, did=i) for i in range(40)]
-    out, _ = augment_corpus(dialogs, config, POOL, SEGMENTS, FALLBACK_ID)
+    out, _ = augment_corpus(dialogs, config, POOL, SEGMENTS)
     for original, augmented in zip(dialogs, out):
         kept = [t for t in augmented.turns if t.ood_label is not OodLabel.TURN_OOD]
         assert len(kept) == len(original.turns)
@@ -192,14 +193,14 @@ def test_augment_preserves_originals_exactly():
 def test_augment_deterministic_and_order_independent():
     config = AugmentationConfig(p_ood_start=0.3, p_ood_cont=0.4, seed=11)
     dialogs = [_ind_dialog(6, did=i) for i in range(30)]
-    out1, _ = augment_corpus(dialogs, config, POOL, SEGMENTS, FALLBACK_ID)
-    out2, _ = augment_corpus(dialogs, config, POOL, SEGMENTS, FALLBACK_ID)
+    out1, _ = augment_corpus(dialogs, config, POOL, SEGMENTS)
+    out2, _ = augment_corpus(dialogs, config, POOL, SEGMENTS)
     assert write_dialogs(out1) == write_dialogs(out2)
     # streams are keyed by dialog id, so a shuffled corpus gives the exact
     # same per-dialog outputs
     order = stream(0, "shuffle").permutation(len(dialogs))
     shuffled = [dialogs[int(i)] for i in order]
-    out3, _ = augment_corpus(shuffled, config, POOL, SEGMENTS, FALLBACK_ID)
+    out3, _ = augment_corpus(shuffled, config, POOL, SEGMENTS)
     by_id = {d.id: d for d in out3}
     for reference in out1:
         assert by_id[reference.id].turns == reference.turns
@@ -209,7 +210,7 @@ def test_independent_segment_probability():
     config = AugmentationConfig(p_ood_start=0.0, p_ood_cont=0.0, seed=0,
                                 independent_segment_prob=1.0)
     dialog = _ind_dialog(4)
-    out = augment_dialog(dialog, config, stream(5, "seg"), POOL, SEGMENTS, FALLBACK_ID)
+    out = augment_dialog(dialog, config, stream(5, "seg"), POOL, SEGMENTS)
     assert len(out.turns) == 4
     assert all(t.ood_label is OodLabel.SEGMENT_OOD for t in out.turns)
 
@@ -225,6 +226,17 @@ def test_toy_end_to_end_augmentation_has_both_kinds():
     assert stats.segment_turns > 0
     text = write_dialogs(out)
     assert write_dialogs(parse_dialogs(text)) == text
+    # featurization resolves the inserted turns' utterance to the fallback
+    # action, and every other turn to its own
+    data = prepare(domain.lexicon, [domain.train, domain.dev, domain.test],
+                   [foreign, segments.as_dialogs()])
+    targets = [f.target for dialog in data.featurize(out) for f in dialog]
+    expected = [f.target for dialog in data.featurize(domain.test) for f in dialog]
+    fallback = data.action_set.fallback_action_id
+    labels = [t.ood_label for dialog in out for t in dialog.turns]
+    assert [t for t, label in zip(targets, labels) if label is OodLabel.TURN_OOD] == [
+        fallback] * stats.inserted_turns
+    assert [t for t, label in zip(targets, labels) if label is not OodLabel.TURN_OOD] == expected
 
 
 # ---------------------------------------------------------------- labels
@@ -232,7 +244,7 @@ def test_toy_end_to_end_augmentation_has_both_kinds():
 def test_labels_round_trip():
     config = AugmentationConfig(p_ood_start=0.4, p_ood_cont=0.4, seed=3)
     dialogs = [_ind_dialog(5, did=i) for i in range(10)]
-    out, _ = augment_corpus(dialogs, config, POOL, SEGMENTS, FALLBACK_ID)
+    out, _ = augment_corpus(dialogs, config, POOL, SEGMENTS)
     text = labels_text(out)
     labels = parse_labels(text)
     assert set(labels) == {d.id for d in out}

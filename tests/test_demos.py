@@ -9,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04 trains three models for about half a minute and is left to manual runs
 QUICK_DEMOS = ("01_corpus_and_features.py", "02_ood_augmentation.py",
-               "03_turn_dropout.py", "05_gradient_checks.py")
+               "03_turn_dropout.py", "04_train_and_evaluate.py", "05_gradient_checks.py")
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)

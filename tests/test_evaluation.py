@@ -162,6 +162,13 @@ def test_report_round_trip_and_table():
     row = MetricsRow(overall_acc=0.575, seg_ood_acc=0.257, ood_acc=0.754,
                      ood_precision=0.733, ood_recall=0.754, ood_f1=0.743,
                      f1_degenerate=False, n_turns=100, n_ind=60, n_segment=15, n_ood=25)
+    # report.txt holds these lines as written, one per field in this order
+    assert row.to_kv("augmented.") == [
+        "augmented.overall_acc = 0.575000", "augmented.seg_ood_acc = 0.257000",
+        "augmented.ood_acc = 0.754000", "augmented.ood_precision = 0.733000",
+        "augmented.ood_recall = 0.754000", "augmented.ood_f1 = 0.743000",
+        "augmented.f1_degenerate = false", "augmented.n_turns = 100", "augmented.n_ind = 60",
+        "augmented.n_segment = 15", "augmented.n_ood = 25"]
     text = "model = TD-HCN\n" + "\n".join(row.to_kv("augmented.")) + "\n"
     record = parse_report(text)
     assert record["model"] == "TD-HCN"

@@ -17,7 +17,7 @@ from robusthcn.models import (
     load_checkpoint,
     loss_vhcn,
     model_from_checkpoint,
-    predict_dialog,
+    predict_dialogs,
     save_checkpoint,
 )
 from robusthcn.seeding import stream
@@ -168,7 +168,7 @@ def test_zero_weight_model_is_uniform_and_predicts_action_zero():
     np.testing.assert_array_equal(logits.data, np.zeros((2, ACTIONS.size)))
     loss = nn.softmax_ce(logits, [2, 1])
     assert float(loss.data) == pytest.approx(2 * np.log(ACTIONS.size), rel=1e-9)
-    assert predict_dialog(model, dialog) == [0, 0]
+    assert predict_dialogs(model, [dialog]) == [0, 0]
 
 
 def _sig(x):
@@ -187,7 +187,7 @@ def _encode_one_turn(model, features, rng=None):
     sigma = nn.exp(nn.mul(0.5, model.logvar_head(h)))
     z = mu if rng is None else nn.reparameterize(mu, sigma,
                                                  rng.standard_normal(model.config.latent_size))
-    return z, VaeEncoding(mu=mu, sigma=sigma, z=z)
+    return z, VaeEncoding(mu=mu, sigma=sigma)
 
 
 def _per_turn_reference(model, dialog, rng=None):
@@ -257,7 +257,7 @@ def _per_turn_reference(model, dialog, rng=None):
         surrogate = nn.add(surrogate, nn.vsum(nn.mul(vec, dv)))
         if enc is not None:
             x_bow = bow_vector(f, len(model.vocab), np.float64)
-            term = nn.add(nn.bow_sigmoid_ce(model.bow_logits(enc), x_bow),
+            term = nn.add(nn.bow_sigmoid_ce(model.bow_head(vec), x_bow),
                           nn.gaussian_kl(enc.mu, enc.sigma))
             loss += float(term.data) / n
             surrogate = nn.add(surrogate, nn.mul(term, 1.0 / n))
@@ -326,18 +326,18 @@ def test_dialog_pass_matches_per_turn_reference(variant):
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-10, err_msg=name)
         nn.zero_grads(model.parameters())
-        assert predict_dialog(model, dialog) == ref_preds
+        assert predict_dialogs(model, [dialog]) == ref_preds
 
 
 def test_argmax_invariant_to_constant_logit_shift():
     model = tiny_model("HCN", VOCAB, ACTIONS)
     dialog = two_turn_dialog(VOCAB, ACTIONS)
-    preds = predict_dialog(model, dialog)
+    preds = predict_dialogs(model, [dialog])
     shifted = tiny_model("HCN", VOCAB, ACTIONS)
     for p, q in zip(model.parameters(), shifted.parameters()):
         q.data = p.data.copy()
     shifted.pred_out.bias.data = shifted.pred_out.bias.data + 7.5
-    assert predict_dialog(shifted, dialog) == preds
+    assert predict_dialogs(shifted, [dialog]) == preds
 
 
 # ----------------------------------------------------------------- losses
@@ -348,7 +348,7 @@ def test_loss_vhcn_termwise_oracle():
     logits = nn.as_tensor(rng.normal(size=n_actions))
     mu = nn.as_tensor(rng.normal(size=k))
     sigma = nn.as_tensor(np.exp(rng.normal(size=k)))
-    enc = VaeEncoding(mu=mu, sigma=sigma, z=mu)
+    enc = VaeEncoding(mu=mu, sigma=sigma)
     bow_logits = nn.as_tensor(rng.normal(size=n_vocab))
     x_bow = (rng.random(n_vocab) < 0.4).astype(np.float64)
     total, breakdown = loss_vhcn(logits, 2, enc, bow_logits, x_bow)
@@ -365,8 +365,7 @@ def test_loss_vhcn_termwise_oracle():
 
 def test_loss_vhcn_kl_zero_at_prior():
     k = 3
-    enc = VaeEncoding(mu=nn.as_tensor(np.zeros(k)), sigma=nn.as_tensor(np.ones(k)),
-                      z=nn.as_tensor(np.zeros(k)))
+    enc = VaeEncoding(mu=nn.as_tensor(np.zeros(k)), sigma=nn.as_tensor(np.ones(k)))
     total, breakdown = loss_vhcn(nn.as_tensor(np.zeros(2)), 0, enc,
                                  nn.as_tensor(np.zeros(4)), np.zeros(4))
     assert breakdown["kl"] == 0.0
@@ -486,7 +485,7 @@ def test_checkpoint_round_trip(tmp_path, toy_trained):
     for name, p in model.params.items():
         np.testing.assert_array_equal(restored.params[name].data, p.data)
     for dialog in dev_feats:
-        assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
+        assert predict_dialogs(restored, [dialog]) == predict_dialogs(model, [dialog])
 
 
 @pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
@@ -510,7 +509,7 @@ def test_restore_draws_nothing(tmp_path, monkeypatch, toy_trained, variant):
     for name, p in model.params.items():
         assert restored.params[name].trainable == p.trainable
         np.testing.assert_array_equal(restored.params[name].data, p.data)
-    assert predict_dialog(restored, dev_feats[0]) == predict_dialog(model, dev_feats[0])
+    assert predict_dialogs(restored, [dev_feats[0]]) == predict_dialogs(model, [dev_feats[0]])
 
 
 def test_restore_rejects_arrays_that_do_not_fit_the_variant(tmp_path, toy_trained):
@@ -670,7 +669,7 @@ def test_old_format_checkpoint_loads_and_predicts_as_before(tmp_path, toy_traine
             np.testing.assert_array_equal(restored.params[name].data, p.data, err_msg=name)
             assert restored.params[name].data.flags.c_contiguous, name
         for dialog in dev_feats:
-            assert predict_dialog(restored, dialog) == predict_dialog(model, dialog)
+            assert predict_dialogs(restored, [dialog]) == predict_dialogs(model, [dialog])
     _edit_header(path, _edit_one_lexicon_value)
     if version == 1:
         # format 1 has no hash to check an edited lexicon against
@@ -735,6 +734,6 @@ def test_predictions_repeatable_for_all_variants(toy_trained):
         config = model.config
         model = Model(config, vocab, actions, n_context=len(domain.lexicon.slot_types) + 1,
                       rng=stream(3, "repeat", variant), dtype=np.float32)
-        a = [predict_dialog(model, d) for d in dev_feats]
-        b = [predict_dialog(model, d) for d in dev_feats]
+        a = [predict_dialogs(model, [d]) for d in dev_feats]
+        b = [predict_dialogs(model, [d]) for d in dev_feats]
         assert a == b

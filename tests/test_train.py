@@ -3,7 +3,7 @@ import pytest
 
 from robusthcn import nn, train
 from robusthcn.corpus import UNK_INDEX, prepare
-from robusthcn.models import ModelConfig, predict_dialog
+from robusthcn.models import ModelConfig, predict_dialogs
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.train import (
@@ -65,7 +65,7 @@ def test_memorizes_toy_corpus(toy):
     model, history = train_model(config, tc, train_f, train_f, vocab, actions, nctx)
     correct = total = 0
     for dialog in train_f:
-        for pred, features in zip(predict_dialog(model, dialog), dialog):
+        for pred, features in zip(predict_dialogs(model, [dialog]), dialog):
             correct += int(pred == features.target)
             total += 1
     assert correct == total
@@ -96,7 +96,7 @@ def test_early_stopping_restores_best_epoch(toy):
     # model on the dev selection set reproduces the recorded best accuracy
     correct = total = 0
     for dialog in dev_f:
-        for pred, features in zip(predict_dialog(model, dialog), dialog):
+        for pred, features in zip(predict_dialogs(model, [dialog]), dialog):
             correct += int(pred == features.target)
             total += 1
     assert correct / total == pytest.approx(history.epochs[best].dev_acc)
@@ -181,7 +181,7 @@ def test_turn_dropout_mechanism_witness(toy):
         fallback_rate = []
         for dialog in dev_f:
             noisy = apply_turn_dropout(dialog, td, rng, fallback, vocab)
-            for pred in predict_dialog(model, noisy):
+            for pred in predict_dialogs(model, [noisy]):
                 fallback_rate.append(pred == fallback)
         preds[ratio] = np.mean(fallback_rate)
     assert preds[0.0] <= 0.1
@@ -259,6 +259,21 @@ def test_grid_search_rejects_empty_grids(toy):
     domain, vocab, actions, nctx, train_f, dev_f = toy
     with pytest.raises(ValueError):
         grid_search("HCN", [], [0.1], train_f, dev_f, vocab, actions, nctx)
+
+
+@pytest.mark.parametrize("variant, base", [("HCN", ModelConfig("VHCN", latent_size=4)),
+                                           ("VHCN", ModelConfig("HHCN", **SMALL))])
+def test_grid_search_rejects_a_base_model_config_of_another_variant(toy, monkeypatch, variant,
+                                                                    base):
+    domain, vocab, actions, nctx, train_f, dev_f = toy
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a %s base config as %s" % (base.variant, variant))
+
+    monkeypatch.setattr(train, "train_model", no_training)
+    with pytest.raises(ValueError, match="base_model_config is %s" % base.variant):
+        grid_search(variant, [(16, 2 if variant == "VHCN" else None)], [0.1], train_f, dev_f,
+                    vocab, actions, nctx, base_model_config=base)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

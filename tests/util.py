@@ -105,9 +105,9 @@ def read_lexicon_file(path):
         return Lexicon.from_lines(fh.readlines())
 
 
-def random_embedding_table(vocab, dimension, seed, scale=0.1):
+def random_embedding_table(vocab, dimension, seed):
     """A (V, d) float32 table drawn per token, as load_embedding_table fills missing tokens."""
-    return np.stack([stream(seed, "embedding", tok).normal(0.0, scale, dimension)
+    return np.stack([stream(seed, "embedding", tok).normal(0.0, 0.1, dimension)
                      .astype(np.float32) for tok in vocab.itos])
 
 
