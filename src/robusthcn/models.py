@@ -21,20 +21,24 @@ without a graph depends on a turn's tokens alone, and the context half
 (context features, previous action and mask).  No dialog-level input
 depends on the LSTM state, so a dialog runs as one pass with no per-turn
 step: ``encode_turn`` returns the (T, d) turn encodings of the whole
-dialog (the turn LSTM runs once over all turns, packed by length), each
-input block is one product over all T turns, ``dialog_step`` runs the
-same LSTM op over the summed rows, returning every step's hidden state,
-and the predictor and the loss see (T, .) matrices.
+dialog (in training the turn LSTM runs once over all turns, packed by
+length), each input block is one product over all T turns,
+``dialog_step`` runs the same LSTM op over the summed rows, returning
+every step's hidden state, and the predictor and the loss see (T, .)
+matrices.
 
 Training takes one dialog per step.  Dialogs are scored by
 ``predict_dialogs`` (evaluation and the per-epoch dev accuracy), which
 encodes every distinct turn of the call once: without a graph a turn's
 vector depends on its tokens alone (HCN's frozen mean, HHCN's last LSTM
 state, VHCN's posterior mean), and user turns repeat heavily.  It sorts
-them by token count and encodes them in sub-chunks of at most
-``INFER_CHUNK_TOKENS`` (512) tokens, so the turn LSTM runs nearly the same
-number of steps for each turn of a sub-chunk (sequence bucketing) and
-projects each distinct token of a sub-chunk once.  It projects the token
+them lexicographically by token and encodes them in sub-chunks of at most
+``INFER_CHUNK_TOKENS`` (4096) tokens.  User turns also share prefixes
+("i want a ...", "no thanks"), so for HHCN and VHCN the turn LSTM walks
+each sub-chunk's prefix trie: one wide step per level over the distinct
+prefixes of that length, each distinct prefix computed once and each
+distinct token projected once, as radix-tree prefix caching does in LLM
+serving (Zheng et al. 2023, arXiv:2312.07104).  It projects the token
 half once per distinct turn and the context half once per distinct
 (context, previous action, mask) row, packs whole dialogs into chunks of
 at most ``INFER_CHUNK_TURNS`` (256) turns, and adds each chunk's rows from
@@ -72,9 +76,10 @@ DEFAULT_LATENT_SIZE = 8
 # by a tenth on long augmented dialogs.
 INFER_CHUNK_TURNS = 256
 # Inference encodes the distinct turns in sub-chunks of at most this many
-# tokens, which keeps the turn LSTM's (tokens, 4H) arrays small; HHCN and
-# VHCN run no faster with bigger ones.
-INFER_CHUNK_TOKENS = 512
+# tokens, which bounds the turn LSTM's (prefixes, H) state arrays; one
+# sub-chunk holds the distinct turns of a few thousand OOD-augmented toy
+# turns, so their prefix trie is walked once.
+INFER_CHUNK_TOKENS = 4096
 
 
 # header scalars load_checkpoint reads
@@ -228,21 +233,25 @@ class Model:
         """The (T, d) turn vectors of a whole dialog, and VHCN's posterior encoding.
 
         HCN averages each turn's frozen embeddings in numpy, outside the
-        graph, since no gradient reaches them.  HHCN and VHCN project
-        every token of the dialog at once (without a graph, every distinct
-        token once), run the turn LSTM once over the turns as packed
-        sequences of their own lengths, and read each turn's last hidden
-        state.  VHCN samples the latents from ``rng`` when one is given
-        (training: one (T, k) standard-normal draw, the same numbers as T
-        per-turn draws in turn order) and uses the posterior mean otherwise
-        (inference).
+        graph, since no gradient reaches them.  With a graph, HHCN and VHCN
+        project every token of the dialog at once, run the turn LSTM once
+        over the turns as packed sequences of their own lengths, and read
+        each turn's last hidden state.  Without a graph they walk the turn
+        LSTM over the prefix trie of the turns instead (:func:`_prefix_trie`,
+        :func:`nn.lstm_trie`): each distinct prefix is one node, each
+        distinct token is projected once, one wide step runs per level, and
+        a turn's vector is the state at its last node.  VHCN samples the
+        latents from ``rng`` when one is given (training: one (T, k)
+        standard-normal draw, the same numbers as T per-turn draws in turn
+        order) and uses the posterior mean otherwise (inference).  An empty
+        turn raises ``ValueError``.
         """
         cfg = self.config
         lengths = np.array([len(f.f_turn) for f in featurized_dialog])
-        tokens = np.concatenate([f.f_turn for f in featurized_dialog])
+        if lengths.min() < 1:
+            raise ValueError("cannot encode an empty turn")
         if cfg.variant == "HCN":
-            if lengths.min() < 1:
-                raise ValueError("cannot encode an empty turn")
+            tokens = np.concatenate([f.f_turn for f in featurized_dialog])
             # np.add.at sums each turn's rows one at a time in token order,
             # as x.mean(axis=0) does, so each row is that mean bit for bit
             turn_of_token = np.repeat(np.arange(lengths.size), lengths)
@@ -250,17 +259,22 @@ class Model:
             np.add.at(sums, turn_of_token, self.embedding.data[tokens])
             return nn.Tensor(sums / lengths.astype(self.dtype)[:, None]), None
         if nn.grad_enabled():
+            tokens = np.concatenate([f.f_turn for f in featurized_dialog])
             zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
+            hs = nn.lstm(zx, lengths, self.turn_u, self.turn_b)
+            h = nn.gather_rows(hs, np.cumsum(lengths) - 1)
         else:
+            tokens, parents, level_sizes, last = _prefix_trie(
+                [f.f_turn for f in featurized_dialog])
             # one product row per distinct token, each equal to its row of
             # the per-token product bit for bit; a one-row product would
             # take numpy's vector path, which rounds differently
             distinct, inverse = np.unique(tokens, return_inverse=True)
             if distinct.size == 1:
-                distinct, inverse = tokens, slice(None)
-            zx = (self.embedding.data[distinct] @ self.turn_w_input.data)[inverse]
-        hs = nn.lstm(zx, lengths, self.turn_u, self.turn_b)
-        h = nn.gather_rows(hs, np.cumsum(lengths) - 1)
+                distinct, inverse = tokens, np.arange(tokens.size)
+            zx = self.embedding.data[distinct] @ self.turn_w_input.data
+            hs = nn.lstm_trie(zx, inverse, parents, level_sizes, self.turn_u, self.turn_b)
+            h = nn.Tensor(hs[last])
         if cfg.variant == "HHCN":
             return h, None
         mu = self.mu_head(h)
@@ -392,6 +406,45 @@ def _context_key(f):
             f.f_mask.tobytes())
 
 
+def _token_matrix(sequences):
+    """Token sequences as the rows of a -1-padded matrix, their lengths and lexicographic order.
+
+    Padding sorts first, so a sequence sorts before the sequences it is a
+    prefix of, and the sequences that share a prefix are adjacent.
+    """
+    lengths = np.array([len(s) for s in sequences])
+    padded = np.full((lengths.size, lengths.max()), -1, dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(sequences)
+    return padded, lengths, np.lexsort(padded.T[::-1])
+
+
+def _prefix_trie(sequences):
+    """The prefix trie of non-empty token sequences, its nodes numbered level by level.
+
+    Returns ``(tokens, parents, level_sizes, last)``: level d holds
+    ``level_sizes[d]`` nodes, the distinct prefixes of d + 1 tokens, in
+    lexicographic order; node n's last token is ``tokens[n]``; a node below
+    level 0 extends the prefix of node ``parents[n - level_sizes[0]]``; and
+    sequence j ends at node ``last[j]``, so equal sequences share it.
+    """
+    padded, lengths, order = _token_matrix(sequences)
+    padded, lengths = padded[order], lengths[order]
+    # sorted, a sequence shares the nodes of its common prefix with the
+    # one before it and starts one new node at every level after that
+    same = np.cumprod(padded[1:] == padded[:-1], axis=1).sum(axis=1)
+    shared = np.concatenate(([0], np.minimum(same, lengths[1:])))
+    depth = np.arange(padded.shape[1])
+    new = ((depth >= shared[:, None]) & (depth < lengths[:, None])).T
+    # node[d, j]: the level-d node of sorted sequence j, the last one
+    # started at level d by j or a sequence before it
+    node = np.full(new.shape, -1, dtype=np.intp)
+    node[new] = np.arange(np.count_nonzero(new))
+    np.maximum.accumulate(node, axis=1, out=node)
+    last = np.empty_like(order)
+    last[order] = node[lengths - 1, np.arange(lengths.size)]
+    return padded.T[new], node[:-1][new[1:]], new.sum(axis=1), last
+
+
 def _infer_turn_vectors(model, turns):
     """The no-grad encodings of the distinct turns of ``turns``.
 
@@ -401,20 +454,22 @@ def _infer_turn_vectors(model, turns):
     ``rows[r]``.  Without a graph a turn's vector depends on its tokens
     alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior
     mean), so each distinct sequence is encoded once.  The distinct turns
-    are encoded stably sorted by token count, in sub-chunks of at most
+    are sorted lexicographically by token, so turns that share a prefix
+    sit together, and cut in that order into sub-chunks of at most
     ``INFER_CHUNK_TOKENS`` tokens (a longer turn is a sub-chunk of its
-    own), and ``rows`` keep that order.  HCN's mean is computed row by row
-    in token order, so its rows do not depend on the sub-chunks.
+    own).  Each sub-chunk is one :meth:`Model.encode_turn` call, whose turn
+    LSTM walks the sub-chunk's prefix trie, and ``rows`` keep that order.
+    HCN's mean is computed row by row in token order, so its rows do not
+    depend on the sub-chunks.
     """
     distinct, inverse = _distinct(turns, _token_key)
-    lengths = [len(f.f_turn) for f in distinct]
-    order = np.argsort(lengths, kind="stable")
+    _, lengths, order = _token_matrix([f.f_turn for f in distinct])
     bounds, tokens = [0], 0
-    for end, i in enumerate(order.tolist()):
-        if tokens + lengths[i] > INFER_CHUNK_TOKENS and end > bounds[-1]:
+    for end, n in enumerate(lengths[order].tolist()):
+        if tokens + n > INFER_CHUNK_TOKENS and end > bounds[-1]:
             bounds.append(end)
             tokens = 0
-        tokens += lengths[i]
+        tokens += n
     bounds.append(len(distinct))
     row_turns = [distinct[i] for i in order]
     rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)

@@ -4,14 +4,18 @@ This is not a general autodiff system: it supports exactly the shapes the
 models need (vector activations, per-token and per-turn row matrices, 2-D
 weights stored (in, out) so that every forward product is ``rows @ W``,
 scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`)
-serves every recurrence: it runs a batch of variable-length sequences,
-packed row after row, as one graph node with one time loop, returns every
-row's hidden state and has a hand-written backward pass.  Graphs are built
-eagerly; ``backward`` on a scalar loss accumulates gradients into every
-reachable trainable :class:`Parameter`.  Values no gradient can reach,
-such as HCN's frozen turn means, are computed in plain numpy and enter as
-constant tensors.  :func:`vsum` is the one scalar reduction; the models
-never call it, but finite-difference checks reduce their outputs with it.
+serves every recurrence with a graph: it runs a batch of variable-length
+sequences, packed row after row, as one graph node with one time loop,
+returns every row's hidden state and has a hand-written backward pass.
+Without a graph, :func:`lstm_trie` walks the prefix trie of token
+sequences instead, one step per level.  Both run one level loop,
+:func:`_lstm_levels`, which writes every step into preallocated buffers.
+Graphs are built eagerly; ``backward`` on a scalar loss accumulates
+gradients into every reachable trainable :class:`Parameter`.  Values no
+gradient can reach, such as HCN's frozen turn means, are computed in plain
+numpy and enter as constant tensors.  :func:`vsum` is the one scalar
+reduction; the models never call it, but finite-difference checks reduce
+their outputs with it.
 
 Training runs in float32; build the same graphs from float64 leaves to
 make :func:`grad_check` meaningful.
@@ -204,6 +208,82 @@ def vsum(x):
     return _node(x.data.sum(), (x,), backward_fn)
 
 
+def _lstm_levels(zs, u, b, levels, hs, cs, z_rows=None, gates=None, tanh_c=None):
+    """The LSTM recurrence, one level at a time, written into preallocated buffers.
+
+    Level l runs its k_l rows at once, from the states at rows ``prev`` of
+    ``hs`` and ``cs``: ``prev:prev + k_l`` when ``prev`` is an int (the
+    sequence layout of :func:`lstm`), the rows it lists when it is an
+    index array (a trie level of :func:`lstm_trie`, gathered by parent).
+    ``levels`` lists ``(k_l, prev)``.  Output row r reads the input x W at
+    row r of ``zs``, or at row ``z_rows[r]`` when that is given.  ``hs``
+    and ``cs`` lead with zero rows, the state before any step, as many as
+    they have rows beyond the output's, and receive output row r after
+    them.  ``gates`` and ``tanh_c``, when given, keep each output row's
+    gates and tanh(c) for a backward pass.
+
+    A step is ``z = (zx + h_prev U) + b``, ``c = (f * c_prev) + (i * g)`` and
+    ``h = o * tanh(c)``, with no temporary array per step.
+    """
+    hidden = u.shape[0]
+    n0 = len(hs) - sum(k for k, _ in levels)
+    width = max(k for k, _ in levels)
+    dtype = hs.dtype
+    z = np.empty((width, 4 * hidden), dtype=dtype) if gates is None else None
+    x_gather = np.empty((width, 4 * hidden), dtype=dtype) if z_rows is not None else None
+    t = np.empty((width, hidden), dtype=dtype) if tanh_c is None else None
+    ig = np.empty((width, hidden), dtype=dtype)
+    if any(not isinstance(prev, int) for _, prev in levels):
+        h_gather = np.empty((width, hidden), dtype=dtype)
+        c_gather = np.empty((width, hidden), dtype=dtype)
+    # sigmoid(x) = tanh(x / 2) / 2 + 1 / 2, so one tanh gives all four
+    # gates: tanh(z * scale) * scale + shift, with scale and shift 1/2 on
+    # the input, forget and output blocks and 1 and 0 on the candidate.
+    # tanh cannot overflow, and saturated gates come out exactly 0 or 1.
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    shift = np.full(4 * hidden, 0.5, dtype=dtype)
+    scale[2 * hidden:3 * hidden], shift[2 * hidden:3 * hidden] = 1.0, 0.0
+    r = 0
+    for k, prev in levels:
+        if isinstance(prev, int):
+            h_prev, c_prev = hs[prev:prev + k], cs[prev:prev + k]
+        else:
+            h_prev = np.take(hs, prev, axis=0, out=h_gather[:k], mode="clip")
+            c_prev = np.take(cs, prev, axis=0, out=c_gather[:k], mode="clip")
+        gate = z[:k] if gates is None else gates[r:r + k]
+        np.matmul(h_prev, u, out=gate)
+        if z_rows is None:
+            gate += zs[r:r + k]
+        else:
+            gate += np.take(zs, z_rows[r:r + k], axis=0, out=x_gather[:k], mode="clip")
+        gate += b
+        gate *= scale
+        np.tanh(gate, out=gate)
+        gate *= scale
+        gate += shift
+        i, f, g, o = gate.reshape(k, 4, hidden).transpose(1, 0, 2)
+        c, h = cs[n0 + r:n0 + r + k], hs[n0 + r:n0 + r + k]
+        tc = t[:k] if tanh_c is None else tanh_c[r:r + k]
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig[:k])
+        c += ig[:k]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+        r += k
+
+
+def _check_lstm_shapes(zx, w_recurrent, bias):
+    hidden = w_recurrent.shape[0]
+    if (
+        zx.ndim != 2
+        or zx.shape[1] != 4 * hidden
+        or w_recurrent.shape != (hidden, 4 * hidden)
+        or bias.shape != (4 * hidden,)
+    ):
+        raise DimensionError("inconsistent LSTM shapes")
+    return hidden
+
+
 def lstm(zx, lengths, w_recurrent, bias):
     """An LSTM over packed variable-length sequences, as one graph node.
 
@@ -218,20 +298,17 @@ def lstm(zx, lengths, w_recurrent, bias):
     The sequences run in the packed layout of Appleyard et al. (2016):
     sorted by length, longest first and stable, so the sequences still
     running at step t are a prefix of that order and one time loop of
-    max(lengths) steps serves them all.  The backward pass is hand-written
-    BPTT that takes a gradient on every row; the recurrent weight gradient
-    is one product H_prev^T dZ over all steps and rows.  Without a graph
-    to record, no gate history is kept.
+    max(lengths) steps serves them all, each step one level of
+    :func:`_lstm_levels`, which allocates nothing per step.  The backward
+    pass is hand-written BPTT that takes a gradient on every row.  It
+    keeps tanh(c) from the forward pass and computes every gate-derivative
+    factor that does not depend on the carried (dh, dc) once over all rows
+    before its reverse loop; the recurrent weight gradient is one product
+    H_prev^T dZ over all steps and rows.  Without a graph to record, no
+    gate history is kept.
     """
     zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
-    hidden = w_recurrent.data.shape[0]
-    if (
-        zx.data.ndim != 2
-        or zx.data.shape[1] != 4 * hidden
-        or w_recurrent.data.shape != (hidden, 4 * hidden)
-        or bias.data.shape != (4 * hidden,)
-    ):
-        raise DimensionError("inconsistent LSTM shapes")
+    hidden = _check_lstm_shapes(zx.data, w_recurrent.data, bias.data)
     lengths = np.asarray(lengths, dtype=np.int64)
     total = zx.data.shape[0]
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != total:
@@ -257,65 +334,102 @@ def lstm(zx, lengths, w_recurrent, bias):
     record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
     hs = np.zeros((n_seq + total, hidden), dtype=dtype)
     cs = np.zeros((n_seq + total, hidden), dtype=dtype)
-    if record:
-        gates = np.empty((total, 4 * hidden), dtype=dtype)
-    # sigmoid(x) = tanh(x / 2) / 2 + 1 / 2, so one tanh gives all four
-    # gates: tanh(z * scale) * scale + shift, with scale and shift 1/2 on
-    # the input, forget and output blocks and 1 and 0 on the candidate.
-    # tanh cannot overflow, and saturated gates come out exactly 0 or 1.
-    scale = np.full(4 * hidden, 0.5, dtype=dtype)
-    shift = np.full(4 * hidden, 0.5, dtype=dtype)
-    scale[2 * hidden:3 * hidden], shift[2 * hidden:3 * hidden] = 1.0, 0.0
-    for t, k in enumerate(active):
-        p, q = start[t], start[t + 1]
-        r = q - n_seq
-        z = zs[r:r + k] + hs[p:p + k] @ u + b
-        z *= scale
-        gate = gates[r:r + k] if record else z
-        np.tanh(z, out=gate)
-        gate *= scale
-        gate += shift
-        i, f, g, o = gate.reshape(k, 4, hidden).transpose(1, 0, 2)
-        cs[q:q + k] = f * cs[p:p + k] + i * g
-        hs[q:q + k] = o * np.tanh(cs[q:q + k])
+    gates = np.empty((total, 4 * hidden), dtype=dtype) if record else None
+    tanh_c = np.empty((total, hidden), dtype=dtype) if record else None
+    _lstm_levels(zs, u, b, list(zip(active, start)), hs, cs, gates=gates, tanh_c=tanh_c)
     out = np.empty((total, hidden), dtype=dtype)
     out[rows] = hs[n_seq:]
 
     def backward_fn(grad):
         grad = grad[rows]
-        dh = np.zeros((active[-1], hidden), dtype=dtype)
+        # each row's previous state sits at its rank in the step before
+        prev = np.asarray(start)[step] + rank
+        # dz = ((carry * first) * second) * third per gate block, with the
+        # carry dc for the input, forget and candidate blocks and dh for the
+        # output block: di = ((dc * g) * i) * (1 - i), df = ((dc * c_prev) *
+        # f) * (1 - f), dg = ((dc * 1) * i) * (1 - g * g), do = ((dh * tanh c)
+        # * o) * (1 - o); and dc gains (dh * o) * (1 - tanh^2 c)
+        i, f, g, o = gates.reshape(total, 4, hidden).transpose(1, 0, 2)
+        first = np.empty((total, 3, hidden), dtype=dtype)
+        first[:, 0], first[:, 1], first[:, 2] = g, cs[prev], 1.0
+        second = gates.copy()
+        second[:, 2 * hidden:3 * hidden] = i
+        third = 1.0 - gates
+        third[:, 2 * hidden:3 * hidden] = 1.0 - g * g
+        d_tanh = 1.0 - tanh_c * tanh_c
+        # rows past step t's count stay zero: a sequence whose last step
+        # is t joins with nothing carried back
+        dh = np.zeros((n_seq, hidden), dtype=dtype)
         dc = np.zeros_like(dh)
+        carry = np.empty_like(dh)
         dz = np.empty_like(gates)
         for t in range(len(active) - 1, -1, -1):
-            k, p, q = active[t], start[t], start[t + 1]
-            r = q - n_seq
-            if k > len(dh):
-                # sequences whose last step is t join with nothing carried back
-                pad = np.zeros((k - len(dh), hidden), dtype=dtype)
-                dh, dc = np.concatenate((dh, pad)), np.concatenate((dc, pad))
-            dh = grad[r:r + k] + dh
-            i, f, g, o = gates[r:r + k].reshape(k, 4, hidden).transpose(1, 0, 2)
-            tc = np.tanh(cs[q:q + k])
-            dc = dh * o * (1.0 - tc * tc) + dc
-            di, df, dg, do = dz[r:r + k].reshape(k, 4, hidden).transpose(1, 0, 2)
-            di[:] = dc * g * i * (1.0 - i)
-            df[:] = dc * cs[p:p + k] * f * (1.0 - f)
-            dg[:] = dc * i * (1.0 - g * g)
-            do[:] = dh * tc * o * (1.0 - o)
-            dh = dz[r:r + k] @ u.T
-            dc = dc * f
+            k, r = active[t], start[t + 1] - n_seq
+            dzr = dz[r:r + k].reshape(k, 4, hidden)
+            dh[:k] += grad[r:r + k]
+            np.multiply(dh[:k], o[r:r + k], out=carry[:k])
+            carry[:k] *= d_tanh[r:r + k]
+            dc[:k] += carry[:k]
+            np.multiply(dc[:k, None], first[r:r + k], out=dzr[:, :3])
+            np.multiply(dh[:k], tanh_c[r:r + k], out=dzr[:, 3])
+            dz[r:r + k] *= second[r:r + k]
+            dz[r:r + k] *= third[r:r + k]
+            np.matmul(dz[r:r + k], u.T, out=dh[:k])
+            dc[:k] *= f[r:r + k]
         if zx.requires_grad:
             dzx = np.empty_like(dz)
             dzx[rows] = dz
             _accum(zx, dzx)
         if w_recurrent.requires_grad:
-            # each row's previous state sits at its rank in the step before
-            h_prev = hs[np.asarray(start)[step] + rank]
             # np.dot, not matmul: matmul's (H,1)x(1,4H) path is ~6x slower
-            _accum(w_recurrent, np.dot(h_prev.T, dz))
+            _accum(w_recurrent, np.dot(hs[prev].T, dz))
         _accum(bias, dz.sum(axis=0))
 
     return _node(out, (zx, w_recurrent, bias), backward_fn)
+
+
+def lstm_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
+    """The hidden states of an LSTM walked over a prefix trie, without a graph.
+
+    Node n of the trie is one token prefix, and its input x W (that of its
+    last token) is row ``rows[n]`` of ``zx``, so each distinct token's
+    projection is one row of ``zx``.  The nodes are numbered level by level:
+    level d holds ``level_sizes[d]`` nodes, the distinct prefixes of d + 1
+    tokens.  A level-0 node starts from a zero [h; c]; node n of a deeper
+    level continues the state of node ``parents[n - level_sizes[0]]``.  One
+    step of :func:`_lstm_levels` runs per level over all of its nodes, so
+    each distinct prefix is computed once; the result is every node's
+    hidden state, (N, H), a plain array.  A node takes the steps of its
+    row in :func:`lstm` over any sequence with this prefix, in the same
+    order; only the row counts of the products differ, which BLAS may
+    round differently in the last bits.
+    """
+    zs, u, b = (as_tensor(x).data for x in (zx, w_recurrent, bias))
+    hidden = _check_lstm_shapes(zs, u, b)
+    sizes = [int(k) for k in level_sizes]
+    rows, parents = np.asarray(rows, dtype=np.intp), np.asarray(parents, dtype=np.intp)
+    n = len(rows)
+    if not sizes or min(sizes) < 1 or sum(sizes) != n or len(parents) != n - sizes[0]:
+        raise DimensionError("level sizes %s and %d parents do not fit %d nodes"
+                             % (sizes, len(parents), n))
+    if rows.min() < 0 or rows.max() >= len(zs):
+        raise DimensionError("input rows outside the %d rows of zx" % len(zs))
+    offsets = np.cumsum([0] + sizes)
+    level = np.repeat(np.arange(1, len(sizes)), sizes[1:])
+    if np.any((parents < offsets[level - 1]) | (parents >= offsets[level])):
+        raise DimensionError("a parent is not on the level above its node")
+    # hs and cs lead with level 0's count of zero rows; node n is row
+    # sizes[0] + n, so level 0 reads rows 0:sizes[0] and a deeper node
+    # reads its parent's row
+    prev = np.split(parents + sizes[0], np.cumsum(sizes[1:-1]))
+    levels = [(sizes[0], 0)] + list(zip(sizes[1:], prev))
+    dtype = np.result_type(zs, u, b)
+    hs = np.empty((sizes[0] + n, hidden), dtype=dtype)
+    cs = np.empty_like(hs)
+    hs[:sizes[0]] = 0
+    cs[:sizes[0]] = 0
+    _lstm_levels(zs, u, b, levels, hs, cs, z_rows=rows)
+    return hs[sizes[0]:]
 
 
 def softmax_ce(logits, targets):

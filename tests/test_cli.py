@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import robusthcn
 from robusthcn import cli, train
 from robusthcn.cli import main
 from robusthcn.config import ConfigError, RunConfig
@@ -25,6 +30,16 @@ def test_version_flag(capsys):
     assert _run("--version") == 0
     out = capsys.readouterr().out
     assert "corpus format 1" in out and "checkpoint format 3" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout runs the CLI as `PYTHONPATH=src python -m robusthcn`, no install needed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(robusthcn.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "robusthcn", "--version"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("robusthcn ") and "checkpoint format 3" in done.stdout
 
 
 def test_no_command_prints_help(capsys):

@@ -1,15 +1,16 @@
 """Chunked no-grad inference: one packed pass over several dialogs.
 
 ``predict_dialogs`` encodes each distinct turn of the call once, in
-length-sorted sub-chunks of at most ``INFER_CHUNK_TOKENS`` tokens.  It
-projects the dialog level's token half once per distinct turn and its
-context half once per distinct (context, previous action, mask) row,
-then packs whole dialogs into ``predict_dialog`` calls of at most
-``INFER_CHUNK_TURNS`` turns, each given its turns' input rows.  These
-tests hold it to the per-dialog path and to the all-rows projection on
-trained toy models, and hold every caller to the contract the
-benchmark's inference review counts on: each turn's action comes back
-from ``predict_dialog`` exactly once.
+lexicographically sorted sub-chunks of at most ``INFER_CHUNK_TOKENS``
+tokens, each one walk of the turn LSTM over the sub-chunk's prefix trie
+(one row per distinct prefix).  It projects the dialog level's token
+half once per distinct turn and its context half once per distinct
+(context, previous action, mask) row, then packs whole dialogs into
+``predict_dialog`` calls of at most ``INFER_CHUNK_TURNS`` turns, each
+given its turns' input rows.  These tests hold it to the per-dialog path
+and to the all-rows projection on trained toy models, and hold every
+caller to the contract the benchmark's inference review counts on: each
+turn's action comes back from ``predict_dialog`` exactly once.
 """
 
 import dataclasses
@@ -19,11 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robusthcn import evaluation, models, nn
+from robusthcn import augment, corpus, evaluation, models, nn, toy
 from robusthcn.corpus import prepare
 from robusthcn.evaluation import evaluate_model
 from robusthcn.models import ModelConfig, predict_dialog, predict_dialogs
-from robusthcn.seeding import stream
+from robusthcn.seeding import derive_seed, stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.train import TrainConfig, train_model
 
@@ -132,7 +133,8 @@ def encode_calls(monkeypatch):
 
 
 # (turn budget, token budget): the defaults, and budgets small enough that
-# chunks close on the turn count and sub-chunks split every chunk
+# chunks close on the turn count and the distinct turns split into several
+# sub-chunks
 BUDGETS = [(models.INFER_CHUNK_TURNS, models.INFER_CHUNK_TOKENS), (20, 60)]
 
 
@@ -154,13 +156,15 @@ def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predi
 
     # the whole call encodes each distinct token sequence once, though
     # the corpus repeats turns across chunks, in sub-chunks of at most the
-    # token budget (a longer turn alone), shortest turns first
+    # token budget (a longer turn alone), in lexicographic token order
     encoded = [_key(f) for call in encode_calls for f in call]
     distinct = {_key(f) for d in dialogs for f in d}
     assert sorted(encoded) == sorted(distinct)
     assert len(distinct) < sum(len(d) for d in dialogs)
+    sequences = [f.f_turn.tolist() for call in encode_calls for f in call]
+    assert sequences == sorted(sequences)
     lengths = [len(f.f_turn) for call in encode_calls for f in call]
-    assert lengths == sorted(lengths)
+    assert lengths != sorted(lengths)
     for call in encode_calls:
         assert _tokens(call) <= token_budget or len(call) == 1
     assert (len(encode_calls) > 1) == (sum(lengths) > token_budget)
@@ -213,7 +217,8 @@ def test_sub_chunks_put_turn_vectors_back_in_input_order(domain, trained, encode
     long_turn = dataclasses.replace(dialog[0], f_turn=np.concatenate([f.f_turn for f in dialog]))
     turns = dialog[:3] + [long_turn] + dialog[3:]
     budget = 2 * max(lengths)
-    assert lengths != sorted(lengths) and len(long_turn.f_turn) > budget
+    sequences = [f.f_turn.tolist() for f in turns]
+    assert sequences != sorted(sequences) and len(long_turn.f_turn) > budget
     monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", budget)
     with nn.no_grad():
         vectors = _infer(model, turns)
@@ -339,15 +344,21 @@ def test_predict_dialog_rejects_inputs_of_another_row_count(domain, trained):
 
 
 def _lstm_inputs(monkeypatch):
-    original = nn.lstm
-    seen = []
+    """Records every ``nn.lstm`` call's zx and every ``nn.lstm_trie`` call's (zx, rows)."""
+    lstm, trie = nn.lstm, nn.lstm_trie
+    seen, walked = [], []
 
     def recording(zx, lengths, w_recurrent, bias):
         seen.append(zx)
-        return original(zx, lengths, w_recurrent, bias)
+        return lstm(zx, lengths, w_recurrent, bias)
+
+    def recording_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
+        walked.append((zx, rows))
+        return trie(zx, rows, parents, level_sizes, w_recurrent, bias)
 
     monkeypatch.setattr(nn, "lstm", recording)
-    return seen
+    monkeypatch.setattr(nn, "lstm_trie", recording_trie)
+    return seen, walked
 
 
 @pytest.mark.parametrize("variant", ["HHCN", "VHCN", "HHCN-default"])
@@ -358,27 +369,133 @@ def test_no_grad_projects_each_distinct_token_once(domain, trained, monkeypatch,
     else:
         model = trained[variant]
     dialogs = domain["dev"] + domain["test"]
-    seen = _lstm_inputs(monkeypatch)
+    seen, walked = _lstm_inputs(monkeypatch)
     # many turns, a one-token turn, and two turns of one repeated token
     cases = [[f for d in dialogs for f in d], dialogs[0][:1],
              [dataclasses.replace(dialogs[0][1], f_turn=np.array([5, 5, 5]))] * 2]
     for turns in cases:
         tokens = np.concatenate([f.f_turn for f in turns])
         per_token = model.embedding.data[tokens] @ model.turn_w_input.data
-        del seen[:]
+        del seen[:], walked[:]
         with nn.no_grad():
             model.encode_turn(turns)
-        assert nn.as_tensor(seen[0]).data.tobytes() == per_token.tobytes()
+        # the trie walk reads one product row per distinct token (every
+        # node's token where there is one distinct token), and each node's
+        # row is its token's row of the per-token product bit for bit
+        (zx, rows), = walked
+        assert seen == []
+        node_tokens = models._prefix_trie([f.f_turn for f in turns])[0]
+        n_distinct = len(np.unique(tokens))
+        assert len(zx) == (n_distinct if n_distinct > 1 else len(node_tokens))
+        first = {t: i for i, t in reversed(list(enumerate(tokens.tolist())))}
+        expected = per_token[[first[t] for t in node_tokens.tolist()]]
+        assert np.asarray(zx)[rows].tobytes() == expected.tobytes()
 
         # while a graph is recorded, zx is the product of the gathered
         # per-token rows, so every token's gradient reaches the embedding
-        del seen[:]
+        del seen[:], walked[:]
         model.encode_turn(turns)
         zx = seen[0]
-        assert nn.grad_enabled() and zx.requires_grad
+        assert nn.grad_enabled() and zx.requires_grad and walked == []
         weight, gathered = zx._parents
         assert weight is model.turn_w_input and gathered.data.shape[0] == tokens.size
         np.testing.assert_array_equal(zx.data, per_token)
+
+
+def _prefixes(sequences):
+    return {tuple(s[:d + 1]) for s in sequences for d in range(len(s))}
+
+
+def _level_rows(monkeypatch):
+    """Records the row count of every level of every ``nn`` level loop."""
+    original = nn._lstm_levels
+    levels_seen = []
+
+    def recording(zs, u, b, levels, *args, **kwargs):
+        levels_seen.append([k for k, _ in levels])
+        return original(zs, u, b, levels, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "_lstm_levels", recording)
+    return levels_seen
+
+
+@st.composite
+def _prefix_sharing_turns(draw):
+    """Token sequences over four words that share prefixes.
+
+    Strict prefixes of other turns, equal turns in separate arrays and
+    one-token turns, or else one distinct turn several times.
+    """
+    word = st.integers(2, 5)
+    base = draw(st.lists(st.lists(word, min_size=1, max_size=7), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        turns = [base[0]] * draw(st.integers(1, 4))
+    else:
+        turns = list(base)
+        for seq in draw(st.lists(st.sampled_from(base), max_size=4)):
+            if len(seq) > 1:
+                turns.append(seq[:draw(st.integers(1, len(seq) - 1))])
+        turns += [[t] for t in draw(st.lists(word, max_size=2))]
+        turns += draw(st.lists(st.sampled_from(turns), max_size=4))
+    return draw(st.permutations(turns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences=_prefix_sharing_turns(), variant=st.sampled_from(["HHCN", "VHCN"]))
+def test_no_grad_trie_walk_computes_each_prefix_once(domain, trained, sequences, variant):
+    model = trained[variant]
+    template = domain["dev"][0][0]
+    turns = [dataclasses.replace(template, f_turn=np.array(s, dtype=template.f_turn.dtype))
+             for s in sequences]
+    with pytest.MonkeyPatch.context() as patch:
+        levels_seen = _level_rows(patch)
+        with nn.no_grad():
+            vectors = model.encode_turn(turns)[0].data
+    # one level per token position, one row per distinct prefix of it
+    (levels,), prefixes = levels_seen, _prefixes(sequences)
+    assert levels == [sum(len(p) == d + 1 for p in prefixes) for d in range(len(levels))]
+    assert sum(levels) == len(prefixes)
+    # each row is the turn encoded on its own with a graph (VHCN: the
+    # posterior mean)
+    for f, vector in zip(turns, vectors):
+        alone = model.encode_turn([f])[0]
+        assert alone.requires_grad
+        np.testing.assert_allclose(vector, alone.data[0], rtol=1e-5, atol=1e-6)
+
+
+def _ood_infer_long_turns(seed):
+    """The featurized turns that the benchmark's ``ood_infer_long`` job scores for ``seed``."""
+    domain = generate_toy_domain(seed, 100, 20)
+    dialogs = [corpus.Dialog(id=i, turns=d.turns)
+               for i, d in enumerate(domain.train + domain.dev + domain.test)]
+    pool = augment.load_ood_pool(toy.generate_foreign_dialogs(derive_seed(seed, "foreign")),
+                                 source="ood-pool")
+    config = augment.AugmentationConfig(p_ood_start=0.5, p_ood_cont=0.7,
+                                        seed=derive_seed(seed, "augment"))
+    augmented, _ = augment.augment_corpus(dialogs, config, pool,
+                                          augment.load_segment_pool(toy.segment_pool_text()))
+    parsed = augment.apply_labels(corpus.parse_dialogs(corpus.write_dialogs(augmented)),
+                                  augment.parse_labels(augment.labels_text(augmented)))
+    vocab = corpus.build_vocabulary([parsed])
+    actions = corpus.extract_action_set(parsed, domain.lexicon)
+    return vocab, actions, len(domain.lexicon.slot_types) + 1, [
+        f for d in corpus.assign_actions(parsed, actions, domain.lexicon)
+        for f in corpus.featurize_dialog(d, vocab, actions, domain.lexicon)]
+
+
+def test_ood_infer_long_corpus_walks_one_row_per_distinct_prefix(monkeypatch):
+    # seed 101's 1612 turns hold 427 distinct token sequences of 3656
+    # tokens in all, but only 1816 distinct prefixes; they fit one sub-chunk
+    vocab, actions, n_context, turns = _ood_infer_long_turns(101)
+    model = models.Model(ModelConfig("HHCN"), vocab, actions, n_context)
+    distinct = {_key(f): f.f_turn for f in turns}
+    assert (len(turns), len(distinct)) == (1612, 427)
+    assert sum(len(s) for s in distinct.values()) == 3656 <= models.INFER_CHUNK_TOKENS
+    levels_seen = _level_rows(monkeypatch)
+    models._infer_turn_vectors(model, turns)
+    (levels,) = levels_seen
+    assert sum(levels) == len(_prefixes([s.tolist() for s in distinct.values()])) == 1816
+    assert len(levels) == max(len(s) for s in distinct.values()) == 21
 
 
 def _edge_cases(domain):

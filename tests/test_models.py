@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -86,6 +87,21 @@ def test_hcn_encode_turn_rejects_empty():
     for dialog in ([empty], [empty, turn], [turn, empty]):
         with pytest.raises(ValueError, match="empty turn"):
             model.encode_turn(dialog)
+
+
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no-graph"])
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_encode_turn_rejects_an_empty_turn(variant, graph):
+    # one error in every variant, whether the turn LSTM would run packed
+    # sequences (graph) or walk the prefix trie (no graph)
+    model = tiny_model(variant, VOCAB, ACTIONS)
+    turn, empty = tiny_turn(VOCAB, ACTIONS, [2, 3], 0), tiny_turn(VOCAB, ACTIONS, [], 0)
+    for dialog in ([empty], [empty, turn], [turn, empty, turn]):
+        with contextlib.nullcontext() if graph else nn.no_grad():
+            with pytest.raises(ValueError) as raised:
+                model.encode_turn(dialog)
+        assert raised.type is ValueError
+        assert str(raised.value) == "cannot encode an empty turn"
 
 
 def test_hcn_encoding_permutation_invariant():

@@ -186,6 +186,62 @@ def test_lstm_rejects_bad_shapes():
             nn.lstm(np.zeros((2, 12)), lengths, *_zero_weights(3))
 
 
+def _trie(sequences):
+    """The prefix trie of ``sequences``, built by hand: prefixes level by level, then in order."""
+    prefixes = sorted({tuple(s[:d + 1]) for s in sequences for d in range(len(s))},
+                      key=lambda p: (len(p), p))
+    number = {p: n for n, p in enumerate(prefixes)}
+    sizes = [sum(len(p) == d + 1 for p in prefixes) for d in range(len(prefixes[-1]))]
+    return prefixes, number, sizes, [number[p[:-1]] for p in prefixes[sizes[0]:]]
+
+
+def test_lstm_trie_matches_each_prefix_run_alone():
+    # shared and strict prefixes, a repeated sequence and one-token ones:
+    # every node's state is its prefix run as one sequence
+    rng = stream(8, "lstm-trie")
+    hidden = 4
+    U, b = rng.normal(size=(hidden, 4 * hidden)), rng.normal(size=4 * hidden)
+    table = rng.normal(size=(4, 4 * hidden))  # one input row per token
+    sequences = [[1, 2, 3], [1, 2], [0], [1, 3, 3, 0], [1, 2, 3], [2]]
+    prefixes, number, sizes, parents = _trie(sequences)
+    assert sizes == [3, 2, 2, 1]
+    out = nn.lstm_trie(table, [p[-1] for p in prefixes], parents, sizes, U, b)
+    assert out.shape == (len(prefixes), hidden)
+    for p in prefixes:
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        for token in p:
+            h, c = _lstm_oracle(table[token], h, c, np.eye(4 * hidden), U, b, hidden)
+        np.testing.assert_allclose(out[number[p]], h, rtol=0, atol=1e-12)
+
+    # a trie of one sequence is a chain of one-node levels, the arithmetic
+    # of nn.lstm over that sequence bit for bit
+    args = [x.astype(np.float32) for x in (table, U, b)]
+    chain = [1, 3, 3, 0, 2]
+    walked = nn.lstm_trie(args[0], chain, range(len(chain) - 1), [1] * len(chain), *args[1:])
+    with nn.no_grad():
+        packed = nn.lstm(args[0][chain], [len(chain)], *args[1:]).data
+    assert walked.dtype == np.float32
+    np.testing.assert_array_equal(walked, packed)
+
+
+def test_lstm_trie_rejects_inconsistent_levels():
+    zx = np.zeros((2, 12))
+    assert nn.lstm_trie(zx, [0, 1, 1], [0], [2, 1], *_zero_weights(3)).shape == (3, 3)
+    for rows, parents, sizes in [
+        ([0, 1, 1], [0], [2, 2]),     # level sizes over 4 nodes, 3 rows
+        ([0, 1, 1], [0, 1], [2, 1]),  # two parents for one deeper node
+        ([0, 1, 1], [0], [2, 0, 1]),  # an empty level
+        ([], [], []),                 # no level
+        ([0, 1, 2], [0], [2, 1]),     # an input row outside zx
+        ([0, 1, 1], [2], [2, 1]),     # a node its own parent
+        ([0, 1, 1, 0], [0, 0], [2, 1, 1]),  # a parent two levels up
+    ]:
+        with pytest.raises(nn.DimensionError):
+            nn.lstm_trie(zx, rows, parents, sizes, *_zero_weights(3))
+    with pytest.raises(nn.DimensionError):
+        nn.lstm_trie(np.zeros((2, 8)), [0, 1], [], [2], *_zero_weights(3))
+
+
 @pytest.mark.parametrize("tokens", [[[3]], [[1, 3, 0, 4, 3]], [[1, 3], [0], [4, 3, 2, 2], [0]]])
 def test_grad_check_lstm_sequence(tokens):
     # a different weight on every row's output, as the dialog level reads
