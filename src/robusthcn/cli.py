@@ -26,12 +26,21 @@ class CliError(RuntimeError):
     pass
 
 
-def _read_text(path, flag):
+def _read(read, path, flag):
+    """``read(path)``; a file that cannot be read raises a CliError naming the flag."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return read(path)
     except OSError as exc:
         raise CliError("cannot read %s file %r: %s" % (flag, path, exc.strerror)) from exc
+
+
+def _text(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_text(path, flag):
+    return _read(_text, path, flag)
 
 
 def _write_text(path, text):
@@ -125,9 +134,13 @@ _TRAINING_FLAGS = {
 }
 
 
+def _load_config(args):
+    return RunConfig.parse(_read_text(args.config, "--config")) if args.config else RunConfig()
+
+
 def _training_setup(args):
     """Resolved configuration and featurized train/dev sets for train/gridsearch."""
-    config = RunConfig.load(args.config) if args.config else RunConfig()
+    config = _load_config(args)
     overrides = {key: getattr(args, flag, None) for flag, key in _TRAINING_FLAGS.items()}
     if args.plain_dev_selection:
         overrides["train.dev_turn_dropout"] = False
@@ -151,7 +164,8 @@ def _embedding_table(config, vocab):
     path = config.get("model.embedding_file")
     if not path:
         return None
-    return corpus.load_embedding_table(path, vocab, seed=config.seed_for("train"))
+    return _read(lambda p: corpus.load_embedding_table(p, vocab, seed=config.seed_for("train")),
+                 path, "--embeddings / model.embedding_file")
 
 
 def cmd_train(args):
@@ -237,7 +251,7 @@ def cmd_evaluate(args):
         raise CliError("at least one of --test or --plain-test is required")
     if args.labels is not None and args.test is None:
         raise CliError("--labels requires --test (it labels the --test transcript)")
-    loaded = models.load_checkpoint(args.checkpoint)
+    loaded = _read(models.load_checkpoint, args.checkpoint, "--checkpoint")
     model = models.model_from_checkpoint(loaded)
     data = corpus.Featurizer(loaded.lexicon, loaded.vocab, loaded.action_set)
     lines = ["model = %s" % args.model_name]
@@ -359,7 +373,7 @@ def run_pipeline(config, out_dir):
 
 
 def cmd_pipeline(args):
-    config = RunConfig.load(args.config) if args.config else RunConfig()
+    config = _load_config(args)
     overrides = {
         "run.seed": args.seed,
         "pipeline.out_dir": args.out_dir,

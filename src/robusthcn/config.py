@@ -94,11 +94,6 @@ class RunConfig:
             values[key.strip()] = value.strip()
         return cls(values)
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
-
     def with_overrides(self, overrides):
         merged = dict(self.values)
         out = RunConfig()

@@ -29,16 +29,15 @@ matrices.
 
 Training takes one dialog per step.  Dialogs are scored by
 ``predict_dialogs`` (evaluation and the per-epoch dev accuracy), which
-encodes every distinct turn of the call once: without a graph a turn's
-vector depends on its tokens alone (HCN's frozen mean, HHCN's last LSTM
-state, VHCN's posterior mean), and user turns repeat heavily.  It sorts
-them lexicographically by token and encodes them in sub-chunks of at most
-``INFER_CHUNK_TOKENS`` (4096) tokens.  User turns also share prefixes
-("i want a ...", "no thanks"), so for HHCN and VHCN the turn LSTM walks
-each sub-chunk's prefix trie: one wide step per level over the distinct
-prefixes of that length, each distinct prefix computed once and each
-distinct token projected once, as radix-tree prefix caching does in LLM
-serving (Zheng et al. 2023, arXiv:2312.07104).  It projects the token
+encodes every distinct turn of the call once, in one ``encode_turn``
+call: without a graph a turn's vector depends on its tokens alone (HCN's
+frozen mean, HHCN's last LSTM state, VHCN's posterior mean), and user
+turns repeat heavily.  User turns also share prefixes ("i want a ...",
+"no thanks"), so for HHCN and VHCN that call walks the turn LSTM over the
+prefix trie of the distinct turns: one wide step per level over the
+distinct prefixes of that length, each distinct prefix computed once and
+each distinct token projected once, as radix-tree prefix caching does in
+LLM serving (Zheng et al. 2023, arXiv:2312.07104).  It projects the token
 half once per distinct turn and the context half once per distinct
 (context, previous action, mask) row, packs whole dialogs into chunks of
 at most ``INFER_CHUNK_TURNS`` (256) turns, and adds each chunk's rows from
@@ -75,11 +74,6 @@ DEFAULT_LATENT_SIZE = 8
 # chunks pack the dialog level better, but at 1024 turns peak memory grew
 # by a tenth on long augmented dialogs.
 INFER_CHUNK_TURNS = 256
-# Inference encodes the distinct turns in sub-chunks of at most this many
-# tokens, which bounds the turn LSTM's (prefixes, H) state arrays; one
-# sub-chunk holds the distinct turns of a few thousand OOD-augmented toy
-# turns, so their prefix trie is walked once.
-INFER_CHUNK_TOKENS = 4096
 
 
 # header scalars load_checkpoint reads
@@ -240,7 +234,8 @@ class Model:
         LSTM over the prefix trie of the turns instead (:func:`_prefix_trie`,
         :func:`nn.lstm_trie`): each distinct prefix is one node, each
         distinct token is projected once, one wide step runs per level, and
-        a turn's vector is the state at its last node.  VHCN samples the
+        a turn's vector is the state at its last node, so the rows come back
+        in input order and equal turns get equal rows.  VHCN samples the
         latents from ``rng`` when one is given (training: one (T, k)
         standard-normal draw, the same numbers as T per-turn draws in turn
         order) and uses the posterior mean otherwise (inference).  An empty
@@ -386,15 +381,10 @@ def _distinct(turns, key):
 
     Returns ``(distinct, inverse)``, ``distinct`` in input order.
     """
-    row_of, distinct = {}, []
-    inverse = np.empty(len(turns), dtype=np.intp)
-    for i, f in enumerate(turns):
-        k = key(f)
-        if k not in row_of:
-            row_of[k] = len(distinct)
-            distinct.append(f)
-        inverse[i] = row_of[k]
-    return distinct, inverse
+    first = {}
+    firsts = [first.setdefault(key(f), i) for i, f in enumerate(turns)]
+    index, inverse = np.unique(firsts, return_inverse=True)
+    return [turns[i] for i in index], inverse
 
 
 def _token_key(f):
@@ -406,18 +396,6 @@ def _context_key(f):
             f.f_mask.tobytes())
 
 
-def _token_matrix(sequences):
-    """Token sequences as the rows of a -1-padded matrix, their lengths and lexicographic order.
-
-    Padding sorts first, so a sequence sorts before the sequences it is a
-    prefix of, and the sequences that share a prefix are adjacent.
-    """
-    lengths = np.array([len(s) for s in sequences])
-    padded = np.full((lengths.size, lengths.max()), -1, dtype=np.int64)
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(sequences)
-    return padded, lengths, np.lexsort(padded.T[::-1])
-
-
 def _prefix_trie(sequences):
     """The prefix trie of non-empty token sequences, its nodes numbered level by level.
 
@@ -425,9 +403,15 @@ def _prefix_trie(sequences):
     ``level_sizes[d]`` nodes, the distinct prefixes of d + 1 tokens, in
     lexicographic order; node n's last token is ``tokens[n]``; a node below
     level 0 extends the prefix of node ``parents[n - level_sizes[0]]``; and
-    sequence j ends at node ``last[j]``, so equal sequences share it.
+    sequence j ends at node ``last[j]``, so equal sequences share it,
+    whatever the order of ``sequences``.
     """
-    padded, lengths, order = _token_matrix(sequences)
+    lengths = np.array([len(s) for s in sequences])
+    padded = np.full((lengths.size, lengths.max()), -1, dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.concatenate(sequences)
+    # the padding sorts first, so a sequence sorts before the sequences it
+    # is a prefix of, and the sequences that share a prefix are adjacent
+    order = np.lexsort(padded.T[::-1])
     padded, lengths = padded[order], lengths[order]
     # sorted, a sequence shares the nodes of its common prefix with the
     # one before it and starts one new node at every level after that
@@ -451,34 +435,17 @@ def _infer_turn_vectors(model, turns):
     Returns ``(rows, inverse, row_turns)``: ``rows`` holds one encoding
     per distinct token sequence, ``rows[inverse]`` the (T, d) turn vectors
     in input order, and ``row_turns[r]`` a turn whose encoding is
-    ``rows[r]``.  Without a graph a turn's vector depends on its tokens
-    alone (HCN's frozen mean, HHCN's last LSTM state, VHCN's posterior
-    mean), so each distinct sequence is encoded once.  The distinct turns
-    are sorted lexicographically by token, so turns that share a prefix
-    sit together, and cut in that order into sub-chunks of at most
-    ``INFER_CHUNK_TOKENS`` tokens (a longer turn is a sub-chunk of its
-    own).  Each sub-chunk is one :meth:`Model.encode_turn` call, whose turn
-    LSTM walks the sub-chunk's prefix trie, and ``rows`` keep that order.
-    HCN's mean is computed row by row in token order, so its rows do not
-    depend on the sub-chunks.
+    ``rows[r]``, in order of first occurrence.  Without a graph a turn's
+    vector depends on its tokens alone (HCN's frozen mean, HHCN's last LSTM
+    state, VHCN's posterior mean), so the distinct turns are encoded once,
+    in one :meth:`Model.encode_turn` call.  Its trie walk holds state for
+    every distinct prefix at once, of the same order as the (distinct
+    turns, V) bag-of-words rows and (distinct turns, 4H) token table that
+    :func:`_infer_inputs` builds from the same turns.
     """
     distinct, inverse = _distinct(turns, _token_key)
-    _, lengths, order = _token_matrix([f.f_turn for f in distinct])
-    bounds, tokens = [0], 0
-    for end, n in enumerate(lengths[order].tolist()):
-        if tokens + n > INFER_CHUNK_TOKENS and end > bounds[-1]:
-            bounds.append(end)
-            tokens = 0
-        tokens += n
-    bounds.append(len(distinct))
-    row_turns = [distinct[i] for i in order]
-    rows = np.empty((len(distinct), model.config.turn_vector_size), dtype=model.dtype)
     with nn.no_grad():
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows[lo:hi] = model.encode_turn(row_turns[lo:hi])[0].data
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rows, rank[inverse], row_turns
+        return model.encode_turn(distinct)[0].data, inverse, distinct
 
 
 def _infer_inputs(model, turns):

@@ -81,6 +81,38 @@ def test_missing_input_names_the_flag(tmp_path, capsys):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("case", ["train --config", "gridsearch --config", "pipeline --config",
+                                  "evaluate --checkpoint", "train --embeddings",
+                                  "pipeline model.embedding_file"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_file_names_its_flag(toy_files, tmp_path, capsys, case, kind):
+    bad = str(tmp_path / "nope") if kind == "missing" else str(tmp_path)
+    out = str(tmp_path / "out")
+    argv = {
+        "train --config": ["train", *_domain_flags(toy_files), "--config", bad,
+                           "--out-checkpoint", out],
+        "gridsearch --config": ["gridsearch", *_domain_flags(toy_files), "--config", bad,
+                                "--stage1-grid", "4", "--results-out", out],
+        "pipeline --config": ["pipeline", "--config", bad, "--out-dir", out],
+        "evaluate --checkpoint": ["evaluate", "--checkpoint", bad,
+                                  "--plain-test", str(toy_files / "test.txt"), "--report-out", out],
+        "train --embeddings": ["train", "--variant", "HCN", *_domain_flags(toy_files),
+                               "--embeddings", bad, "--max-epochs", "1", "--out-checkpoint", out],
+        "pipeline model.embedding_file": ["pipeline", "--config", str(tmp_path / "run.cfg"),
+                                          "--out-dir", out],
+    }[case]
+    (tmp_path / "run.cfg").write_text(
+        "model.variant = HCN\nmodel.embedding_file = %s\ntoy.n_dialogs = 24\n"
+        "toy.n_actions = 8\ntrain.max_epochs = 1\n" % bad)
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    out, err = capsys.readouterr()
+    flag = case.split(" ")[1]
+    assert "cannot read " in err and flag in err and repr(bad) in err, err
+    assert "Traceback" not in out + err and "[Errno" not in err
+    assert len(err.strip().split("\n")) == 1 and err.startswith("error: ")
+
+
 def test_train_evaluate_report_chain(toy_files, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     history = tmp_path / "history.txt"

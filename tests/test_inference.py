@@ -1,11 +1,10 @@
 """Chunked no-grad inference: one packed pass over several dialogs.
 
-``predict_dialogs`` encodes each distinct turn of the call once, in
-lexicographically sorted sub-chunks of at most ``INFER_CHUNK_TOKENS``
-tokens, each one walk of the turn LSTM over the sub-chunk's prefix trie
-(one row per distinct prefix).  It projects the dialog level's token
-half once per distinct turn and its context half once per distinct
-(context, previous action, mask) row, then packs whole dialogs into
+``predict_dialogs`` encodes each distinct turn of the call once, in one
+``encode_turn`` call that walks the turn LSTM over the prefix trie of the
+distinct turns (one row per distinct prefix).  It projects the dialog
+level's token half once per distinct turn and its context half once per
+distinct (context, previous action, mask) row, then packs whole dialogs into
 ``predict_dialog`` calls of at most ``INFER_CHUNK_TURNS`` turns, each
 given its turns' input rows.  These tests hold it to the per-dialog path
 and to the all-rows projection on trained toy models, and hold every
@@ -28,7 +27,7 @@ from robusthcn.seeding import derive_seed, stream
 from robusthcn.toy import generate_toy_domain
 from robusthcn.train import TrainConfig, train_model
 
-from util import bow_vector, context_vector, tiny_actions, tiny_turn, tiny_vocab
+from util import bow_vector, context_vector, tiny_actions, tiny_model, tiny_turn, tiny_vocab
 
 CONFIGS = {
     "HCN": ModelConfig("HCN", embedding_size=12, dialog_hidden_size=16, predictor_hidden_size=16),
@@ -57,10 +56,6 @@ def trained(domain):
     return {variant: train_model(config, tc, domain["train"], domain["dev"], data.vocab,
                                  data.action_set, n_context=data.n_context)[0]
             for variant, config in CONFIGS.items()}
-
-
-def _tokens(dialog):
-    return sum(len(f.f_turn) for f in dialog)
 
 
 def _key(features):
@@ -132,43 +127,31 @@ def encode_calls(monkeypatch):
     return calls
 
 
-# (turn budget, token budget): the defaults, and budgets small enough that
-# chunks close on the turn count and the distinct turns split into several
-# sub-chunks
-BUDGETS = [(models.INFER_CHUNK_TURNS, models.INFER_CHUNK_TOKENS), (20, 60)]
+# turn budgets: the default, and one small enough that chunks close on the
+# turn count
+BUDGETS = [models.INFER_CHUNK_TURNS, 20]
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
-@pytest.mark.parametrize("budgets", BUDGETS, ids=[str(tokens) for _, tokens in BUDGETS])
+@pytest.mark.parametrize("turn_budget", BUDGETS, ids=str)
 def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predict_calls,
                                                           encode_calls, monkeypatch, variant,
-                                                          budgets):
+                                                          turn_budget):
     model = trained[variant]
     dialogs = _mixed_dialogs(domain)
     per_dialog = [predict_dialogs(model, [d]) for d in dialogs]
     del predict_calls[:]
     del encode_calls[:]
-    turn_budget, token_budget = budgets
     monkeypatch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
-    monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", token_budget)
 
     assert predict_dialogs(model, dialogs) == [a for preds in per_dialog for a in preds]
 
-    # the whole call encodes each distinct token sequence once, though
-    # the corpus repeats turns across chunks, in sub-chunks of at most the
-    # token budget (a longer turn alone), in lexicographic token order
-    encoded = [_key(f) for call in encode_calls for f in call]
+    # the whole call is one encode_turn call over each distinct token
+    # sequence once, though the corpus repeats turns across chunks
+    (call,) = encode_calls
     distinct = {_key(f) for d in dialogs for f in d}
-    assert sorted(encoded) == sorted(distinct)
+    assert sorted(map(_key, call)) == sorted(distinct)
     assert len(distinct) < sum(len(d) for d in dialogs)
-    sequences = [f.f_turn.tolist() for call in encode_calls for f in call]
-    assert sequences == sorted(sequences)
-    lengths = [len(f.f_turn) for call in encode_calls for f in call]
-    assert lengths != sorted(lengths)
-    for call in encode_calls:
-        assert _tokens(call) <= token_budget or len(call) == 1
-    assert (len(encode_calls) > 1) == (sum(lengths) > token_budget)
-    assert sum(lengths) > 60
 
     # the chunks hold whole dialogs, several where they fit, at most the
     # turn budget unless one dialog is longer, and close only when the
@@ -206,37 +189,6 @@ def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
                   for d in dialogs]
     # a product over more rows need not round like a smaller one
     np.testing.assert_allclose(batched.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
-
-
-@pytest.mark.parametrize("variant", ["HHCN", "VHCN"])
-def test_sub_chunks_put_turn_vectors_back_in_input_order(domain, trained, encode_calls,
-                                                         monkeypatch, variant):
-    model = trained[variant]
-    dialog = domain["dev"][0] + domain["dev"][1]
-    lengths = [len(f.f_turn) for f in dialog]
-    long_turn = dataclasses.replace(dialog[0], f_turn=np.concatenate([f.f_turn for f in dialog]))
-    turns = dialog[:3] + [long_turn] + dialog[3:]
-    budget = 2 * max(lengths)
-    sequences = [f.f_turn.tolist() for f in turns]
-    assert sequences != sorted(sequences) and len(long_turn.f_turn) > budget
-    monkeypatch.setattr(models, "INFER_CHUNK_TOKENS", budget)
-    with nn.no_grad():
-        vectors = _infer(model, turns)
-        position = {id(f): i for i, f in enumerate(turns)}
-        sub_chunks = [[position[id(f)] for f in call] for call in encode_calls]
-        one_by_one = np.concatenate([model.encode_turn([f])[0].data for f in turns])
-    # the long turn is a sub-chunk of its own, and the input positions of
-    # two sub-chunks interleave
-    assert [3] in sub_chunks and len(sub_chunks) >= 3
-    assert any(max(a) > min(b) for a, b in zip(sub_chunks[:-1], sub_chunks[1:]))
-    np.testing.assert_allclose(vectors, one_by_one, rtol=1e-5, atol=1e-6)
-    # the rows differ by more than that, so a row out of place would show
-    gaps = np.abs(one_by_one[:, None] - one_by_one[None]).max(axis=2)
-    distinct_turns = [tuple(f.f_turn) for f in turns]
-    for i in range(len(turns)):
-        for j in range(i):
-            if distinct_turns[i] != distinct_turns[j]:
-                assert gaps[i, j] > 1e-4
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
@@ -324,10 +276,9 @@ def test_predict_dialogs_equals_per_dialog_path_on_random_corpora(domain, traine
     picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=12),
                                max_size=8))
     dialogs = [[pool[i] for i in dialog] for dialog in picks]
-    turn_budget, token_budget = data.draw(st.sampled_from(BUDGETS))
+    turn_budget = data.draw(st.sampled_from(BUDGETS))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
-        patch.setattr(models, "INFER_CHUNK_TOKENS", token_budget)
         for model in trained.values():
             assert predict_dialogs(model, dialogs) == [
                 a for dialog in dialogs for a in predict_dialogs(model, [dialog])]
@@ -485,17 +436,38 @@ def _ood_infer_long_turns(seed):
 
 def test_ood_infer_long_corpus_walks_one_row_per_distinct_prefix(monkeypatch):
     # seed 101's 1612 turns hold 427 distinct token sequences of 3656
-    # tokens in all, but only 1816 distinct prefixes; they fit one sub-chunk
+    # tokens in all, but only 1816 distinct prefixes
     vocab, actions, n_context, turns = _ood_infer_long_turns(101)
     model = models.Model(ModelConfig("HHCN"), vocab, actions, n_context)
     distinct = {_key(f): f.f_turn for f in turns}
     assert (len(turns), len(distinct)) == (1612, 427)
-    assert sum(len(s) for s in distinct.values()) == 3656 <= models.INFER_CHUNK_TOKENS
+    assert sum(len(s) for s in distinct.values()) == 3656
     levels_seen = _level_rows(monkeypatch)
     models._infer_turn_vectors(model, turns)
     (levels,) = levels_seen
     assert sum(levels) == len(_prefixes([s.tolist() for s in distinct.values()])) == 1816
     assert len(levels) == max(len(s) for s in distinct.values()) == 21
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_many_distinct_tokens_are_encoded_in_one_call(encode_calls, variant):
+    # far more distinct-turn tokens than one trie walk over a toy test set
+    # holds, some turns repeated, in dialogs of ten turns
+    vocab, actions = tiny_vocab(40), tiny_actions(6)
+    model = tiny_model(variant, vocab, actions)
+    rng = stream(0, "many-distinct-tokens")
+    sequences = [rng.integers(2, 40, rng.integers(4, 14)) for _ in range(550)]
+    turns = [tiny_turn(vocab, actions, sequences[i % 550], i % 6, prev=(i + 1) % 6,
+                       ctx_bits=(i % 2, i // 2 % 2), api=int(i % 3 == 0))
+             for i in range(600)]
+    dialogs = [turns[i:i + 10] for i in range(0, len(turns), 10)]
+    assert sum(map(len, sequences)) > 4096
+    per_dialog = [a for d in dialogs for a in predict_dialogs(model, [d])]
+    del encode_calls[:]
+    assert predict_dialogs(model, dialogs) == per_dialog
+    (call,) = encode_calls
+    assert sorted(map(_key, call)) == sorted({_key(f) for f in turns})
+    assert len(call) == 550
 
 
 def _edge_cases(domain):
