@@ -254,11 +254,6 @@ def labels_text(dialogs):
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_labels(path, dialogs):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(labels_text(dialogs))
-
-
 def parse_labels(text):
     """Label sidecar -> {dialog_id: [OodLabel, ...]}.
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import __version__, augment as aug, corpus, evaluation, models, toy
-from .config import ConfigError, RunConfig, resolve_training
+from .config import RunConfig, resolve_training
 from .seeding import derive_seed
 from .train import DEFAULT_STAGE2_GRID, TrainingDiverged, grid_search, train_model
 
@@ -27,51 +28,53 @@ class CliError(RuntimeError):
 
 
 def _read(read, path, flag):
-    """``read(path)``; a file that cannot be read raises a CliError naming the flag."""
+    """``read(path)`` for the file behind ``flag``, a flag or a configuration key.
+
+    A file that cannot be opened, is not UTF-8 or breaks its format (every
+    format's own error is a ValueError) raises one CliError naming the
+    flag and the file.
+    """
     try:
         return read(path)
     except OSError as exc:
         raise CliError("cannot read %s file %r: %s" % (flag, path, exc.strerror)) from exc
-
-
-def _text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_text(path, flag):
-    return _read(_text, path, flag)
-
-
-def _write_text(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _parse_file(parse, path, flag):
-    """``parse`` of the file's text; a bad line's error names the flag and file."""
-    text = _read_text(path, flag)
-    try:
-        return parse(text)
-    except corpus.ParseError as exc:
+    except ValueError as exc:
         raise CliError("%s file %r: %s" % (flag, path, exc)) from exc
 
 
+def _text(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _write(write, path):
+    """``write(path)`` after creating the file's directory.
+
+    A write that fails raises one CliError naming the file.
+    """
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise CliError("cannot write %r: %s" % (path, exc.strerror)) from exc
+
+
+def _write_text(path, text):
+    _write(lambda p: Path(p).write_text(text, encoding="utf-8"), path)
+
+
 def _load_dialogs(path, flag):
-    return _parse_file(corpus.parse_dialogs, path, flag)
+    return _read(lambda p: corpus.parse_dialogs(_text(p)), path, flag)
 
 
 def _load_lexicon(path, flag):
-    return _parse_file(lambda text: corpus.Lexicon.from_lines(text.split("\n")), path, flag)
+    return _read(lambda p: corpus.Lexicon.from_lines(_text(p).split("\n")), path, flag)
 
 
 def _write_toy_files(out, domain, foreign):
-    os.makedirs(out, exist_ok=True)
     for name, dialogs in (("train", domain.train), ("dev", domain.dev),
                           ("test", domain.test), ("ood_pool", foreign)):
-        corpus.write_dialog_file(os.path.join(out, name + ".txt"), dialogs)
-    domain.lexicon.to_file(os.path.join(out, "lexicon.txt"))
+        _write_text(os.path.join(out, name + ".txt"), corpus.write_dialogs(dialogs))
+    _write_text(os.path.join(out, "lexicon.txt"), "\n".join(domain.lexicon.to_lines()) + "\n")
     _write_text(os.path.join(out, "segment_pool.txt"), toy.segment_pool_text())
 
 
@@ -89,11 +92,13 @@ def cmd_toy(args):
 def cmd_augment(args):
     dialogs = _load_dialogs(args.input, "--input")
     pools = [
-        aug.load_ood_pool(_load_dialogs(path, "--ood-pool"), source=path)
+        _read(lambda p: aug.load_ood_pool(corpus.parse_dialogs(_text(p)), source=p),
+              path, "--ood-pool")
         for path in args.ood_pool
     ]
     pool = aug.merge_ood_pools(pools)
-    segment_pool = aug.load_segment_pool(_read_text(args.segment_pool, "--segment-pool"))
+    segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)), args.segment_pool,
+                         "--segment-pool")
     config = aug.AugmentationConfig(
         p_ood_start=args.p_start,
         p_ood_cont=args.p_cont,
@@ -103,8 +108,8 @@ def cmd_augment(args):
     augmented, stats = aug.augment_corpus(dialogs, config, pool, segment_pool,
                                           fallback_utterance=args.fallback)
     _write_text(args.output, corpus.write_dialogs(augmented))
-    aug.write_labels(args.output + ".labels" if args.labels_out is None else args.labels_out,
-                     augmented)
+    _write_text(args.output + ".labels" if args.labels_out is None else args.labels_out,
+                aug.labels_text(augmented))
     if args.stats_out:
         lines = stats.to_lines()
         lines.append("config.p_ood_start = %s" % args.p_start)
@@ -135,7 +140,8 @@ _TRAINING_FLAGS = {
 
 
 def _load_config(args):
-    return RunConfig.parse(_read_text(args.config, "--config")) if args.config else RunConfig()
+    return (_read(lambda p: RunConfig.parse(_text(p)), args.config, "--config")
+            if args.config else RunConfig())
 
 
 def _training_setup(args):
@@ -180,7 +186,8 @@ def cmd_train(args):
         "train.word_dropout": str(train_config.word_dropout),
         "train.learning_rate": str(train_config.learning_rate),
     }
-    models.save_checkpoint(args.out_checkpoint, model, data.lexicon, extra=extra)
+    _write(lambda p: models.save_checkpoint(p, model, data.lexicon, extra=extra),
+           args.out_checkpoint)
     if args.history_out:
         lines = history.to_lines()
         lines.extend("# config.%s = %s" % (k, v) for k, v in sorted(extra.items()))
@@ -259,7 +266,7 @@ def cmd_evaluate(args):
     if args.test is not None:
         dialogs = _load_dialogs(args.test, "--test")
         if args.labels is not None:
-            labels = _parse_file(aug.parse_labels, args.labels, "--labels")
+            labels = _read(lambda p: aug.parse_labels(_text(p)), args.labels, "--labels")
             dialogs = aug.apply_labels(dialogs, labels)
         lines.extend(_evaluate_to_record(model, data, dialogs, "augmented"))
     if args.plain_test is not None:
@@ -271,7 +278,8 @@ def cmd_evaluate(args):
 
 
 def cmd_report(args):
-    records = [evaluation.parse_report(_read_text(path, "report input")) for path in args.reports]
+    records = [_read(lambda p: evaluation.parse_report(_text(p)), path, "report input")
+               for path in args.reports]
     table = evaluation.format_report_table(records)
     if args.out:
         _write_text(args.out, "\n".join(table) + "\n")
@@ -285,7 +293,6 @@ def run_pipeline(config, out_dir):
     """augment -> train -> evaluate -> report on one configuration."""
     stage = "setup"
     try:
-        os.makedirs(out_dir, exist_ok=True)
         fallback = config.get("corpus.fallback_template")
         model_config, train_config = resolve_training(config)
 
@@ -302,14 +309,15 @@ def run_pipeline(config, out_dir):
             foreign = []
             for path in config.get("data.ood_pool").split(","):
                 foreign.extend(_load_dialogs(path.strip(), "data.ood_pool"))
-            segment_text = _read_text(config.get("data.segment_pool"), "data.segment_pool")
+            segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)),
+                                 config.get("data.segment_pool"), "data.segment_pool")
         else:
             toy_seed = config.seed_for("toy")
             domain = toy.generate_toy_domain(toy_seed, config.get("toy.n_dialogs"),
                                              config.get("toy.n_actions"))
             foreign = toy.generate_foreign_dialogs(derive_seed(toy_seed, "foreign"))
             lexicon = domain.lexicon
-            segment_text = toy.segment_pool_text()
+            segment_pool = aug.load_segment_pool(toy.segment_pool_text())
             _write_toy_files(os.path.join(out_dir, "data"), domain, foreign)
             train_dialogs, dev_dialogs, test_dialogs = domain.train, domain.dev, domain.test
 
@@ -321,11 +329,10 @@ def run_pipeline(config, out_dir):
             seed=config.seed_for("augment"),
         )
         pool = aug.load_ood_pool(foreign, source="ood-pool")
-        segment_pool = aug.load_segment_pool(segment_text)
         test_aug, stats = aug.augment_corpus(test_dialogs, aug_config, pool, segment_pool,
                                              fallback_utterance=fallback)
-        corpus.write_dialog_file(os.path.join(out_dir, "test_ood.txt"), test_aug)
-        aug.write_labels(os.path.join(out_dir, "test_ood.labels"), test_aug)
+        _write_text(os.path.join(out_dir, "test_ood.txt"), corpus.write_dialogs(test_aug))
+        _write_text(os.path.join(out_dir, "test_ood.labels"), aug.labels_text(test_aug))
         stats_lines = stats.to_lines() + config.echo_lines()
         _write_text(os.path.join(out_dir, "augment_stats.txt"), "\n".join(stats_lines) + "\n")
 
@@ -334,30 +341,25 @@ def run_pipeline(config, out_dir):
                               [foreign, segment_pool.as_dialogs()], fallback=fallback)
         train_feats = data.featurize(train_dialogs)
         dev_feats = data.featurize(dev_dialogs)
-        test_plain_feats = data.featurize(test_dialogs)
-        test_aug_feats = data.featurize(test_aug)
 
         stage = "train"
         model, history = train_model(
             model_config, train_config, train_feats, dev_feats, data.vocab, data.action_set,
             data.n_context, embedding_table=_embedding_table(config, data.vocab),
         )
-        models.save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, lexicon)
+        _write(lambda p: models.save_checkpoint(p, model, lexicon),
+               os.path.join(out_dir, "model.ckpt"))
         _write_text(os.path.join(out_dir, "history.txt"),
                     "\n".join(history.to_lines() + config.echo_lines("# config.")) + "\n")
 
         stage = "evaluate"
         model_name = ("TD-" if train_config.turn_dropout_ratio > 0 else "") + model_config.variant
         lines = ["model = %s" % model_name]
-        row = evaluation.evaluate_model(model, test_aug_feats, data.vocab, data.action_set)
-        lines.extend(row.to_kv("augmented."))
+        lines.extend(_evaluate_to_record(model, data, test_aug, "augmented"))
         if config.get("pipeline.eval_plain"):
-            plain_row = evaluation.evaluate_model(model, test_plain_feats, data.vocab,
-                                                  data.action_set)
-            lines.extend(plain_row.to_kv("plain."))
+            lines.extend(_evaluate_to_record(model, data, test_dialogs, "plain"))
         lines.extend(config.echo_lines())
-        report_path = os.path.join(out_dir, "report.txt")
-        _write_text(report_path, "\n".join(lines) + "\n")
+        _write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
 
         stage = "report"
         record = evaluation.parse_report("\n".join(lines))
@@ -367,7 +369,7 @@ def run_pipeline(config, out_dir):
                     "\n".join(evaluation.format_report_csv([record])) + "\n")
         _write_text(os.path.join(out_dir, "run_config.txt"),
                     "\n".join(config.echo_lines(prefix="")) + "\n")
-    except (CliError, ConfigError, TrainingDiverged, ValueError, OSError) as exc:
+    except (CliError, TrainingDiverged, ValueError, OSError) as exc:
         raise CliError("stage %s: %s" % (stage, exc)) from exc
     return 0
 
@@ -505,9 +507,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (CliError, ConfigError, corpus.ParseError, corpus.UnknownActionError,
-            aug.PoolError, models.CheckpointError, models.HashMismatchError,
-            TrainingDiverged, ValueError, OSError) as exc:
+    except (CliError, corpus.UnknownActionError, TrainingDiverged, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Flat ``section.key = value`` run configuration.
 
 One file drives a whole pipeline run; command-line flags override file
-values.  Unknown keys are rejected, and every run's fully resolved
-configuration is echoed into its output artifacts.  All stage seeds
-derive from the single ``run.seed`` unless a stage seed is pinned
-explicitly.
+values.  Unknown keys and keys given twice are rejected, and every run's
+fully resolved configuration is echoed into its output artifacts.  All
+stage seeds derive from the single ``run.seed`` unless a stage seed is
+pinned explicitly.
 """
 
 from __future__ import annotations
@@ -83,32 +83,33 @@ class RunConfig:
 
     @classmethod
     def parse(cls, text):
-        values = {}
+        """Parse a config file's text; the error for a bad line or a repeated key names the line."""
+        config, set_on = cls(), {}
         for line_no, line in enumerate(text.split("\n"), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             key, sep, value = stripped.partition("=")
-            if not sep:
-                raise ConfigError("line %d: expected 'key = value'" % line_no)
-            values[key.strip()] = value.strip()
-        return cls(values)
+            key = key.strip()
+            try:
+                if not sep:
+                    raise ConfigError("expected 'key = value'")
+                if key in set_on:
+                    raise ConfigError("%s is already set on line %d" % (key, set_on[key]))
+                config._set(key, value.strip())
+            except ConfigError as exc:
+                raise ConfigError("line %d: %s" % (line_no, exc)) from None
+            set_on[key] = line_no
+        return config
 
     def with_overrides(self, overrides):
-        merged = dict(self.values)
-        out = RunConfig()
-        out.values = merged
-        for key, raw in overrides.items():
-            if raw is not None:
-                out._set(key, raw)
-        return out
+        """A copy with every override that is not None set over this config's values."""
+        return RunConfig({**self.values, **{k: v for k, v in overrides.items() if v is not None}})
 
     def get(self, key):
         if key not in KNOWN_KEYS:
             raise ConfigError("unknown configuration key %r" % key)
-        if key in self.values:
-            return self.values[key]
-        return KNOWN_KEYS[key][1]
+        return self.values.get(key, KNOWN_KEYS[key][1])
 
     def seed_for(self, stage):
         """Stage seed: explicit ``<stage>.seed`` if set, else derived from run.seed."""

@@ -36,7 +36,10 @@ _TOKEN_RE = re.compile(r"<[a-z0-9_]+>|[a-z0-9$'_]+|[^\sa-z0-9$'_<>]|[<>]")
 
 
 class ParseError(ValueError):
-    """Malformed transcript or lexicon line; carries the 1-based line number."""
+    """Malformed transcript, lexicon, label-sidecar or embedding line.
+
+    Carries the 1-based line number; the caller names the file.
+    """
 
     def __init__(self, line_no, message):
         super().__init__("line %d: %s" % (line_no, message))
@@ -158,11 +161,6 @@ def write_dialogs(dialogs):
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
-
-
-def write_dialog_file(path, dialogs):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_dialogs(dialogs))
 
 
 def _sha256_lines(lines):
@@ -300,10 +298,6 @@ class Lexicon:
                 raise ParseError(line_no, error)
             entries.setdefault(slot_type, []).append(value)
         return cls(entries)
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
 
 
 def delexicalize(utterance, lexicon):
@@ -508,14 +502,6 @@ def prepare(lexicon, action_corpora, vocab_corpora=(), fallback=DEFAULT_FALLBACK
     return Featurizer(lexicon=lexicon, vocab=vocab, action_set=action_set)
 
 
-class EmbeddingFileError(ValueError):
-    """Malformed embedding file; names the file and the 1-based line."""
-
-    def __init__(self, path, line_no, message):
-        super().__init__("%s line %d: %s" % (path, line_no, message))
-        self.line_no = line_no
-
-
 def load_embedding_table(path, vocab, seed=0):
     """Read an embedding file as a (V, d) float32 array aligned with ``vocab``.
 
@@ -524,7 +510,8 @@ def load_embedding_table(path, vocab, seed=0):
     vectors, drawn per token from N(0, 0.1^2); file tokens outside the
     vocabulary are ignored.  A malformed header or row, a value that is
     not a number or not finite in float32, or a row count other than V
-    raises :class:`EmbeddingFileError`.
+    raises :class:`ParseError` naming the 1-based line; the caller names
+    the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -533,25 +520,25 @@ def load_embedding_table(path, vocab, seed=0):
         except ValueError:
             n = dim = -1
         if n < 0 or dim < 1:
-            raise EmbeddingFileError(path, 1, "expected a header 'V d' with V >= 0 and d >= 1, "
-                                              "got %r" % " ".join(header))
+            raise ParseError(1, "expected a header 'V d' with V >= 0 and d >= 1, got %r"
+                             % " ".join(header))
         by_token = {}
         for line_no in range(2, n + 2):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
-                raise EmbeddingFileError(path, line_no, "expected a token and %d values, got %d "
-                                                        "fields" % (dim, len(parts)))
+                raise ParseError(line_no, "expected a token and %d values, got %d fields"
+                                 % (dim, len(parts)))
             try:
                 with np.errstate(over="ignore"):  # overflow is reported below
                     row = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError as exc:
-                raise EmbeddingFileError(path, line_no, str(exc)) from None
+                raise ParseError(line_no, str(exc)) from None
             if not np.isfinite(row).all():
-                raise EmbeddingFileError(path, line_no, "value %s is not finite in float32"
-                                         % parts[1 + int(np.argmin(np.isfinite(row)))])
+                raise ParseError(line_no, "value %s is not finite in float32"
+                                 % parts[1 + int(np.argmin(np.isfinite(row)))])
             by_token[parts[0]] = row
         if fh.read().strip():
-            raise EmbeddingFileError(path, n + 2, "more rows than the header's %d" % n)
+            raise ParseError(n + 2, "more rows than the header's %d" % n)
     rows = []
     for tok in vocab.itos:
         if tok in by_token:

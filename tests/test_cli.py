@@ -81,36 +81,125 @@ def test_missing_input_names_the_flag(tmp_path, capsys):
     assert "--input" in err
 
 
-@pytest.mark.parametrize("case", ["train --config", "gridsearch --config", "pipeline --config",
-                                  "evaluate --checkpoint", "train --embeddings",
-                                  "pipeline model.embedding_file"])
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_unreadable_file_names_its_flag(toy_files, tmp_path, capsys, case, kind):
-    bad = str(tmp_path / "nope") if kind == "missing" else str(tmp_path)
+@pytest.fixture(scope="module")
+def toy_checkpoint(toy_files, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    assert _run("train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
+                "--out-checkpoint", str(path)) == 0
+    return path
+
+
+_BAD_CONFIG = ("no separator\n", "line 1: expected 'key = value'")
+_BAD_TRANSCRIPT = ("hello there\n", "line 1: expected a line number prefix")
+_BAD_LEXICON = ("badline_without_tab\n", "line 1: expected slot_type<TAB>value")
+_EMPTY_SEGMENT_POOL = ("\n", "segment pool text is empty")
+_NAN_EMBEDDING = ("1 6\nalpha" + " nan" * 6 + "\n", "line 2: value nan is not finite in float32")
+# case -> (a malformed file of the case's format, the error it gives), or None
+# where every text is well-formed
+_MALFORMED = {
+    "train --config": _BAD_CONFIG,
+    "gridsearch --config": _BAD_CONFIG,
+    "pipeline --config": _BAD_CONFIG,
+    "augment --input": _BAD_TRANSCRIPT,
+    "augment --ood-pool": ("1 <silence>\tcan i help you ?\n", "no usable first utterances"),
+    "augment --segment-pool": _EMPTY_SEGMENT_POOL,
+    "train --train": _BAD_TRANSCRIPT,
+    "train --lexicon": _BAD_LEXICON,
+    "evaluate --labels": ("0\t0\n", "line 1: expected 3 tab-separated fields"),
+    "evaluate --checkpoint": ("hello\n", "missing end_header marker"),
+    "train --embeddings": _NAN_EMBEDDING,
+    "report input": None,
+    "pipeline data.train": _BAD_TRANSCRIPT,
+    "pipeline data.lexicon": _BAD_LEXICON,
+    "pipeline data.segment_pool": _EMPTY_SEGMENT_POOL,
+    "pipeline model.embedding_file": _NAN_EMBEDDING,
+}
+_INPUT_KINDS = ("missing", "directory", "not-utf-8", "malformed")
+
+
+def _input_argv(case, bad, toy_files, toy_checkpoint, tmp_path):
+    """The command line of ``case`` with its input at ``bad`` and every other file good."""
+    command, flag = case.split(" ")
+    files = {name: str(toy_files / (name + ".txt"))
+             for name in ("train", "dev", "test", "lexicon", "ood_pool", "segment_pool")}
+    files["input"] = files["test"]
+    own = flag[2:].replace("-", "_") if flag.startswith("--") else flag.partition(".")[2]
+    if own in files:
+        files[own] = bad
+    config = tmp_path / "run.cfg"
+    if flag == "model.embedding_file":
+        config.write_text("model.variant = HCN\nmodel.embedding_file = %s\ntoy.n_dialogs = 24\n"
+                          "toy.n_actions = 8\ntrain.max_epochs = 1\n" % bad)
+    else:
+        config.write_text("".join("data.%s = %s\n" % (key, files[key]) for key in (
+            "train", "dev", "test", "lexicon", "ood_pool", "segment_pool"))
+            + "train.max_epochs = 1\n")
     out = str(tmp_path / "out")
+    domain = ["--train", files["train"], "--dev", files["dev"], "--lexicon", files["lexicon"]]
     argv = {
-        "train --config": ["train", *_domain_flags(toy_files), "--config", bad,
-                           "--out-checkpoint", out],
-        "gridsearch --config": ["gridsearch", *_domain_flags(toy_files), "--config", bad,
-                                "--stage1-grid", "4", "--results-out", out],
-        "pipeline --config": ["pipeline", "--config", bad, "--out-dir", out],
-        "evaluate --checkpoint": ["evaluate", "--checkpoint", bad,
-                                  "--plain-test", str(toy_files / "test.txt"), "--report-out", out],
-        "train --embeddings": ["train", "--variant", "HCN", *_domain_flags(toy_files),
-                               "--embeddings", bad, "--max-epochs", "1", "--out-checkpoint", out],
-        "pipeline model.embedding_file": ["pipeline", "--config", str(tmp_path / "run.cfg"),
-                                          "--out-dir", out],
-    }[case]
-    (tmp_path / "run.cfg").write_text(
-        "model.variant = HCN\nmodel.embedding_file = %s\ntoy.n_dialogs = 24\n"
-        "toy.n_actions = 8\ntrain.max_epochs = 1\n" % bad)
+        "augment": ["augment", "--input", files["input"], "--ood-pool", files["ood_pool"],
+                    "--segment-pool", files["segment_pool"], "--output", out],
+        "train": ["train", "--variant", "HCN", *domain, "--max-epochs", "1",
+                  "--out-checkpoint", out],
+        "gridsearch": ["gridsearch", *domain, "--stage1-grid", "4", "--results-out", out],
+        "evaluate": ["evaluate", "--checkpoint", str(toy_checkpoint), "--test", files["test"],
+                     "--report-out", out],
+        "report": ["report", "--out", out],
+        "pipeline": ["pipeline", "--config", str(config), "--out-dir", out],
+    }[command]
+    if command == "report":
+        argv.append(bad)
+    elif flag.startswith("--") and own not in files:
+        argv += [flag, bad]  # the last of a repeated flag wins
+    return argv
+
+
+@pytest.mark.parametrize("kind, case", [(kind, case) for case in _MALFORMED
+                                        for kind in _INPUT_KINDS
+                                        if kind != "malformed" or _MALFORMED[case]])
+def test_unreadable_file_names_its_flag(toy_files, toy_checkpoint, tmp_path, capsys, case, kind):
+    bad = {"missing": str(tmp_path / "nope"), "directory": str(tmp_path)}.get(
+        kind, str(tmp_path / "bad"))
+    if kind == "not-utf-8":
+        (tmp_path / "bad").write_bytes(b"\xff\xfe\nend_header\n")
+    elif kind == "malformed":
+        (tmp_path / "bad").write_text(_MALFORMED[case][0])
+    argv = _input_argv(case, bad, toy_files, toy_checkpoint, tmp_path)
     capsys.readouterr()
     assert _run(*argv) == 1
     out, err = capsys.readouterr()
     flag = case.split(" ")[1]
-    assert "cannot read " in err and flag in err and repr(bad) in err, err
+    expected = {"missing": "cannot read ", "directory": "cannot read ",
+                "not-utf-8": "'utf-8' codec can't decode byte 0xff"}.get(kind)
+    assert (expected or _MALFORMED[case][1]) in err
+    assert flag in err and repr(bad) in err, err
     assert "Traceback" not in out + err and "[Errno" not in err
     assert len(err.strip().split("\n")) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["augment --output", "augment --labels-out",
+                                  "train --out-checkpoint", "report --out"])
+@pytest.mark.parametrize("kind", ["new-directory", "directory"])
+def test_output_path_creates_its_directory(toy_files, tmp_path, capsys, case, kind):
+    (tmp_path / "record.txt").write_text("model = m\n")
+    target = tmp_path / "new" / "dir" / "file" if kind == "new-directory" else tmp_path / "old"
+    (tmp_path / "old").mkdir()
+    command, flag = case.split(" ")
+    argv = {
+        "augment": ["augment", "--input", str(toy_files / "test.txt"),
+                    "--ood-pool", str(toy_files / "ood_pool.txt"),
+                    "--segment-pool", str(toy_files / "segment_pool.txt"),
+                    "--output", str(tmp_path / "aug.txt")],
+        "train": ["train", "--variant", "HCN", *_domain_flags(toy_files), "--max-epochs", "1",
+                  "--out-checkpoint", str(tmp_path / "m.ckpt")],
+        "report": ["report", str(tmp_path / "record.txt")],
+    }[command] + [flag, str(target)]  # the last of a repeated flag wins
+    code = _run(*argv)
+    err = capsys.readouterr().err
+    if kind == "new-directory":
+        assert code == 0 and target.is_file(), err
+    else:
+        assert code == 1 and err == "error: cannot write %r: Is a directory\n" % str(target)
 
 
 def test_train_evaluate_report_chain(toy_files, tmp_path):
@@ -563,7 +652,9 @@ def test_train_rejects_nonfinite_embeddings(toy_files, tmp_path, capsys):
                 "--embedding-size", "6", "--embeddings", str(emb), "--max-epochs", "1",
                 "--out-checkpoint", str(tmp_path / "m.ckpt"))
     assert code == 1
-    assert capsys.readouterr().err == "error: %s line 2: value nan is not finite in float32\n" % emb
+    assert capsys.readouterr().err == (
+        "error: --embeddings / model.embedding_file file %r: line 2: value nan is not finite "
+        "in float32\n" % str(emb))
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -1,5 +1,7 @@
 """The RunConfig -> (ModelConfig, TrainConfig) resolver."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,13 +136,34 @@ def test_config_rejects_unknown_keys_and_bad_values_property(data):
     parser = KNOWN_KEYS[key][0]
     bad = data.draw(_LINE_TEXT.map(str.strip).filter(lambda t: not _parses(parser, t)),
                     label="value")
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match="^line 1: bad value for %s: " % re.escape(key)):
         RunConfig.parse("%s = %s\n" % (key, bad))
     unknown = data.draw(_LINE_TEXT.filter(lambda t: "=" not in t)
                         .map(str.strip).filter(lambda t: t and t not in KNOWN_KEYS
                                                and not t.startswith("#")), label="unknown")
-    with pytest.raises(ConfigError, match="unknown configuration key"):
+    with pytest.raises(ConfigError, match="^line 1: unknown configuration key"):
         RunConfig.parse("%s = 1\n" % unknown)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("train.max_epochs = 3\n# a comment\ntrain.max_epochs = 5\n",
+     "line 3: train.max_epochs is already set on line 1"),
+    # a later line does not mend an earlier bad value
+    ("train.max_epochs = x\ntrain.max_epochs = 5\n", "line 1: bad value for train.max_epochs"),
+    ("run.seed = 1\ntrain.max_epochs = x\n", "line 2: bad value for train.max_epochs"),
+    ("run.seed = 1\n\nmodel.variantx = HCN\n",
+     "line 3: unknown configuration key 'model.variantx'"),
+    ("run.seed = 1\nno separator\n", "line 2: expected 'key = value'"),
+])
+def test_config_errors_name_their_line(text, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        RunConfig.parse(text)
+
+
+def test_flags_still_override_file_values():
+    config = RunConfig.parse("train.max_epochs = 3\n")
+    assert config.with_overrides({"train.max_epochs": 5}).get("train.max_epochs") == 5
+    assert RunConfig({"train.max_epochs": "4"}).get("train.max_epochs") == 4
 
 
 @settings(max_examples=300, deadline=None)

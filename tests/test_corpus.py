@@ -18,7 +18,6 @@ from robusthcn.corpus import (
     ActionSet,
     ContextFeatures,
     Dialog,
-    EmbeddingFileError,
     Lexicon,
     OodLabel,
     ParseError,
@@ -587,14 +586,14 @@ def test_corrupt_embedding_file_names_the_line(tmp_path, text, line_no, message)
     path = tmp_path / "emb.txt"
     path.write_text(text)
     vocab = build_vocabulary([[_dialog_of(["alpha", "beta"])]])
-    with pytest.raises(EmbeddingFileError, match="line %d: .*%s" % (line_no, re.escape(message))) as err:
+    with pytest.raises(ParseError, match="line %d: .*%s" % (line_no, re.escape(message))) as err:
         load_embedding_table(path, vocab)
     assert err.value.line_no == line_no
 
 
 def test_lexicon_file_round_trip(tmp_path):
     path = tmp_path / "lexicon.txt"
-    LEX.to_file(path)
+    path.write_text("\n".join(LEX.to_lines()) + "\n", encoding="utf-8")
     again = read_lexicon_file(path)
     assert again == LEX
 
