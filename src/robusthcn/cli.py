@@ -43,7 +43,8 @@ def _read(read, path, flag):
 
 
 def _text(path):
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write(write, path):
@@ -359,7 +360,8 @@ def run_pipeline(config, out_dir):
         if config.get("pipeline.eval_plain"):
             lines.extend(_evaluate_to_record(model, data, test_dialogs, "plain"))
         lines.extend(config.echo_lines())
-        _write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
+        report_path = os.path.join(out_dir, "report.txt")
+        _write_text(report_path, "\n".join(lines) + "\n")
 
         stage = "report"
         record = evaluation.parse_report("\n".join(lines))

@@ -103,13 +103,20 @@ class RunConfig:
         return config
 
     def with_overrides(self, overrides):
-        """A copy with every override that is not None set over this config's values."""
-        return RunConfig({**self.values, **{k: v for k, v in overrides.items() if v is not None}})
+        merged = dict(self.values)
+        out = RunConfig()
+        out.values = merged
+        for key, raw in overrides.items():
+            if raw is not None:
+                out._set(key, raw)
+        return out
 
     def get(self, key):
         if key not in KNOWN_KEYS:
             raise ConfigError("unknown configuration key %r" % key)
-        return self.values.get(key, KNOWN_KEYS[key][1])
+        if key in self.values:
+            return self.values[key]
+        return KNOWN_KEYS[key][1]
 
     def seed_for(self, stage):
         """Stage seed: explicit ``<stage>.seed`` if set, else derived from run.seed."""

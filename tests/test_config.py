@@ -160,12 +160,6 @@ def test_config_errors_name_their_line(text, message):
         RunConfig.parse(text)
 
 
-def test_flags_still_override_file_values():
-    config = RunConfig.parse("train.max_epochs = 3\n")
-    assert config.with_overrides({"train.max_epochs": 5}).get("train.max_epochs") == 5
-    assert RunConfig({"train.max_epochs": "4"}).get("train.max_epochs") == 4
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.text())
 def test_config_parse_raises_only_config_errors_property(text):

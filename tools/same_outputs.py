@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two source trees give byte-identical pipeline outputs.
 
-    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [--work DIR]
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository (for the parent, a ``git
 archive`` of its commit unpacked into a directory).  For each of the
@@ -15,13 +15,11 @@ config and exits 1 if any config differs.
 The configs are criterion 9's, and the ``pipeline_hcn_td`` benchmark's
 toy domain (200 dialogs, 20 actions, ``run.seed = toy.seed = 701``, turn
 dropout 0.4, 4 epochs, patience 5) for each of HCN, HHCN and VHCN.  The
-runs go under ``--work`` (default: a new temporary directory, removed
-afterwards).
+runs go under a new temporary directory, removed afterwards.
 """
 
 import argparse
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -84,7 +82,6 @@ def compare(parent_tree, change_tree, work):
             fh.write(text)
         outs = [os.path.join(work, name, side) for side in ("parent", "change")]
         for tree, out in zip((parent_tree, change_tree), outs):
-            shutil.rmtree(out, ignore_errors=True)
             run_pipeline(os.path.abspath(tree), config_path, out)
         n_files, found = differences(*outs)
         same = same and not found
@@ -97,18 +94,13 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_tree")
     p.add_argument("change_tree")
-    p.add_argument("--work", default=None, help="directory for the runs (kept)")
     args = p.parse_args(argv)
-    work = args.work or tempfile.mkdtemp(prefix="same-outputs-")
-    os.makedirs(work, exist_ok=True)
     try:
-        return 0 if compare(args.parent_tree, args.change_tree, work) else 1
+        with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+            return 0 if compare(args.parent_tree, args.change_tree, work) else 1
     except (OSError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":
