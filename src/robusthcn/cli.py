@@ -90,14 +90,21 @@ def cmd_toy(args):
     return 0
 
 
+def _pool_file(path):
+    dialogs = corpus.parse_dialogs(_text(path))
+    return dialogs, aug.load_ood_pool(dialogs, source=path)
+
+
+def _load_ood_pool(paths, flag):
+    """The ``flag`` files' dialogs (for the vocabulary) and the merge of their OOD pools."""
+    loaded = [_read(_pool_file, path, flag) for path in paths]
+    return ([d for dialogs, _ in loaded for d in dialogs],
+            aug.merge_ood_pools([pool for _, pool in loaded]))
+
+
 def cmd_augment(args):
     dialogs = _load_dialogs(args.input, "--input")
-    pools = [
-        _read(lambda p: aug.load_ood_pool(corpus.parse_dialogs(_text(p)), source=p),
-              path, "--ood-pool")
-        for path in args.ood_pool
-    ]
-    pool = aug.merge_ood_pools(pools)
+    _, pool = _load_ood_pool(args.ood_pool, "--ood-pool")
     segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)), args.segment_pool,
                          "--segment-pool")
     config = aug.AugmentationConfig(
@@ -123,35 +130,20 @@ def cmd_augment(args):
     return 0
 
 
-# flag -> configuration key; training flags default to None so the
-# precedence is flag > --config file > built-in default
-_TRAINING_FLAGS = {
-    "variant": "model.variant",
-    "fallback": "corpus.fallback_template",
-    "seed": "train.seed",
-    "learning_rate": "train.learning_rate",
-    "patience": "train.patience",
-    "word_dropout": "train.word_dropout",
-    "max_epochs": "train.max_epochs",
-    "td_ratio": "turn_dropout.ratio",
-    "embedding_size": "model.embedding_size",
-    "latent_size": "model.latent_size",
-    "embeddings": "model.embedding_file",
-}
-
-
 def _load_config(args):
-    return (_read(lambda p: RunConfig.parse(_text(p)), args.config, "--config")
-            if args.config else RunConfig())
+    """The ``--config`` file's configuration, with every flag that sets a key laid over it.
+
+    A dotted argparse ``dest`` is a configuration key.  A flag left unset is
+    None and keeps the file's value or the built-in default.
+    """
+    config = (_read(lambda p: RunConfig.parse(_text(p)), args.config, "--config")
+              if args.config else RunConfig())
+    return config.with_overrides({k: v for k, v in vars(args).items() if "." in k})
 
 
 def _training_setup(args):
     """Resolved configuration and featurized train/dev sets for train/gridsearch."""
     config = _load_config(args)
-    overrides = {key: getattr(args, flag, None) for flag, key in _TRAINING_FLAGS.items()}
-    if args.plain_dev_selection:
-        overrides["train.dev_turn_dropout"] = False
-    config = config.with_overrides(overrides)
     model_config, train_config = resolve_training(config)
 
     train_dialogs = _load_dialogs(args.train, "--train")
@@ -267,8 +259,8 @@ def cmd_evaluate(args):
     if args.test is not None:
         dialogs = _load_dialogs(args.test, "--test")
         if args.labels is not None:
-            labels = _read(lambda p: aug.parse_labels(_text(p)), args.labels, "--labels")
-            dialogs = aug.apply_labels(dialogs, labels)
+            dialogs = _read(lambda p: aug.apply_labels(dialogs, aug.parse_labels(_text(p))),
+                            args.labels, "--labels")
         lines.extend(_evaluate_to_record(model, data, dialogs, "augmented"))
     if args.plain_test is not None:
         dialogs = _load_dialogs(args.plain_test, "--plain-test")
@@ -307,9 +299,8 @@ def run_pipeline(config, out_dir):
             dev_dialogs = _load_dialogs(config.get("data.dev"), "data.dev")
             test_dialogs = _load_dialogs(config.get("data.test"), "data.test")
             lexicon = _load_lexicon(config.get("data.lexicon"), "data.lexicon")
-            foreign = []
-            for path in config.get("data.ood_pool").split(","):
-                foreign.extend(_load_dialogs(path.strip(), "data.ood_pool"))
+            foreign, pool = _load_ood_pool(
+                [path.strip() for path in config.get("data.ood_pool").split(",")], "data.ood_pool")
             segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)),
                                  config.get("data.segment_pool"), "data.segment_pool")
         else:
@@ -317,6 +308,7 @@ def run_pipeline(config, out_dir):
             domain = toy.generate_toy_domain(toy_seed, config.get("toy.n_dialogs"),
                                              config.get("toy.n_actions"))
             foreign = toy.generate_foreign_dialogs(derive_seed(toy_seed, "foreign"))
+            pool = aug.load_ood_pool(foreign, source="ood-pool")
             lexicon = domain.lexicon
             segment_pool = aug.load_segment_pool(toy.segment_pool_text())
             _write_toy_files(os.path.join(out_dir, "data"), domain, foreign)
@@ -329,7 +321,6 @@ def run_pipeline(config, out_dir):
             independent_segment_prob=config.get("augment.independent_segment_prob"),
             seed=config.seed_for("augment"),
         )
-        pool = aug.load_ood_pool(foreign, source="ood-pool")
         test_aug, stats = aug.augment_corpus(test_dialogs, aug_config, pool, segment_pool,
                                              fallback_utterance=fallback)
         _write_text(os.path.join(out_dir, "test_ood.txt"), corpus.write_dialogs(test_aug))
@@ -378,14 +369,6 @@ def run_pipeline(config, out_dir):
 
 def cmd_pipeline(args):
     config = _load_config(args)
-    overrides = {
-        "run.seed": args.seed,
-        "pipeline.out_dir": args.out_dir,
-        "model.variant": args.variant,
-        "turn_dropout.ratio": args.td_ratio,
-        "train.max_epochs": args.max_epochs,
-    }
-    config = config.with_overrides(overrides)
     out_dir = config.get("pipeline.out_dir")
     status = run_pipeline(config, out_dir)
     print("pipeline finished; artifacts in %s" % out_dir)
@@ -393,8 +376,7 @@ def cmd_pipeline(args):
 
 
 def _add_domain_flags(sub):
-    # see _TRAINING_FLAGS for the configuration key behind each flag
-    sub.add_argument("--variant", choices=models.VARIANTS, default=None)
+    sub.add_argument("--variant", dest="model.variant", choices=models.VARIANTS)
     sub.add_argument("--config", default=None, help="key = value configuration file")
     sub.add_argument("--train", required=True, help="training transcript file")
     sub.add_argument("--dev", required=True, help="development transcript file")
@@ -404,16 +386,17 @@ def _add_domain_flags(sub):
     sub.add_argument("--actions-corpus", action="append", default=[],
                      help="extra transcript whose templates join the action set "
                           "and whose tokens join the vocabulary")
-    sub.add_argument("--fallback", default=None, help="fallback system utterance")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--learning-rate", type=float, default=None)
-    sub.add_argument("--patience", type=int, default=None)
-    sub.add_argument("--word-dropout", type=float, default=None)
-    sub.add_argument("--max-epochs", type=int, default=None)
-    sub.add_argument("--td-ratio", type=float, default=None,
+    sub.add_argument("--fallback", dest="corpus.fallback_template",
+                     help="fallback system utterance")
+    sub.add_argument("--seed", dest="train.seed", type=int)
+    sub.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    sub.add_argument("--patience", dest="train.patience", type=int)
+    sub.add_argument("--word-dropout", dest="train.word_dropout", type=float)
+    sub.add_argument("--max-epochs", dest="train.max_epochs", type=int)
+    sub.add_argument("--td-ratio", dest="turn_dropout.ratio", type=float,
                      help="turn dropout ratio (default: per-variant)")
-    sub.add_argument("--plain-dev-selection", action="store_true",
-                     help="select on the unperturbed dev set")
+    sub.add_argument("--plain-dev-selection", dest="train.dev_turn_dropout", action="store_const",
+                     const=False, help="select on the unperturbed dev set")
 
 
 def build_parser():
@@ -451,9 +434,9 @@ def build_parser():
 
     sub = subs.add_parser("train", help="train one model variant")
     _add_domain_flags(sub)
-    sub.add_argument("--embedding-size", type=int, default=None)
-    sub.add_argument("--latent-size", type=int, default=None)
-    sub.add_argument("--embeddings", default=None, help="pretrained embedding file")
+    sub.add_argument("--embedding-size", dest="model.embedding_size", type=int)
+    sub.add_argument("--latent-size", dest="model.latent_size", type=int)
+    sub.add_argument("--embeddings", dest="model.embedding_file", help="pretrained embedding file")
     sub.add_argument("--out-checkpoint", required=True)
     sub.add_argument("--history-out", default=None)
     sub.set_defaults(func=cmd_train)
@@ -486,11 +469,11 @@ def build_parser():
 
     sub = subs.add_parser("pipeline", help="toy data + augment + train + evaluate + report")
     sub.add_argument("--config", default=None, help="key = value configuration file")
-    sub.add_argument("--out-dir", default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--variant", choices=models.VARIANTS, default=None)
-    sub.add_argument("--td-ratio", type=float, default=None)
-    sub.add_argument("--max-epochs", type=int, default=None)
+    sub.add_argument("--out-dir", dest="pipeline.out_dir")
+    sub.add_argument("--seed", dest="run.seed", type=int)
+    sub.add_argument("--variant", dest="model.variant", choices=models.VARIANTS)
+    sub.add_argument("--td-ratio", dest="turn_dropout.ratio", type=float)
+    sub.add_argument("--max-epochs", dest="train.max_epochs", type=int)
     sub.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 import robusthcn
 from robusthcn import cli, train
 from robusthcn.cli import main
-from robusthcn.config import ConfigError, RunConfig
+from robusthcn.config import KNOWN_KEYS, ConfigError, RunConfig
 from robusthcn.corpus import load_embedding_table, parse_dialogs
 from robusthcn.evaluation import parse_report
 from robusthcn.models import load_checkpoint
@@ -93,6 +94,7 @@ _BAD_CONFIG = ("no separator\n", "line 1: expected 'key = value'")
 _BAD_TRANSCRIPT = ("hello there\n", "line 1: expected a line number prefix")
 _BAD_LEXICON = ("badline_without_tab\n", "line 1: expected slot_type<TAB>value")
 _EMPTY_SEGMENT_POOL = ("\n", "segment pool text is empty")
+_SILENT_POOL = ("1 <silence>\tcan i help you ?\n", "no usable first utterances")
 _NAN_EMBEDDING = ("1 6\nalpha" + " nan" * 6 + "\n", "line 2: value nan is not finite in float32")
 # case -> (a malformed file of the case's format, the error it gives), or None
 # where every text is well-formed
@@ -101,7 +103,7 @@ _MALFORMED = {
     "gridsearch --config": _BAD_CONFIG,
     "pipeline --config": _BAD_CONFIG,
     "augment --input": _BAD_TRANSCRIPT,
-    "augment --ood-pool": ("1 <silence>\tcan i help you ?\n", "no usable first utterances"),
+    "augment --ood-pool": _SILENT_POOL,
     "augment --segment-pool": _EMPTY_SEGMENT_POOL,
     "train --train": _BAD_TRANSCRIPT,
     "train --lexicon": _BAD_LEXICON,
@@ -111,6 +113,7 @@ _MALFORMED = {
     "report input": None,
     "pipeline data.train": _BAD_TRANSCRIPT,
     "pipeline data.lexicon": _BAD_LEXICON,
+    "pipeline data.ood_pool": _SILENT_POOL,
     "pipeline data.segment_pool": _EMPTY_SEGMENT_POOL,
     "pipeline model.embedding_file": _NAN_EMBEDDING,
 }
@@ -254,6 +257,10 @@ def test_evaluate_rejects_labels_it_cannot_apply(toy_files, tmp_path, capsys):
                 "--out-checkpoint", str(ckpt)) == 0
     labels = tmp_path / "test.labels"
     labels.write_text("999\t0\tIND\n")
+    one_turn = tmp_path / "one_turn.txt"
+    one_turn.write_text("1 hello\tcan i help you ?\n")
+    short = tmp_path / "short.labels"
+    short.write_text("0\t0\tIND\n0\t1\tIND\n")
     cases = [
         # without --test, whether or not the sidecar exists
         (["--plain-test", str(toy_files / "test.txt"), "--labels", str(tmp_path / "missing")],
@@ -262,7 +269,11 @@ def test_evaluate_rejects_labels_it_cannot_apply(toy_files, tmp_path, capsys):
          "error: --labels requires --test (it labels the --test transcript)\n"),
         # a dialog the --test transcript does not have
         (["--test", str(toy_files / "test.txt"), "--labels", str(labels)],
-         "error: labels name dialog 999, which the transcript does not have\n"),
+         "error: --labels file %r: labels name dialog 999, which the transcript does not have\n"
+         % str(labels)),
+        # a sidecar whose dialog 0 has more turns than the transcript's
+        (["--test", str(one_turn), "--labels", str(short)],
+         "error: --labels file %r: labels do not match dialog 0\n" % str(short)),
     ]
     capsys.readouterr()
     for flags, message in cases:
@@ -565,6 +576,38 @@ def test_plain_dev_selection_flag_maps_to_the_config_key(toy_files, tmp_path, mo
             _run("train", "--variant", "HCN", *_domain_flags(toy_files), *extra,
                  "--out-checkpoint", str(tmp_path / "m.ckpt"))
     assert [c.dev_turn_dropout for c in seen] == [True, False]
+
+
+# the flags of train, gridsearch and pipeline that set no configuration key
+_NOT_KEYS = {"help", "config", "train", "dev", "lexicon", "vocab_corpus", "actions_corpus",
+             "out_checkpoint", "history_out", "stage1_grid", "stage2_grid", "jobs", "results_out"}
+
+
+def test_every_key_flag_sets_its_key():
+    # a flag that sets a configuration key names the key as its dest; no training runs
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    required = {"train": ["--train", "t", "--dev", "d", "--lexicon", "l", "--out-checkpoint", "c"],
+                "gridsearch": ["--train", "t", "--dev", "d", "--lexicon", "l",
+                               "--stage1-grid", "4", "--results-out", "r"],
+                "pipeline": []}
+    for command, argv in required.items():
+        expected = {}
+        for action in subs[command]._actions:
+            if "." not in action.dest:
+                assert action.dest in _NOT_KEYS, (command, action.dest)
+                continue
+            assert action.dest in KNOWN_KEYS, (command, action.dest)
+            if action.nargs == 0:
+                argv, expected[action.dest] = argv + action.option_strings[:1], action.const
+                continue
+            text = (action.choices[-1] if action.choices
+                    else {int: "7", float: "0.5"}.get(action.type, "x"))
+            argv = argv + [action.option_strings[0], text]
+            expected[action.dest] = (action.type or str)(text)
+        config = cli._load_config(cli.build_parser().parse_args([command] + argv))
+        assert {key: config.get(key) for key in expected} == expected, command
+        assert len(expected) == {"train": 12, "gridsearch": 9, "pipeline": 5}[command]
 
 
 def test_gridsearch_reads_model_sizes_from_config(toy_files, tmp_path, monkeypatch):

@@ -14,8 +14,11 @@ config and exits 1 if any config differs.
 
 The configs are criterion 9's, and the ``pipeline_hcn_td`` benchmark's
 toy domain (200 dialogs, 20 actions, ``run.seed = toy.seed = 701``, turn
-dropout 0.4, 4 epochs, patience 5) for each of HCN, HHCN and VHCN.  The
-runs go under a new temporary directory, removed afterwards.
+dropout 0.4, 4 epochs, patience 5) for each of HCN, HHCN and VHCN, all
+of which generate their toy data; and criterion 9's training on the
+``data/`` files its parent-side run wrote, read through the ``data.*``
+keys, with ``data.ood_pool`` naming its file twice.  The runs go under a
+new temporary directory, removed afterwards.
 """
 
 import argparse
@@ -34,6 +37,13 @@ CONFIGS = {
     "toy701-HCN": _TOY_701 % "HCN",
     "toy701-HHCN": _TOY_701 % "HHCN",
     "toy701-VHCN": _TOY_701 % "VHCN",
+    # {data} is the data/ directory of the criterion-9 run on the parent tree
+    "criterion9-data": ("run.seed = 99\nmodel.variant = HCN\nturn_dropout.ratio = 0.4\n"
+                        "train.max_epochs = 3\ndata.train = {data}/train.txt\n"
+                        "data.dev = {data}/dev.txt\ndata.test = {data}/test.txt\n"
+                        "data.lexicon = {data}/lexicon.txt\n"
+                        "data.segment_pool = {data}/segment_pool.txt\n"
+                        "data.ood_pool = {data}/ood_pool.txt, {data}/ood_pool.txt\n"),
 }
 
 # the one output line that measures the run rather than describes it
@@ -79,7 +89,7 @@ def compare(parent_tree, change_tree, work):
     for name, text in CONFIGS.items():
         config_path = os.path.join(work, name + ".cfg")
         with open(config_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text.format(data=os.path.join(work, "criterion9", "parent", "data")))
         outs = [os.path.join(work, name, side) for side in ("parent", "change")]
         for tree, out in zip((parent_tree, change_tree), outs):
             run_pipeline(os.path.abspath(tree), config_path, out)
