@@ -18,7 +18,11 @@ reduction; the models never call it, but finite-difference checks reduce
 their outputs with it.
 
 Training runs in float32; build the same graphs from float64 leaves to
-make :func:`grad_check` meaningful.
+make :func:`grad_check` meaningful.  A graph keeps its leaves' dtype: in
+:func:`add` and :func:`mul` a Python int or float takes the other
+operand's dtype, as numpy does for a Python scalar, and :func:`matvec`,
+:func:`lstm` and :func:`lstm_trie` raise :class:`DimensionError` on
+float operands of two dtypes.
 """
 
 from __future__ import annotations
@@ -130,8 +134,33 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _operands(a, b):
+    """Both operands as tensors; a Python int or float takes the other's dtype.
+
+    That is numpy's own rule for a Python scalar (NEP 50): ``x * 0.5`` keeps
+    a float32 ``x`` float32.  A 0-d array made from 0.5 would be float64 and
+    promote the whole expression.
+    """
+    number = (int, float)
+    if type(a) in number and type(b) not in number:
+        b = as_tensor(b)
+        a = np.asarray(a, dtype=np.result_type(b.data, a))
+    elif type(b) in number and type(a) not in number:
+        a = as_tensor(a)
+        b = np.asarray(b, dtype=np.result_type(a.data, b))
+    return as_tensor(a), as_tensor(b)
+
+
+def _float_dtype(*arrays):
+    """The arrays' result dtype; ``DimensionError`` when two float operands' dtypes differ."""
+    floats = {x.dtype for x in arrays if x.dtype.kind == "f"}
+    if len(floats) > 1:
+        raise DimensionError("mixed float dtypes: %s" % ", ".join(sorted(map(str, floats))))
+    return np.result_type(*arrays)
+
+
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward_fn(g):
@@ -142,7 +171,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward_fn(g):
@@ -157,6 +186,7 @@ def matvec(m, v):
     m, v = as_tensor(m), as_tensor(v)
     if m.data.ndim != 2 or v.data.ndim not in (1, 2) or m.data.shape[0] != v.data.shape[-1]:
         raise DimensionError("matvec shapes %s @ %s" % (v.data.shape, m.data.shape))
+    _float_dtype(v.data, m.data)
 
     def backward_fn(g):
         if m.requires_grad:
@@ -330,7 +360,7 @@ def lstm(zx, lengths, w_recurrent, bias):
     active, start = active.tolist(), start.tolist()
 
     zs, u, b = zx.data[rows], w_recurrent.data, bias.data
-    dtype = np.result_type(zs, u, b)
+    dtype = _float_dtype(zs, u, b)
     record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
     hs = np.zeros((n_seq + total, hidden), dtype=dtype)
     cs = np.zeros((n_seq + total, hidden), dtype=dtype)
@@ -423,7 +453,7 @@ def lstm_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
     # reads its parent's row
     prev = np.split(parents + sizes[0], np.cumsum(sizes[1:-1]))
     levels = [(sizes[0], 0)] + list(zip(sizes[1:], prev))
-    dtype = np.result_type(zs, u, b)
+    dtype = _float_dtype(zs, u, b)
     hs = np.empty((sizes[0] + n, hidden), dtype=dtype)
     cs = np.empty_like(hs)
     hs[:sizes[0]] = 0

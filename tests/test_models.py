@@ -448,6 +448,26 @@ def test_every_trainable_parameter_gets_a_gradient(variant):
         assert (model.embedding.grad is None) == (variant == "HCN")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_every_graph_value_and_gradient_has_the_model_dtype(variant, dtype):
+    # a float64 value in a float32 graph runs every op after it in float64
+    model = tiny_model(variant, VOCAB, ACTIONS, dtype=dtype)
+    loss, _ = dialog_loss(model, two_turn_dialog(VOCAB, ACTIONS), stream(6, "graph-dtype"))
+    nn.backward(loss)
+    seen, stack, wrong = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        for what, array in (("value", node.data), ("gradient", node.grad)):
+            if array is not None and array.dtype != dtype:
+                wrong.append("%s %s of shape %s" % (array.dtype, what, array.shape))
+    assert len(seen) > 10 and wrong == []
+
+
 @pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
 def test_adam_trains_views_of_its_flat_buffers(variant):
     model = tiny_model(variant, VOCAB, ACTIONS)

@@ -184,6 +184,11 @@ def test_lstm_rejects_bad_shapes():
     for lengths in ([], [3], [1, 0, 1], [[2]], [-1, 3]):
         with pytest.raises(nn.DimensionError, match="lengths"):
             nn.lstm(np.zeros((2, 12)), lengths, *_zero_weights(3))
+    for k in range(3):  # one float32 operand among float64 ones
+        args = [np.zeros((2, 12))] + [p.data for p in _zero_weights(3)]
+        args[k] = args[k].astype(np.float32)
+        with pytest.raises(nn.DimensionError, match="mixed float dtypes"):
+            nn.lstm(args[0], [2], *args[1:])
 
 
 def _trie(sequences):
@@ -240,6 +245,11 @@ def test_lstm_trie_rejects_inconsistent_levels():
             nn.lstm_trie(zx, rows, parents, sizes, *_zero_weights(3))
     with pytest.raises(nn.DimensionError):
         nn.lstm_trie(np.zeros((2, 8)), [0, 1], [], [2], *_zero_weights(3))
+    for k in range(3):  # one float32 operand among float64 ones
+        args = [zx] + [p.data for p in _zero_weights(3)]
+        args[k] = args[k].astype(np.float32)
+        with pytest.raises(nn.DimensionError, match="mixed float dtypes"):
+            nn.lstm_trie(args[0], [0, 1, 1], [0], [2, 1], *args[1:])
 
 
 @pytest.mark.parametrize("tokens", [[[3]], [[1, 3, 0, 4, 3]], [[1, 3], [0], [4, 3, 2, 2], [0]]])
@@ -554,6 +564,25 @@ def test_grad_check_elementwise_ops(op_name):
     assert nn.grad_check(fn, [w]) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op_name", ["add", "mul"])
+def test_a_python_number_takes_the_other_operand_dtype(op_name, dtype):
+    # as numpy does for a Python scalar: a float32 graph stays float32
+    op, expected = getattr(nn, op_name), {"add": np.add, "mul": np.multiply}[op_name]
+    for data in (1.3, [-1.5, 0.25, 2.0]):  # 0-d and 1-d
+        x = nn.Parameter(np.array(data, dtype=dtype))
+        for number in (0.5, 3, 1.0 / 7):
+            for out in (op(x, number), op(number, x)):
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out.data, expected(x.data, number))
+                nn.backward(nn.vsum(out))
+                assert x.grad.dtype == dtype
+                nn.zero_grads([x])
+    # an integer array meets a Python float as in numpy: in float64
+    assert nn.mul(np.arange(3), 0.5).dtype == np.float64
+    assert nn.add(2, 0.5).dtype == np.float64
+
+
 @pytest.mark.parametrize("v_shape", [(3,), (4, 3)])
 def test_matvec_multiplies_by_an_in_out_weight(v_shape):
     # one vector or one row per input, times a (3, 5) weight: shape (5,) or (4, 5)
@@ -570,6 +599,9 @@ def test_matvec_multiplies_by_an_in_out_weight(v_shape):
     assert nn.grad_check(fn, [m, v]) < 1e-6
     with pytest.raises(nn.DimensionError, match="matvec shapes"):
         nn.matvec(nn.Parameter(rng.normal(size=(5, 3))), v)
+    for weight, rows in ((m.data.astype(np.float32), v), (m, v.data.astype(np.float32))):
+        with pytest.raises(nn.DimensionError, match="mixed float dtypes"):
+            nn.matvec(weight, rows)
 
 
 def test_weight_inits_are_out_in_draws_transposed():

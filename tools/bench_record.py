@@ -119,6 +119,15 @@ def record_name(record):
     return "BENCH_%s%s.json" % (change["git_sha"][:7], "-dirty" if change.get("git_dirty") else "")
 
 
+def write_record(record, directory):
+    """Write ``record`` into ``directory`` under :func:`record_name`; returns its path."""
+    path = os.path.join(directory, record_name(record))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
@@ -126,14 +135,10 @@ def main(argv=None):
     p.add_argument("--out", default=ROOT, help="directory to write the record to")
     args = p.parse_args(argv)
     try:
-        record = build_record(args.parent_dir, args.change_dir)
-        path = os.path.join(args.out, record_name(record))
+        path = write_record(build_record(args.parent_dir, args.change_dir), args.out)
     except (OSError, KeyError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
     print("record written to %s" % path)
     return 0
 
