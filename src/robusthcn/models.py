@@ -50,7 +50,7 @@ rows need not round the same.
 
 from __future__ import annotations
 
-import io
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -131,7 +131,10 @@ class Model:
     A fresh model draws its parameters from ``rng``; ``embedding_table``,
     a (V, d) array, replaces the drawn embedding.  ``arrays`` (name ->
     array, as ``load_checkpoint`` returns them) gives every parameter's value
-    instead, and nothing is drawn.
+    instead, and nothing is drawn.  An array that already has the model's
+    dtype becomes the parameter's ``data`` as it is, not a copy, so the
+    parameters alias ``arrays``.  ``Adam`` copies the trainable weights into
+    its own buffer, so training the model never writes to them.
     """
 
     def __init__(self, config, vocab, action_set, n_context, rng=None, dtype=np.float32,
@@ -164,7 +167,7 @@ class Model:
             elif arrays[name].shape != shape:
                 raise CheckpointError("shape mismatch for parameter %s" % name)
             else:
-                data = arrays[name].astype(dtype)
+                data = arrays[name].astype(dtype, copy=False)
             p = nn.Parameter(data, name, trainable)
             self._register(p)
             return p
@@ -563,7 +566,7 @@ def save_checkpoint(path, model, lexicon, extra=None):
     with open(path, "wb") as fh:
         fh.write(("\n".join(_header_lines(model, lexicon, extra)) + "\n").encode("utf-8"))
         for p in model.params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
 @dataclass
@@ -588,7 +591,11 @@ def _header_int(text, what):
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint file; any malformed content raises CheckpointError."""
+    """Parse a checkpoint file; any malformed content raises CheckpointError.
+
+    The file is read once, and each array is one aligned, writable copy of
+    its bytes, C-contiguous in every format.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     marker = b"end_header\n"
@@ -599,7 +606,6 @@ def load_checkpoint(path):
         header = blob[:split].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise CheckpointError("checkpoint header is not UTF-8: %s" % exc) from None
-    payload = blob[split + len(marker):]
     magic = header[0].split(" ")
     if magic[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file")
@@ -671,17 +677,22 @@ def load_checkpoint(path):
     except ValueError as exc:
         raise CheckpointError("bad checkpoint model configuration: %s" % exc) from None
 
+    # one copy per array: frombuffer views of blob are read-only and may be
+    # misaligned, and formats 1 and 2 load transposed into C order
     arrays = OrderedDict()
-    reader = io.BytesIO(payload)
+    offset = split + len(marker)
     for name, shape in param_specs:
-        count = int(np.prod(shape)) if shape else 1
-        raw = reader.read(4 * count)
-        if len(raw) != 4 * count:
+        count = math.prod(shape)
+        if 4 * count > len(blob) - offset:
             raise CheckpointError("truncated parameter data for %s" % name)
-        array = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        try:
+            array = np.frombuffer(blob, "<f4", count, offset).reshape(shape)
+        except ValueError as exc:
+            raise CheckpointError("bad shape for parameter %s: %s" % (name, exc)) from None
+        offset += 4 * count
         arrays[name] = (array.T if version < 3 and array.ndim == 2 and name != "embedding"
                         else array).copy()
-    if reader.read(1):
+    if offset != len(blob):
         raise CheckpointError("trailing bytes after parameter data")
 
     return LoadedCheckpoint(
@@ -696,7 +707,11 @@ def load_checkpoint(path):
 
 
 def model_from_checkpoint(loaded):
-    """Rebuild a float32 model from a loaded checkpoint (exact parameter values)."""
+    """Rebuild a float32 model from a loaded checkpoint (exact parameter values).
+
+    The model's parameters are ``loaded.arrays`` themselves, not copies (see
+    ``Model``), so the weights are held once.
+    """
     return Model(loaded.config, loaded.vocab, loaded.action_set, loaded.n_context,
                  arrays=loaded.arrays)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 
@@ -271,6 +270,9 @@ def train_cells(configs, train_dialogs, dev_dialogs, vocab, action_set, n_contex
         raise ValueError("jobs must be at least 1, got %r" % (jobs,))
     run = partial(_train_cell, stage, (train_dialogs, dev_dialogs, vocab, action_set, n_context))
     if jobs > 1:
+        # imported here: multiprocessing costs every other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, configs))
     return [run(pair) for pair in configs]

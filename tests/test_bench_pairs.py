@@ -41,13 +41,22 @@ def test_pairs_alternate_which_side_runs_first(bench_pairs, tmp_path):
     for directory in out_dirs.values():
         os.makedirs(directory)
     calls = []
-    bench_pairs.run_pairs(trees, ["train_recurrent", "ood_infer_long"], [5, 6, 7], 3.0, 1,
-                          out_dirs, _stub_runner(calls))
+
+    def probe():
+        calls.append("probe")
+        return 0.5
+
+    probes = bench_pairs.run_pairs(trees, ["train_recurrent", "ood_infer_long"], [5, 6, 7], 3.0,
+                                   1, out_dirs, _stub_runner(calls), probe)
     first = ("parent", "change")
     second = ("change", "parent")
-    assert calls == [(trees[side], workload, seed, 3.0, 1)
-                     for workload in ("train_recurrent", "ood_infer_long")
-                     for seed, order in zip((5, 6, 7), (first, second, first)) for side in order]
+    # the host probe runs once before each pair, and its seconds are kept per pair
+    assert calls == [call for workload in ("train_recurrent", "ood_infer_long")
+                     for seed, order in zip((5, 6, 7), (first, second, first))
+                     for call in ["probe"] + [(trees[side], workload, seed, 3.0, 1)
+                                              for side in order]]
+    assert probes == {workload: {5: 0.5, 6: 0.5, 7: 0.5}
+                      for workload in ("train_recurrent", "ood_infer_long")}
     # each side's results sit in its own directory, one file per workload and seed
     for side in trees:
         assert len(os.listdir(out_dirs[side])) == 6
@@ -62,8 +71,12 @@ def test_a_failed_run_stops_the_pairs(bench_pairs, tmp_path):
 
     with pytest.raises(RuntimeError, match="change run of train_recurrent seed 1 exited 2"):
         bench_pairs.run_pairs({"parent": "parent", "change": "change"}, ["train_recurrent"],
-                              [1, 2], 1.0, 0, {"parent": "p", "change": "c"}, run)
+                              [1, 2], 1.0, 0, {"parent": "p", "change": "c"}, run, lambda: 0.1)
     assert calls == ["parent", "change"]
+
+
+def test_host_probe_times_the_loop_in_a_fresh_interpreter(bench_pairs):
+    assert 0 < bench_pairs.host_probe() < 60
 
 
 def _git(cwd, *args):
@@ -127,6 +140,8 @@ def test_record_names_the_tarball_commit(bench_pairs, committed_tree, tmp_path, 
         return code
 
     monkeypatch.setattr(bench_pairs, "run_one", run)
+    probed = iter([0.25, 0.5])
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: next(probed))
     monkeypatch.setattr(bench_pairs.bench_record, "ROOT", str(tmp_path))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert bench_pairs.main([str(tarball), str(change), "--workloads", "train_recurrent",
@@ -135,6 +150,7 @@ def test_record_names_the_tarball_commit(bench_pairs, committed_tree, tmp_path, 
     record = json.loads((tmp_path / ("BENCH_%s.json" % ("c" * 7))).read_text())
     assert record["parent"] == {"git_sha": sha, "git_dirty": False}
     assert record["workloads"]["train_recurrent"]["seeds"] == [1, 2]
+    assert record["workloads"]["train_recurrent"]["host_probe_s"] == [0.25, 0.5]
     assert "record written to" in capsys.readouterr().out
     # the unpacked parent tree is removed, the results are kept
     work = [p for p in tmp_path.iterdir() if p.name.startswith("bench-pairs-")]

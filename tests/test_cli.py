@@ -33,14 +33,30 @@ def test_version_flag(capsys):
     assert "corpus format 1" in out and "checkpoint format 3" in out
 
 
-def test_python_dash_m_runs_the_cli():
-    # a checkout runs the CLI as `PYTHONPATH=src python -m robusthcn`, no install needed
+def _checkout_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(robusthcn.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout runs the CLI as `PYTHONPATH=src python -m robusthcn`, no install needed
     done = subprocess.run([sys.executable, "-m", "robusthcn", "--version"], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          text=True, env=_checkout_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("robusthcn ") and "checkpoint format 3" in done.stdout
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only `gridsearch --jobs N` uses a process pool; every other command
+    # would pay for importing it at start-up
+    code = ("import sys, robusthcn.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_no_command_prints_help(capsys):

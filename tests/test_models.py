@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -564,6 +565,69 @@ def test_restore_rejects_arrays_that_do_not_fit_the_variant(tmp_path, toy_traine
     wrong["predictor.out.bias"] = np.zeros(3, dtype=np.float32)
     with pytest.raises(CheckpointError, match="shape mismatch for parameter predictor.out.bias"):
         model_from_checkpoint(dc_replace(loaded, arrays=wrong))
+
+
+@pytest.mark.parametrize("variant", ["HCN", "HHCN", "VHCN"])
+def test_restored_model_holds_the_loaded_arrays(tmp_path, toy_trained, variant):
+    domain, vocab, actions, _, dev_feats = toy_trained
+    config = ModelConfig(variant, embedding_size=6, dialog_hidden_size=8, predictor_hidden_size=8,
+                         latent_size=3 if variant == "VHCN" else None)
+    n_context = len(domain.lexicon.slot_types) + 1
+    model = Model(config, vocab, actions, n_context, rng=stream(4, "shared", variant))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    loaded = load_checkpoint(path)
+    saved = {name: p.data.copy() for name, p in model.params.items()}
+    restored = model_from_checkpoint(loaded)
+    for name, p in restored.params.items():
+        assert np.shares_memory(p.data, loaded.arrays[name]), name
+        assert p.data.flags.aligned and p.data.flags.writeable, name
+    # a float64 restore converts, so it cannot share
+    wide = Model(config, vocab, actions, n_context, dtype=np.float64, arrays=loaded.arrays)
+    assert not any(np.shares_memory(p.data, loaded.arrays[name])
+                   for name, p in wide.params.items())
+    # training the restored model updates Adam's buffer, never the loaded arrays
+    optimizer = nn.Adam(restored.parameters())
+    loss, _ = dialog_loss(restored, dev_feats[0], rng=stream(4, "noise"))
+    nn.backward(loss)
+    optimizer.step()
+    assert any(not np.array_equal(p.data, saved[name]) for name, p in restored.params.items())
+    for name, array in loaded.arrays.items():
+        np.testing.assert_array_equal(array, saved[name], err_msg=name)
+
+
+def test_load_and_restore_hold_the_weights_about_twice(tmp_path, toy_trained):
+    # the file's bytes and one copy of each array; a restore adds no copy
+    domain, vocab, actions, _, _ = toy_trained
+    model = Model(ModelConfig("HHCN"), vocab, actions, len(domain.lexicon.slot_types) + 1,
+                  rng=stream(4, "peak"))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        restored = model_from_checkpoint(load_checkpoint(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(restored.params) == list(model.params)
+    assert peak < 2.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("dims, message", [
+    # the element count overflows int64: np.prod wrapped it to 0
+    (b"1099511627776,1099511627776", "truncated parameter data for embedding"),
+    (b"0,1000000000000000000000000000000", "bad shape for parameter embedding"),
+])
+def test_impossible_parameter_shape_is_a_checkpoint_error(tmp_path, toy_trained, dims, message):
+    domain, _, _, model, _ = toy_trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, domain.lexicon)
+    _edit_header(path, lambda lines: [b"param = embedding " + dims
+                                      if l.startswith(b"param = embedding ") else l
+                                      for l in lines])
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_detects_tampering(tmp_path, toy_trained):

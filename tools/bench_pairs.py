@@ -17,6 +17,11 @@ functions, into the root of the checkout this script sits in.  Its parent
 side names the parent's commit: ``git get-tar-commit-id`` reads it from a
 tarball, and ``git -C`` from a tree that has ``.git``.  The commit of any
 other parent tree is recorded as ``"unknown"``.
+
+Before each pair, a fresh interpreter times a fixed pure-Python loop that
+runs no code of either tree.  The record keeps its seconds per pair, as
+``host_probe_s`` beside each workload's ``seeds``, so a pair whose two
+sides both ran slow on a slow host can be told from a slower change.
 """
 
 import argparse
@@ -61,6 +66,23 @@ def parent_commit(path):
     return {"git_sha": "unknown", "git_dirty": None}
 
 
+_PROBE = """\
+import time
+start = time.perf_counter()
+x = 0
+for i in range(1000000):
+    x = (x + i * i) % 1000003
+print(time.perf_counter() - start)
+"""
+
+
+def host_probe():
+    """Seconds the fixed loop ``_PROBE`` takes in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return float(done.stdout)
+
+
 def run_one(tree, workload, seed, seconds, trace, result):
     """``perfbench/run.py`` once, from the root of ``tree``; returns its exit code."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -72,15 +94,20 @@ def run_one(tree, workload, seed, seconds, trace, result):
     return done.returncode
 
 
-def run_pairs(trees, workloads, seeds, seconds, trace, out_dirs, run):
+def run_pairs(trees, workloads, seeds, seconds, trace, out_dirs, run, probe):
     """Run every (workload, seed) pair on both sides, alternating which side goes first.
 
     ``trees`` and ``out_dirs`` map ``"parent"`` and ``"change"`` to a tree
     and to its side's result directory; ``run`` takes the arguments of
-    :func:`run_one` and returns an exit code.
+    :func:`run_one` and returns an exit code.  ``probe``, called before
+    each pair, returns the seconds of :func:`host_probe`.  Returns
+    ``{workload: {seed: probe seconds}}``.
     """
+    probes = {}
     for workload in workloads:
         for i, seed in enumerate(seeds):
+            probed = probes.setdefault(workload, {})[seed] = probe()
+            print("host probe before %s seed %d: %.3f s" % (workload, seed, probed), flush=True)
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 result = os.path.join(out_dirs[side], "%s-seed%d-trace%d.json"
                                       % (workload, seed, trace))
@@ -89,6 +116,7 @@ def run_pairs(trees, workloads, seeds, seconds, trace, out_dirs, run):
                 if code != 0:
                     raise RuntimeError("%s run of %s seed %d exited %d"
                                        % (side, workload, seed, code))
+    return probes
 
 
 def main(argv=None):
@@ -112,12 +140,15 @@ def main(argv=None):
             trees["parent"] = os.path.join(work, "parent-tree")
         for directory in out_dirs.values():
             os.makedirs(directory)
-        run_pairs(trees, args.workloads.split(","), compare.parse_seeds(args.seeds),
-                  args.seconds, args.trace, out_dirs, run_one)
+        probes = run_pairs(trees, args.workloads.split(","), compare.parse_seeds(args.seeds),
+                           args.seconds, args.trace, out_dirs, run_one, host_probe)
         record = bench_record.build_record(out_dirs["parent"], out_dirs["change"])
         record["parent"] = parent
+        for workload, entry in record["traced" if args.trace else "workloads"].items():
+            entry["host_probe_s"] = [probes[workload][seed] for seed in entry["seeds"]]
         path = bench_record.write_record(record, bench_record.ROOT)
-    except (OSError, KeyError, ValueError, RuntimeError, tarfile.TarError) as exc:
+    except (OSError, KeyError, ValueError, RuntimeError, subprocess.SubprocessError,
+            tarfile.TarError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     finally:
