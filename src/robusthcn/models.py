@@ -39,13 +39,14 @@ distinct prefixes of that length, each distinct prefix computed once and
 each distinct token projected once, as radix-tree prefix caching does in
 LLM serving (Zheng et al. 2023, arXiv:2312.07104).  It projects the token
 half once per distinct turn and the context half once per distinct
-(context, previous action, mask) row, packs whole dialogs into chunks of
-at most ``INFER_CHUNK_TURNS`` (256) turns, and adds each chunk's rows from
-the two tables in the order training does.  ``predict_dialog`` then runs
-the dialog LSTM over the chunk's dialogs as packed sequences, the
-predictor and argmax.  The predictions equal those of one dialog at a
-time, though the logits may differ in the last bits: a product over other
-rows need not round the same.
+(context, previous action, mask) row.  One ``predict_dialog`` call then
+runs the dialog LSTM over all the dialogs of the call as packed
+sequences, longest first, each step gathering its turns' rows from the
+two tables and adding them in the order training does, so the rows of all
+turns are never built at once; then the predictor and argmax.  The
+predictions equal those of one dialog at a time, though the logits may
+differ in the last bits: a product over other rows need not round the
+same.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ _CHECKPOINT_MAGIC = "robusthcn-checkpoint"
 
 DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
 DEFAULT_LATENT_SIZE = 8
-
-# Inference runs at most this many dialog-level turns per pass.  Bigger
-# chunks pack the dialog level better, but at 1024 turns peak memory grew
-# by a tenth on long augmented dialogs.
-INFER_CHUNK_TURNS = 256
-
 
 # header scalars load_checkpoint reads
 _HEADER_SCALARS = ("variant", "n_context", "embedding_size", "latent_size",
@@ -271,7 +266,7 @@ class Model:
             if distinct.size == 1:
                 distinct, inverse = tokens, np.arange(tokens.size)
             zx = self.embedding.data[distinct] @ self.turn_w_input.data
-            hs = nn.lstm_trie(zx, inverse, parents, level_sizes, self.turn_u, self.turn_b)
+            hs = nn.lstm_trie([(zx, inverse)], parents, level_sizes, self.turn_u, self.turn_b)
             h = nn.Tensor(hs[last])
         if cfg.variant == "HHCN":
             return h, None
@@ -316,10 +311,31 @@ class Model:
         dialog's turn count (None: one dialog).  No input depends on the
         LSTM state, so the recurrence runs the dialogs as packed sequences
         over rows projected beforehand.
+
+        Without a graph, ``inputs`` may instead be the list of ``(table,
+        rows)`` pairs of :func:`_infer_inputs`, with ``lengths`` given:
+        turn t's input row is the sum of ``table[rows[t]]`` over the pairs.
+        The packed sequences then run as a trie with no shared nodes
+        (:func:`nn.pack_sequences`, :func:`nn.lstm_trie`) whose every step
+        gathers its rows from the tables, so the (T, 4H) rows are never
+        built.  Index arrays that do not split ``sum(lengths)`` raise
+        ``DimensionError``.
         """
-        h = nn.lstm(inputs, [inputs.shape[0]] if lengths is None else lengths,
-                    self.dlg_u, self.dlg_b)
-        return self.pred_out(nn.relu(self.pred_hidden(h)))
+        if not isinstance(inputs, list):
+            h = nn.lstm(inputs, [inputs.shape[0]] if lengths is None else lengths,
+                        self.dlg_u, self.dlg_b)
+            return self.pred_out(nn.relu(self.pred_hidden(h)))
+        rows, parents, sizes = nn.pack_sequences(lengths, len(inputs[0][1]))
+        if any(len(of) != len(rows) for _, of in inputs):
+            raise nn.DimensionError("index arrays do not all have %d rows" % len(rows))
+        h = nn.lstm_trie([(table, np.asarray(of)[rows]) for table, of in inputs],
+                         parents, sizes, self.dlg_u, self.dlg_b)
+        # the predictor reads the packed states, so only the (T, |A|) logits
+        # are put back in input order, not the (T, H) states
+        packed = self.pred_out(nn.relu(self.pred_hidden(h))).data
+        logits = np.empty_like(packed)
+        logits[rows] = packed
+        return nn.Tensor(logits)
 
     def bow_rows(self, featurized_dialog):
         """The binary bag-of-words vectors of a dialog's turns, as rows."""
@@ -454,8 +470,9 @@ def _infer_turn_vectors(model, turns):
 def _infer_inputs(model, turns):
     """The no-grad dialog-level input rows of ``turns``, as two tables.
 
-    Returns ``(token, token_of, context, context_of)``: the turns' input
-    rows, in input order, are ``token[token_of] + context[context_of]``.
+    Returns ``[(token, token_of), (context, context_of)]``, the input form
+    of :meth:`Model.dialog_step` that never builds the rows: the turns'
+    input rows, in input order, are ``token[token_of] + context[context_of]``.
     Without a graph the token half depends on a turn's tokens alone, so it
     is projected once per distinct row of :func:`_infer_turn_vectors`; the
     context half depends on the context, previous action and mask alone,
@@ -475,19 +492,21 @@ def _infer_inputs(model, turns):
     if len(context_turns) == 1:
         context_turns, context_of = turns, np.arange(len(turns))
     with nn.no_grad():
-        return (model.token_inputs(vectors, token_turns).data, token_of,
-                model.context_inputs(context_turns).data, context_of)
+        return [(model.token_inputs(vectors, token_turns).data, token_of),
+                (model.context_inputs(context_turns).data, context_of)]
 
 
 def predict_dialog(model, inputs, lengths):
-    """Greedy argmax actions from the dialog-level input rows of one or more dialogs.
+    """Greedy argmax actions from the dialog-level inputs of one or more dialogs.
 
     ``inputs`` and ``lengths`` are as in :meth:`Model.dialog_step`: the
-    rows the dialog LSTM reads, one per turn, and each dialog's turn
-    count.  Only the dialog LSTM, the predictor and argmax run here; the
-    result is one action id per row, a flat list in input order.  Argmax
-    ties resolve to the lowest action id.  To score featurized dialogs,
-    call :func:`predict_dialogs`.
+    rows the dialog LSTM reads, one per turn, or the ``(table, rows)``
+    pairs they are summed from, and each dialog's turn count.  Only the
+    dialog LSTM, the predictor and argmax run here; the result is one
+    action id per turn, a flat list in input order.  Argmax ties resolve
+    to the lowest action id.  Index arrays that do not split
+    ``sum(lengths)`` raise ``DimensionError``.  To score featurized
+    dialogs, call :func:`predict_dialogs`.
     """
     with nn.no_grad():
         logits = model.dialog_step(inputs, lengths)
@@ -499,35 +518,22 @@ def predict_dialogs(model, featurized_dialogs):
 
     This is how dialogs are scored; a turn is flagged OOD when its action
     is the fallback action.  Inference is deterministic for every variant
-    (VHCN uses the posterior mean).  The dialog-level input rows of all
-    the dialogs' turns are built in one :func:`_infer_inputs` call: each
-    distinct token sequence is encoded and its token half projected once
-    per call, and each distinct (context, previous action, mask) row has
-    its context half projected once.  The dialog level then runs in
-    chunks: whole dialogs go into one :func:`predict_dialog` call while it
-    holds at most ``INFER_CHUNK_TURNS`` turns (a longer dialog is a call
-    of its own), with the chunk's input rows gathered from the two tables
-    and added.  Empty dialogs add nothing.  The predictions equal those of
-    one dialog at a time.
+    (VHCN uses the posterior mean).  The dialog-level inputs of all the
+    dialogs' turns are built in one :func:`_infer_inputs` call, as two
+    tables: each distinct token sequence is encoded and its token half
+    projected once per call, and each distinct (context, previous action,
+    mask) row has its context half projected once.  One
+    :func:`predict_dialog` call then runs the dialog level over all the
+    dialogs at once, packed longest first, each step gathering its turns'
+    rows from the two tables and adding them; it returns every turn's
+    action once.  Empty dialogs add nothing.  The predictions equal those
+    of one dialog at a time.
     """
     dialogs = [dialog for dialog in featurized_dialogs if dialog]
     turns = [f for dialog in dialogs for f in dialog]
     if not turns:
         return []
-    token, token_of, context, context_of = _infer_inputs(model, turns)
-
-    def score(lo, hi, lengths):
-        return predict_dialog(model, token[token_of[lo:hi]] + context[context_of[lo:hi]], lengths)
-
-    predictions, lengths, lo, hi = [], [], 0, 0
-    for dialog in dialogs:
-        if lengths and hi - lo + len(dialog) > INFER_CHUNK_TURNS:
-            predictions += score(lo, hi, lengths)
-            lengths, lo = [], hi
-        lengths.append(len(dialog))
-        hi += len(dialog)
-    predictions += score(lo, hi, lengths)
-    return predictions
+    return predict_dialog(model, _infer_inputs(model, turns), [len(dialog) for dialog in dialogs])
 
 
 def _header_lines(model, lexicon, extra):

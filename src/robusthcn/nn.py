@@ -8,8 +8,10 @@ serves every recurrence with a graph: it runs a batch of variable-length
 sequences, packed row after row, as one graph node with one time loop,
 returns every row's hidden state and has a hand-written backward pass.
 Without a graph, :func:`lstm_trie` walks the prefix trie of token
-sequences instead, one step per level.  Both run one level loop,
-:func:`_lstm_levels`, which writes every step into preallocated buffers.
+sequences instead, one step per level; packed sequences are a trie with
+no shared nodes (:func:`pack_sequences`).  Both run one level loop,
+:func:`_lstm_levels`, which writes every step into preallocated buffers
+and gathers each step's input rows from one or more tables.
 Graphs are built eagerly; ``backward`` on a scalar loss accumulates
 gradients into every reachable trainable :class:`Parameter`.  Values no
 gradient can reach, such as HCN's frozen turn means, are computed in plain
@@ -238,21 +240,23 @@ def vsum(x):
     return _node(x.data.sum(), (x,), backward_fn)
 
 
-def _lstm_levels(zs, u, b, levels, hs, cs, z_rows=None, gates=None, tanh_c=None):
+def _lstm_levels(inputs, u, b, levels, hs, cs, gates=None, tanh_c=None):
     """The LSTM recurrence, one level at a time, written into preallocated buffers.
 
     Level l runs its k_l rows at once, from the states at rows ``prev`` of
     ``hs`` and ``cs``: ``prev:prev + k_l`` when ``prev`` is an int (the
     sequence layout of :func:`lstm`), the rows it lists when it is an
     index array (a trie level of :func:`lstm_trie`, gathered by parent).
-    ``levels`` lists ``(k_l, prev)``.  Output row r reads the input x W at
-    row r of ``zs``, or at row ``z_rows[r]`` when that is given.  ``hs``
-    and ``cs`` lead with zero rows, the state before any step, as many as
-    they have rows beyond the output's, and receive output row r after
-    them.  ``gates`` and ``tanh_c``, when given, keep each output row's
-    gates and tanh(c) for a backward pass.
+    ``levels`` lists ``(k_l, prev)``.  Output row r reads its input x W from
+    the ``(table, rows)`` pairs of ``inputs``: row ``rows[r]`` of each
+    table, gathered one level at a time and summed in list order, so the
+    rows of all outputs are never built at once.  ``hs`` and ``cs`` lead
+    with zero rows, the state before any step, as many as they have rows
+    beyond the output's, and receive output row r after them.  ``gates``
+    and ``tanh_c``, when given, keep each output row's gates and tanh(c)
+    for a backward pass.
 
-    A step is ``z = (zx + h_prev U) + b``, ``c = (f * c_prev) + (i * g)`` and
+    A step is ``z = (x + h_prev U) + b``, ``c = (f * c_prev) + (i * g)`` and
     ``h = o * tanh(c)``, with no temporary array per step.
     """
     hidden = u.shape[0]
@@ -260,7 +264,9 @@ def _lstm_levels(zs, u, b, levels, hs, cs, z_rows=None, gates=None, tanh_c=None)
     width = max(k for k, _ in levels)
     dtype = hs.dtype
     z = np.empty((width, 4 * hidden), dtype=dtype) if gates is None else None
-    x_gather = np.empty((width, 4 * hidden), dtype=dtype) if z_rows is not None else None
+    x = np.empty((width, 4 * hidden), dtype=dtype)
+    part = np.empty((width, 4 * hidden), dtype=dtype) if len(inputs) > 1 else None
+    (first, first_rows), more = inputs[0], inputs[1:]
     t = np.empty((width, hidden), dtype=dtype) if tanh_c is None else None
     ig = np.empty((width, hidden), dtype=dtype)
     if any(not isinstance(prev, int) for _, prev in levels):
@@ -282,10 +288,10 @@ def _lstm_levels(zs, u, b, levels, hs, cs, z_rows=None, gates=None, tanh_c=None)
             c_prev = np.take(cs, prev, axis=0, out=c_gather[:k], mode="clip")
         gate = z[:k] if gates is None else gates[r:r + k]
         np.matmul(h_prev, u, out=gate)
-        if z_rows is None:
-            gate += zs[r:r + k]
-        else:
-            gate += np.take(zs, z_rows[r:r + k], axis=0, out=x_gather[:k], mode="clip")
+        np.take(first, first_rows[r:r + k], axis=0, out=x[:k], mode="clip")
+        for table, rows in more:
+            x[:k] += np.take(table, rows[r:r + k], axis=0, out=part[:k], mode="clip")
+        gate += x[:k]
         gate += b
         gate *= scale
         np.tanh(gate, out=gate)
@@ -314,6 +320,33 @@ def _check_lstm_shapes(zx, w_recurrent, bias):
     return hidden
 
 
+def pack_sequences(lengths, total):
+    """The packed layout of sequences of ``lengths`` steps over ``total`` rows.
+
+    That is the layout of Appleyard et al. (2016): the sequences sorted by
+    length, longest first and stable, so the ones still running at step t
+    are a prefix of that order and step t runs ``level_sizes[t]`` of them.
+    It is returned as :func:`lstm_trie` reads a trie with no shared nodes,
+    ``(rows, parents, level_sizes)``: packed position n, level by level,
+    holds row ``rows[n]`` of the sequences' rows concatenated in order, and
+    a position below step 0 continues the one at the same rank a step
+    earlier, position ``parents[n - level_sizes[0]]``.  Raises
+    ``DimensionError`` unless the lengths (each at least 1) sum to
+    ``total``.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != total:
+        raise DimensionError("sequence lengths %s do not split %d rows" % (lengths.tolist(), total))
+    order = np.argsort(-lengths, kind="stable")
+    # level_sizes[t]: the sequences longer than t steps
+    sizes = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    step = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.arange(total) - (np.cumsum(sizes) - sizes)[step]
+    rows = (np.cumsum(lengths) - lengths)[order][rank] + step
+    parents = np.arange(sizes[0], total) - np.repeat(sizes[:-1], sizes[1:])
+    return rows, parents, sizes.tolist()
+
+
 def lstm(zx, lengths, w_recurrent, bias):
     """An LSTM over packed variable-length sequences, as one graph node.
 
@@ -325,55 +358,42 @@ def lstm(zx, lengths, w_recurrent, bias):
     (N, H), in input order.  Gate order along the 4H axis: input, forget,
     candidate, output.
 
-    The sequences run in the packed layout of Appleyard et al. (2016):
-    sorted by length, longest first and stable, so the sequences still
-    running at step t are a prefix of that order and one time loop of
-    max(lengths) steps serves them all, each step one level of
-    :func:`_lstm_levels`, which allocates nothing per step.  The backward
-    pass is hand-written BPTT that takes a gradient on every row.  It
-    keeps tanh(c) from the forward pass and computes every gate-derivative
-    factor that does not depend on the carried (dh, dc) once over all rows
-    before its reverse loop; the recurrent weight gradient is one product
-    H_prev^T dZ over all steps and rows.  Without a graph to record, no
-    gate history is kept.
+    The sequences run in the packed layout of :func:`pack_sequences`, so
+    one time loop of max(lengths) steps serves them all, each step one
+    level of :func:`_lstm_levels`, which allocates nothing per step.  The
+    backward pass is hand-written BPTT that takes a gradient on every row.
+    It keeps tanh(c) from the forward pass and computes every
+    gate-derivative factor that does not depend on the carried (dh, dc)
+    once over all rows before its reverse loop; the recurrent weight
+    gradient is one product H_prev^T dZ over all steps and rows.  Without a
+    graph to record, no gate history is kept.
     """
     zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
     hidden = _check_lstm_shapes(zx.data, w_recurrent.data, bias.data)
-    lengths = np.asarray(lengths, dtype=np.int64)
     total = zx.data.shape[0]
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != total:
-        raise DimensionError("sequence lengths %s do not split %d rows" % (lengths.tolist(), total))
+    rows, parents, active = pack_sequences(lengths, total)
 
-    # Packed position r of step t holds row rows[r] of zx; step t's
-    # active[t] positions start at start[t + 1] - n_seq.  The history
-    # arrays hs and cs lead with n_seq zero rows, the state before step 0,
-    # so step t writes rows start[t + 1]:start[t + 1] + active[t] and reads
-    # the states it continues at start[t]:start[t] + active[t].
-    order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    n_seq = lengths.size
-    active = np.count_nonzero(sorted_lengths[:, None] > np.arange(sorted_lengths[0]), axis=0)
-    start = np.concatenate(([0], n_seq + np.cumsum(active) - active))
-    step = np.repeat(np.arange(active.size), active)
-    rank = np.arange(total) - start[step + 1] + n_seq
-    rows = (np.cumsum(lengths) - lengths)[order][rank] + step
-    active, start = active.tolist(), start.tolist()
-
-    zs, u, b = zx.data[rows], w_recurrent.data, bias.data
-    dtype = _float_dtype(zs, u, b)
+    # The history arrays hs and cs lead with n_seq zero rows, the state
+    # before step 0, so packed position r is row n_seq + r, step 0 reads
+    # the zero rows and step t reads the first active[t] rows of step t - 1.
+    n_seq = active[0]
+    offsets = np.cumsum([0] + active).tolist()
+    u, b = w_recurrent.data, bias.data
+    dtype = _float_dtype(zx.data, u, b)
     record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
     hs = np.zeros((n_seq + total, hidden), dtype=dtype)
     cs = np.zeros((n_seq + total, hidden), dtype=dtype)
     gates = np.empty((total, 4 * hidden), dtype=dtype) if record else None
     tanh_c = np.empty((total, hidden), dtype=dtype) if record else None
-    _lstm_levels(zs, u, b, list(zip(active, start)), hs, cs, gates=gates, tanh_c=tanh_c)
+    levels = [(n_seq, 0)] + [(k, n_seq + lo) for k, lo in zip(active[1:], offsets)]
+    _lstm_levels([(zx.data, rows)], u, b, levels, hs, cs, gates=gates, tanh_c=tanh_c)
     out = np.empty((total, hidden), dtype=dtype)
     out[rows] = hs[n_seq:]
 
     def backward_fn(grad):
         grad = grad[rows]
-        # each row's previous state sits at its rank in the step before
-        prev = np.asarray(start)[step] + rank
+        # each row's previous state: a zero row at step 0, its parent after
+        prev = np.concatenate((np.arange(n_seq), n_seq + parents))
         # dz = ((carry * first) * second) * third per gate block, with the
         # carry dc for the input, forget and candidate blocks and dh for the
         # output block: di = ((dc * g) * i) * (1 - i), df = ((dc * c_prev) *
@@ -394,7 +414,7 @@ def lstm(zx, lengths, w_recurrent, bias):
         carry = np.empty_like(dh)
         dz = np.empty_like(gates)
         for t in range(len(active) - 1, -1, -1):
-            k, r = active[t], start[t + 1] - n_seq
+            k, r = active[t], offsets[t]
             dzr = dz[r:r + k].reshape(k, 4, hidden)
             dh[:k] += grad[r:r + k]
             np.multiply(dh[:k], o[r:r + k], out=carry[:k])
@@ -418,32 +438,42 @@ def lstm(zx, lengths, w_recurrent, bias):
     return _node(out, (zx, w_recurrent, bias), backward_fn)
 
 
-def lstm_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
+def lstm_trie(inputs, parents, level_sizes, w_recurrent, bias):
     """The hidden states of an LSTM walked over a prefix trie, without a graph.
 
-    Node n of the trie is one token prefix, and its input x W (that of its
-    last token) is row ``rows[n]`` of ``zx``, so each distinct token's
-    projection is one row of ``zx``.  The nodes are numbered level by level:
-    level d holds ``level_sizes[d]`` nodes, the distinct prefixes of d + 1
-    tokens.  A level-0 node starts from a zero [h; c]; node n of a deeper
-    level continues the state of node ``parents[n - level_sizes[0]]``.  One
-    step of :func:`_lstm_levels` runs per level over all of its nodes, so
-    each distinct prefix is computed once; the result is every node's
-    hidden state, (N, H), a plain array.  A node takes the steps of its
-    row in :func:`lstm` over any sequence with this prefix, in the same
-    order; only the row counts of the products differ, which BLAS may
-    round differently in the last bits.
+    Node n of the trie is one token prefix.  Its input x W (that of its
+    last token) is the sum, in list order, of row ``rows[n]`` of each
+    ``(zx, rows)`` pair of ``inputs``, so each distinct token's projection
+    can be one row of a ``zx``, and rows that are sums of two tables'
+    rows are gathered and added one level at a time.  The nodes are
+    numbered level by level: level d holds ``level_sizes[d]`` nodes, the
+    distinct prefixes of d + 1 tokens.  A level-0 node starts from a zero
+    [h; c]; node n of a deeper level continues the state of node
+    ``parents[n - level_sizes[0]]``.  One step of :func:`_lstm_levels` runs
+    per level over all of its nodes, so each distinct prefix is computed
+    once; the result is every node's hidden state, (N, H), a plain array.
+    A node takes the steps of its row in :func:`lstm` over any sequence
+    with this prefix, in the same order; only the row counts of the
+    products differ, which BLAS may round differently in the last bits.
+    Packed sequences (:func:`pack_sequences`) are a trie with no shared
+    nodes.
     """
-    zs, u, b = (as_tensor(x).data for x in (zx, w_recurrent, bias))
-    hidden = _check_lstm_shapes(zs, u, b)
+    u, b = as_tensor(w_recurrent).data, as_tensor(bias).data
     sizes = [int(k) for k in level_sizes]
-    rows, parents = np.asarray(rows, dtype=np.intp), np.asarray(parents, dtype=np.intp)
-    n = len(rows)
-    if not sizes or min(sizes) < 1 or sum(sizes) != n or len(parents) != n - sizes[0]:
+    parents = np.asarray(parents, dtype=np.intp)
+    n = sum(sizes)
+    if not inputs or not sizes or min(sizes) < 1 or len(parents) != n - sizes[0]:
         raise DimensionError("level sizes %s and %d parents do not fit %d nodes"
                              % (sizes, len(parents), n))
-    if rows.min() < 0 or rows.max() >= len(zs):
-        raise DimensionError("input rows outside the %d rows of zx" % len(zs))
+    pairs = []
+    for zx, rows in inputs:
+        zs, rows = as_tensor(zx).data, np.asarray(rows, dtype=np.intp)
+        hidden = _check_lstm_shapes(zs, u, b)
+        if len(rows) != n:
+            raise DimensionError("%d input rows for %d nodes" % (len(rows), n))
+        if rows.min() < 0 or rows.max() >= len(zs):
+            raise DimensionError("input rows outside the %d rows of zx" % len(zs))
+        pairs.append((zs, rows))
     offsets = np.cumsum([0] + sizes)
     level = np.repeat(np.arange(1, len(sizes)), sizes[1:])
     if np.any((parents < offsets[level - 1]) | (parents >= offsets[level])):
@@ -453,12 +483,12 @@ def lstm_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
     # reads its parent's row
     prev = np.split(parents + sizes[0], np.cumsum(sizes[1:-1]))
     levels = [(sizes[0], 0)] + list(zip(sizes[1:], prev))
-    dtype = _float_dtype(zs, u, b)
+    dtype = _float_dtype(*(zs for zs, _ in pairs), u, b)
     hs = np.empty((sizes[0] + n, hidden), dtype=dtype)
     cs = np.empty_like(hs)
     hs[:sizes[0]] = 0
     cs[:sizes[0]] = 0
-    _lstm_levels(zs, u, b, levels, hs, cs, z_rows=rows)
+    _lstm_levels(pairs, u, b, levels, hs, cs)
     return hs[sizes[0]:]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import UNK_INDEX
+from .corpus import UNK_INDEX, bow_indices
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def apply_turn_dropout(featurized_dialog, config, rng, fallback_id, vocab):
                 replace(
                     turn,
                     f_turn=f_turn,
-                    bow_indices=np.unique(f_turn),
+                    bow_indices=bow_indices(f_turn),
                     target=int(fallback_id),
                 )
             )

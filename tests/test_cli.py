@@ -59,6 +59,21 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_a_toy_pipeline_leaves_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 1.3 MB of resident memory that no
+    # command needs
+    config = tmp_path / "run.cfg"
+    config.write_text("toy.n_dialogs = 24\ntoy.n_actions = 8\nmodel.variant = VHCN\n"
+                      "turn_dropout.ratio = 0.3\ntrain.max_epochs = 1\n")
+    code = ("import sys; from robusthcn.cli import main; "
+            "code = main(['pipeline', '--config', sys.argv[1], '--out-dir', sys.argv[2]]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "run")],
+                          capture_output=True, text=True, env=_checkout_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_no_command_prints_help(capsys):
     assert _run() == 2
 

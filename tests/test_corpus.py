@@ -27,6 +27,7 @@ from robusthcn.corpus import (
     UNK_INDEX,
     UnknownActionError,
     assign_actions,
+    bow_indices,
     build_vocabulary,
     delexicalize,
     extract_action_set,
@@ -374,6 +375,17 @@ def test_featurize_oov_becomes_unk(small_domain):
     (features,) = featurize_dialog(Dialog(id=0, turns=(turn,)), vocab, actions, domain.lexicon)
     assert features.f_turn[0] == UNK_INDEX
     assert UNK_INDEX in features.bow_indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(st.integers(0, 2**40), max_size=30),
+       dtype=st.sampled_from([np.int64, np.int32, np.intp, np.uint16]))
+def test_bow_indices_equal_np_unique(tokens, dtype):
+    # np.unique in values and dtype, the empty turn included, without
+    # importing numpy.ma as np.unique does
+    f_turn = np.array(tokens, dtype=np.int64).astype(dtype)
+    indices, expected = bow_indices(f_turn), np.unique(f_turn)
+    assert indices.dtype == expected.dtype and np.array_equal(indices, expected)
 
 
 def test_featurize_bow_support_matches_distinct_tokens(small_domain):

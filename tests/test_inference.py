@@ -1,19 +1,24 @@
-"""Chunked no-grad inference: one packed pass over several dialogs.
+"""No-grad inference: one packed pass over all the dialogs of a call.
 
 ``predict_dialogs`` encodes each distinct turn of the call once, in one
 ``encode_turn`` call that walks the turn LSTM over the prefix trie of the
 distinct turns (one row per distinct prefix).  It projects the dialog
 level's token half once per distinct turn and its context half once per
-distinct (context, previous action, mask) row, then packs whole dialogs into
-``predict_dialog`` calls of at most ``INFER_CHUNK_TURNS`` turns, each
-given its turns' input rows.  These tests hold it to the per-dialog path
-and to the all-rows projection on trained toy models, and hold every
-caller to the contract the benchmark's inference review counts on: each
-turn's action comes back from ``predict_dialog`` exactly once.
+distinct (context, previous action, mask) row, then makes one
+``predict_dialog`` call over all the dialogs, given the two tables and each
+turn's row index into them.  That call runs the dialog LSTM once over the
+dialogs packed longest first, each level gathering its rows from the two
+tables, so the rows of all turns are never built at once.  These tests hold
+it to the per-dialog path, to the all-rows projection and to ``nn.lstm``
+over the rows built in full, on trained toy models; bound its memory by the
+dialog level's hidden states; and hold every caller to the contract the
+benchmark's inference review counts on: each turn's action comes back from
+``predict_dialog`` exactly once.
 """
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,52 +132,68 @@ def encode_calls(monkeypatch):
     return calls
 
 
-# turn budgets: the default, and one small enough that chunks close on the
-# turn count
-BUDGETS = [models.INFER_CHUNK_TURNS, 20]
+def _dialog_walks(monkeypatch):
+    """Records (inputs, levels, states) of every level loop over two tables.
+
+    Those are the dialog level's walks without a graph: the turn level's
+    trie walk reads one table.  ``states`` are the walk's hidden states in
+    packed order.
+    """
+    original = nn._lstm_levels
+    walks = []
+
+    def recording(inputs, u, b, levels, hs, cs, *args, **kwargs):
+        original(inputs, u, b, levels, hs, cs, *args, **kwargs)
+        if len(inputs) == 2:
+            walks.append((inputs, levels, hs[len(hs) - sum(k for k, _ in levels):].copy()))
+
+    monkeypatch.setattr(nn, "_lstm_levels", recording)
+    return walks
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
-@pytest.mark.parametrize("turn_budget", BUDGETS, ids=str)
-def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predict_calls,
-                                                          encode_calls, monkeypatch, variant,
-                                                          turn_budget):
+def test_one_pass_predictions_equal_per_dialog_predictions(domain, trained, predict_calls,
+                                                           encode_calls, monkeypatch, variant):
     model = trained[variant]
     dialogs = _mixed_dialogs(domain)
     per_dialog = [predict_dialogs(model, [d]) for d in dialogs]
     del predict_calls[:]
     del encode_calls[:]
-    monkeypatch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
+    walks = _dialog_walks(monkeypatch)
 
     assert predict_dialogs(model, dialogs) == [a for preds in per_dialog for a in preds]
 
     # the whole call is one encode_turn call over each distinct token
-    # sequence once, though the corpus repeats turns across chunks
+    # sequence once, though the corpus repeats turns
     (call,) = encode_calls
     distinct = {_key(f) for d in dialogs for f in d}
     assert sorted(map(_key, call)) == sorted(distinct)
     assert len(distinct) < sum(len(d) for d in dialogs)
 
-    # the chunks hold whole dialogs, several where they fit, at most the
-    # turn budget unless one dialog is longer, and close only when the
-    # next dialog would not fit; each gets one input row per turn, equal
-    # bit for bit to the chunk's turns projected row by row
+    # and one predict_dialog call over every dialog, which returns each
+    # turn's action once; its inputs are the two tables and each turn's
+    # row in them, whose sums equal the turns projected row by row
     turns = [f for d in dialogs for f in d]
-    spans, sizes, start = [], [], 0
-    for inputs, lengths, _ in predict_calls:
-        chunk = turns[start:start + sum(lengths)]
-        start += len(chunk)
-        assert len(chunk) <= turn_budget or len(lengths) == 1
-        assert inputs.shape == (len(chunk), 4 * model.config.dialog_hidden_size)
-        assert inputs.tobytes() == _all_rows_inputs(model, chunk).tobytes()
-        offsets = np.cumsum([0] + list(lengths))
-        spans += [chunk[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-        sizes.append((len(chunk), lengths[0]))
-    assert [len(d) for d in spans] == [len(d) for d in dialogs]
-    for (size, _), (_, next_first) in zip(sizes[:-1], sizes[1:]):
-        assert size + next_first > turn_budget
-    assert len(predict_calls) > 1
-    assert any(len(lengths) > 1 for _, lengths, _ in predict_calls)
+    (inputs, lengths, result), = predict_calls
+    assert list(lengths) == [len(d) for d in dialogs] and len(result) == len(turns)
+    (token, token_of), (context, context_of) = inputs
+    rows = token[token_of] + context[context_of]
+    assert rows.tobytes() == _all_rows_inputs(model, turns).tobytes()
+
+    # the dialog level is one walk over the dialogs packed longest first;
+    # each level gathers its rows from the two tables, equal bit for bit to
+    # those rows, and the states are nn.lstm's over the rows built in full
+    packed, _, sizes = nn.pack_sequences(lengths, len(turns))
+    (pairs, levels, states), = walks
+    assert [k for k, _ in levels] == sizes
+    r = 0
+    for k, _ in levels:
+        gathered = sum(table[of[r:r + k]] for table, of in pairs)
+        assert gathered.tobytes() == rows[packed[r:r + k]].tobytes()
+        r += k
+    with nn.no_grad():
+        expected = nn.lstm(rows, lengths, model.dlg_u, model.dlg_b).data
+    np.testing.assert_allclose(states, expected[packed], rtol=0, atol=0)
     assert max(len(d) for d in dialogs) > 20
     assert min(len(d) for d in dialogs) == 1
 
@@ -183,12 +204,14 @@ def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
     dialogs = _mixed_dialogs(domain)
     turns = [f for d in dialogs for f in d]
     with nn.no_grad():
-        batched = model.dialog_step(model.dialog_inputs(_infer(model, turns), turns),
-                                    [len(d) for d in dialogs])
+        lengths = [len(d) for d in dialogs]
+        batched = model.dialog_step(model.dialog_inputs(_infer(model, turns), turns), lengths)
+        gathered = model.dialog_step(models._infer_inputs(model, turns), lengths)
         single = [model.dialog_step(model.dialog_inputs(model.encode_turn(d)[0], d)).data
                   for d in dialogs]
     # a product over more rows need not round like a smaller one
-    np.testing.assert_allclose(batched.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
+    for logits in (batched, gathered):
+        np.testing.assert_allclose(logits.data, np.concatenate(single), rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
@@ -209,8 +232,8 @@ def test_duplicate_turns_get_equal_rows(domain, trained, predict_calls, encode_c
         assert rows.setdefault(_key(f), row.tobytes()) == row.tobytes()
     assert len(rows) == len(distinct)
     # equal tokens share one token-half row, equal contexts one
-    # context-half row, and the chunk's input rows are their sums
-    token, token_of, context, context_of = models._infer_inputs(model, turns)
+    # context-half row, and predict_dialog is given both tables
+    (token, token_of), (context, context_of) = models._infer_inputs(model, turns)
     assert len(token) == len(distinct)
     assert len(context) == len({_context_key(f) for f in turns})
     for of, key in ((token_of, _key), (context_of, _context_key)):
@@ -220,7 +243,9 @@ def test_duplicate_turns_get_equal_rows(domain, trained, predict_calls, encode_c
         assert len(set(first.values())) == len(first)
     (inputs, lengths, _), = predict_calls
     assert list(lengths) == [len(d) for d in dialogs]
-    assert inputs.tobytes() == (token[token_of] + context[context_of]).tobytes()
+    for (table, of), (expected, expected_of) in zip(inputs, ((token, token_of),
+                                                             (context, context_of))):
+        assert table.tobytes() == expected.tobytes() and np.array_equal(of, expected_of)
     # each row is the turn encoded on its own; VHCN's is the posterior
     # mean, not a sample
     with nn.no_grad():
@@ -234,8 +259,7 @@ def test_duplicate_turns_get_equal_rows(domain, trained, predict_calls, encode_c
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
 @pytest.mark.parametrize("corpus", ["identical", "distinct"])
-def test_corpus_of_identical_or_of_distinct_turns(domain, trained, encode_calls, monkeypatch,
-                                                  variant, corpus):
+def test_corpus_of_identical_or_of_distinct_turns(domain, trained, encode_calls, variant, corpus):
     model = trained[variant]
     turns = [f for d in domain["train"] + domain["dev"] + domain["test"] for f in d]
     if corpus == "identical":
@@ -250,10 +274,8 @@ def test_corpus_of_identical_or_of_distinct_turns(domain, trained, encode_calls,
     dialogs = [turns[i:i + 7] for i in range(0, len(turns), 7)]
     per_dialog = [a for d in dialogs for a in predict_dialogs(model, [d])]
     del encode_calls[:]
-    monkeypatch.setattr(models, "INFER_CHUNK_TURNS", 20)
     assert predict_dialogs(model, dialogs) == per_dialog
     encoded = [_key(f) for call in encode_calls for f in call]
-    assert len(turns) > 2 * 20
     if corpus == "identical":
         assert encoded == [_key(turns[0])]
     else:
@@ -276,12 +298,9 @@ def test_predict_dialogs_equals_per_dialog_path_on_random_corpora(domain, traine
     picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=12),
                                max_size=8))
     dialogs = [[pool[i] for i in dialog] for dialog in picks]
-    turn_budget = data.draw(st.sampled_from(BUDGETS))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "INFER_CHUNK_TURNS", turn_budget)
-        for model in trained.values():
-            assert predict_dialogs(model, dialogs) == [
-                a for dialog in dialogs for a in predict_dialogs(model, [dialog])]
+    for model in trained.values():
+        assert predict_dialogs(model, dialogs) == [
+            a for dialog in dialogs for a in predict_dialogs(model, [dialog])]
 
 
 def test_predict_dialog_rejects_inputs_of_another_row_count(domain, trained):
@@ -292,10 +311,26 @@ def test_predict_dialog_rejects_inputs_of_another_row_count(domain, trained):
     for wrong in (inputs[:2], np.concatenate([inputs, inputs[:1]]), inputs[:0]):
         with pytest.raises(nn.DimensionError):
             predict_dialog(model, wrong, [3])
+    # index arrays into the two tables must split the turns as well
+    (token, token_of), (context, context_of) = models._infer_inputs(model, turns)
+    assert predict_dialog(model, [(token, token_of), (context, context_of)],
+                          [3]) == predict_dialogs(model, [turns])
+    assert predict_dialog(model, [(token, token_of), (context, context_of)],
+                          [1, 2]) == predict_dialogs(model, [turns[:1], turns[1:]])
+    for wrong_token_of, wrong_context_of, lengths in [
+            (token_of[:2], context_of[:2], [3]), (token_of, context_of, [2]),
+            (token_of, context_of, [2, 2]), (token_of, context_of[:2], [3]),
+            (np.concatenate([token_of, token_of[:1]]), context_of, [3]),
+            (token_of, np.concatenate([context_of, context_of[:1]]), [3]),
+            (token_of, context_of[:0], [3]), (token_of, context_of, [3, 0])]:
+        with pytest.raises(nn.DimensionError):
+            predict_dialog(model, [(token, wrong_token_of), (context, wrong_context_of)], lengths)
+    with pytest.raises(nn.DimensionError):  # a row outside a table
+        predict_dialog(model, [(token, token_of), (context, context_of + len(context))], [3])
 
 
 def _lstm_inputs(monkeypatch):
-    """Records every ``nn.lstm`` call's zx and every ``nn.lstm_trie`` call's (zx, rows)."""
+    """Records every ``nn.lstm`` call's zx and every ``nn.lstm_trie`` call's (zx, rows) pairs."""
     lstm, trie = nn.lstm, nn.lstm_trie
     seen, walked = [], []
 
@@ -303,9 +338,9 @@ def _lstm_inputs(monkeypatch):
         seen.append(zx)
         return lstm(zx, lengths, w_recurrent, bias)
 
-    def recording_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
-        walked.append((zx, rows))
-        return trie(zx, rows, parents, level_sizes, w_recurrent, bias)
+    def recording_trie(inputs, parents, level_sizes, w_recurrent, bias):
+        walked.append(inputs)
+        return trie(inputs, parents, level_sizes, w_recurrent, bias)
 
     monkeypatch.setattr(nn, "lstm", recording)
     monkeypatch.setattr(nn, "lstm_trie", recording_trie)
@@ -333,7 +368,7 @@ def test_no_grad_projects_each_distinct_token_once(domain, trained, monkeypatch,
         # the trie walk reads one product row per distinct token (every
         # node's token where there is one distinct token), and each node's
         # row is its token's row of the per-token product bit for bit
-        (zx, rows), = walked
+        ((zx, rows),), = walked
         assert seen == []
         node_tokens = models._prefix_trie([f.f_turn for f in turns])[0]
         n_distinct = len(np.unique(tokens))
@@ -414,8 +449,8 @@ def test_no_grad_trie_walk_computes_each_prefix_once(domain, trained, sequences,
         np.testing.assert_allclose(vector, alone.data[0], rtol=1e-5, atol=1e-6)
 
 
-def _ood_infer_long_turns(seed):
-    """The featurized turns that the benchmark's ``ood_infer_long`` job scores for ``seed``."""
+def _ood_infer_long_dialogs(seed):
+    """The featurized dialogs that the benchmark's ``ood_infer_long`` job scores for ``seed``."""
     domain = generate_toy_domain(seed, 100, 20)
     dialogs = [corpus.Dialog(id=i, turns=d.turns)
                for i, d in enumerate(domain.train + domain.dev + domain.test)]
@@ -430,14 +465,20 @@ def _ood_infer_long_turns(seed):
     vocab = corpus.build_vocabulary([parsed])
     actions = corpus.extract_action_set(parsed, domain.lexicon)
     return vocab, actions, len(domain.lexicon.slot_types) + 1, [
-        f for d in corpus.assign_actions(parsed, actions, domain.lexicon)
-        for f in corpus.featurize_dialog(d, vocab, actions, domain.lexicon)]
+        corpus.featurize_dialog(d, vocab, actions, domain.lexicon)
+        for d in corpus.assign_actions(parsed, actions, domain.lexicon)]
 
 
-def test_ood_infer_long_corpus_walks_one_row_per_distinct_prefix(monkeypatch):
+@pytest.fixture(scope="module")
+def ood_infer_long():
+    return _ood_infer_long_dialogs(101)
+
+
+def test_ood_infer_long_corpus_walks_one_row_per_distinct_prefix(ood_infer_long, monkeypatch):
     # seed 101's 1612 turns hold 427 distinct token sequences of 3656
     # tokens in all, but only 1816 distinct prefixes
-    vocab, actions, n_context, turns = _ood_infer_long_turns(101)
+    vocab, actions, n_context, dialogs = ood_infer_long
+    turns = [f for d in dialogs for f in d]
     model = models.Model(ModelConfig("HHCN"), vocab, actions, n_context)
     distinct = {_key(f): f.f_turn for f in turns}
     assert (len(turns), len(distinct)) == (1612, 427)
@@ -447,6 +488,30 @@ def test_ood_infer_long_corpus_walks_one_row_per_distinct_prefix(monkeypatch):
     (levels,) = levels_seen
     assert sum(levels) == len(_prefixes([s.tolist() for s in distinct.values()])) == 1816
     assert len(levels) == max(len(s) for s in distinct.values()) == 21
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_one_pass_memory_is_bounded_by_the_dialog_level_states(ood_infer_long, variant):
+    # The dialog level holds the hidden and cell states of all N turns
+    # behind n_seq zero rows, (n_seq + N) x H each.  The (N, 4H) input rows
+    # alone would be 3.8 of those buffers on this corpus; they are gathered
+    # one level at a time instead, and the peak stays under 6 of them
+    # (4.3 at default sizes, for every variant).
+    vocab, actions, n_context, dialogs = ood_infer_long
+    model = models.Model(ModelConfig(variant), vocab, actions, n_context,
+                         rng=stream(101, "init", variant))
+    n_seq, n_turns = len(dialogs), sum(map(len, dialogs))
+    hidden = model.config.dialog_hidden_size
+    states = (n_seq + n_turns) * hidden * model.dtype.itemsize
+    assert n_turns * 4 * hidden * model.dtype.itemsize > 3.7 * states
+    expected = predict_dialogs(model, dialogs)
+    tracemalloc.start()
+    try:
+        assert predict_dialogs(model, dialogs) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * states
 
 
 @pytest.mark.parametrize("variant", list(CONFIGS))
@@ -495,7 +560,7 @@ def _edge_cases(domain):
 def test_inference_inputs_equal_the_all_rows_projection(domain, trained, variant, case):
     model = trained[variant]
     turns = _edge_cases(domain)[case]
-    token, token_of, context, context_of = models._infer_inputs(model, turns)
+    (token, token_of), (context, context_of) = models._infer_inputs(model, turns)
     expected = _all_rows_inputs(model, turns)
     assert (token[token_of] + context[context_of]).tobytes() == expected.tobytes()
     # the all-rows projection adds the five blocks in one fixed order
@@ -526,7 +591,7 @@ def test_large_vocabulary_inputs_agree_with_the_all_rows_projection(variant, n_w
         turns = [tiny_turn(vocab, actions, sequences[i % n_distinct], i % 6, prev=(i + 1) % 6,
                            ctx_bits=(i % 2, i // 2 % 2), api=int(i % 3 == 0))
                  for i in range(12)]
-        token, token_of, context, context_of = models._infer_inputs(model, turns)
+        (token, token_of), (context, context_of) = models._infer_inputs(model, turns)
         expected = _all_rows_inputs(model, turns)
         np.testing.assert_allclose(token[token_of] + context[context_of], expected,
                                    rtol=0, atol=1e-6)
@@ -634,6 +699,8 @@ def test_predict_dialog_returns_each_scored_turn_once(domain, trained, predict_c
     # calls and checks every entry is a valid action id
     model = trained[variant]
     row = evaluate_model(model, domain["dev"] + domain["test"])
+    # one call, which returns every turn's action once
+    assert len(predict_calls) == 1
     actions = [a for _, _, result in predict_calls for a in result]
     assert len(actions) == row.n_turns
     assert all(type(a) is int for a in actions)
@@ -654,5 +721,6 @@ def test_dev_selection_predicts_without_evaluate_model(domain, predict_calls, mo
                 domain["train"][:4], domain["dev"], data.vocab, data.action_set,
                 n_context=data.n_context)
     dev_turns = sum(len(d) for d in domain["dev"])
+    assert len(predict_calls) == epochs
     assert sum(len(result) for _, _, result in predict_calls) == epochs * dev_turns
 

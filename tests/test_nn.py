@@ -210,7 +210,7 @@ def test_lstm_trie_matches_each_prefix_run_alone():
     sequences = [[1, 2, 3], [1, 2], [0], [1, 3, 3, 0], [1, 2, 3], [2]]
     prefixes, number, sizes, parents = _trie(sequences)
     assert sizes == [3, 2, 2, 1]
-    out = nn.lstm_trie(table, [p[-1] for p in prefixes], parents, sizes, U, b)
+    out = nn.lstm_trie([(table, [p[-1] for p in prefixes])], parents, sizes, U, b)
     assert out.shape == (len(prefixes), hidden)
     for p in prefixes:
         h, c = np.zeros(hidden), np.zeros(hidden)
@@ -222,7 +222,7 @@ def test_lstm_trie_matches_each_prefix_run_alone():
     # of nn.lstm over that sequence bit for bit
     args = [x.astype(np.float32) for x in (table, U, b)]
     chain = [1, 3, 3, 0, 2]
-    walked = nn.lstm_trie(args[0], chain, range(len(chain) - 1), [1] * len(chain), *args[1:])
+    walked = nn.lstm_trie([(args[0], chain)], range(len(chain) - 1), [1] * len(chain), *args[1:])
     with nn.no_grad():
         packed = nn.lstm(args[0][chain], [len(chain)], *args[1:]).data
     assert walked.dtype == np.float32
@@ -231,7 +231,7 @@ def test_lstm_trie_matches_each_prefix_run_alone():
 
 def test_lstm_trie_rejects_inconsistent_levels():
     zx = np.zeros((2, 12))
-    assert nn.lstm_trie(zx, [0, 1, 1], [0], [2, 1], *_zero_weights(3)).shape == (3, 3)
+    assert nn.lstm_trie([(zx, [0, 1, 1])], [0], [2, 1], *_zero_weights(3)).shape == (3, 3)
     for rows, parents, sizes in [
         ([0, 1, 1], [0], [2, 2]),     # level sizes over 4 nodes, 3 rows
         ([0, 1, 1], [0, 1], [2, 1]),  # two parents for one deeper node
@@ -242,14 +242,65 @@ def test_lstm_trie_rejects_inconsistent_levels():
         ([0, 1, 1, 0], [0, 0], [2, 1, 1]),  # a parent two levels up
     ]:
         with pytest.raises(nn.DimensionError):
-            nn.lstm_trie(zx, rows, parents, sizes, *_zero_weights(3))
+            nn.lstm_trie([(zx, rows)], parents, sizes, *_zero_weights(3))
     with pytest.raises(nn.DimensionError):
-        nn.lstm_trie(np.zeros((2, 8)), [0, 1], [], [2], *_zero_weights(3))
+        nn.lstm_trie([(np.zeros((2, 8)), [0, 1])], [], [2], *_zero_weights(3))
+    # a second table: its rows must be inside it and one per node, and its
+    # width that of the first
+    other = np.zeros((3, 12))
+    for second in ((other, [0, 3, 1]), (other, [0, -1, 1]), (other, [0, 1]),
+                   (np.zeros((3, 8)), [0, 1, 2])):
+        with pytest.raises(nn.DimensionError):
+            nn.lstm_trie([(zx, [0, 1, 1]), second], [0], [2, 1], *_zero_weights(3))
+    with pytest.raises(nn.DimensionError):  # no table
+        nn.lstm_trie([], [0], [2, 1], *_zero_weights(3))
     for k in range(3):  # one float32 operand among float64 ones
         args = [zx] + [p.data for p in _zero_weights(3)]
         args[k] = args[k].astype(np.float32)
         with pytest.raises(nn.DimensionError, match="mixed float dtypes"):
-            nn.lstm_trie(args[0], [0, 1, 1], [0], [2, 1], *args[1:])
+            nn.lstm_trie([(args[0], [0, 1, 1])], [0], [2, 1], *args[1:])
+
+
+def test_lstm_trie_sums_two_tables_like_one_presummed_table():
+    # each level gathers its rows from both tables and adds them, which
+    # gives the states of one table of the summed rows bit for bit
+    rng = stream(9, "lstm-trie-tables")
+    hidden = 5
+    U, b = (rng.normal(size=shape).astype(np.float32)
+            for shape in ((hidden, 4 * hidden), (4 * hidden,)))
+    token, context = (rng.normal(size=(n, 4 * hidden)).astype(np.float32) for n in (6, 3))
+    prefixes, _, sizes, parents = _trie([[1, 2, 3], [1, 2], [0], [1, 3, 3, 0], [2]])
+    n = len(prefixes)
+    token_of, context_of = rng.integers(0, 6, n), rng.integers(0, 3, n)
+    both = nn.lstm_trie([(token, token_of), (context, context_of)], parents, sizes, U, b)
+    summed = token[token_of] + context[context_of]
+    one = nn.lstm_trie([(summed, np.arange(n))], parents, sizes, U, b)
+    assert both.dtype == np.float32 and both.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("lengths", [[1], [4], [3, 1, 2], [2, 5, 5, 1, 3]])
+def test_packed_sequences_walked_as_a_trie_match_lstm(lengths):
+    rng = stream(10, "packed-trie", len(lengths))
+    hidden, total = 4, sum(lengths)
+    zx, U, b = (rng.normal(size=shape).astype(np.float32)
+                for shape in ((total, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)))
+    rows, parents, sizes = nn.pack_sequences(lengths, total)
+    # level t holds the sequences longer than t steps, longest first; a
+    # node continues the node one row earlier in its sequence
+    assert sizes == [sum(n > t for n in lengths) for t in range(max(lengths))]
+    starts = np.cumsum([0] + lengths[:-1])
+    order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
+    assert rows[:sizes[0]].tolist() == starts[order].tolist()
+    assert (rows[sizes[0]:] == rows[parents] + 1).all()
+    assert sorted(rows.tolist()) == list(range(total))
+    # a trie with no shared nodes: walked, it gives nn.lstm's states bit for bit
+    walked = np.empty((total, hidden), dtype=np.float32)
+    walked[rows] = nn.lstm_trie([(zx, rows)], parents, sizes, U, b)
+    with nn.no_grad():
+        assert walked.tobytes() == nn.lstm(zx, lengths, U, b).data.tobytes()
+    for bad in ([], lengths[:-1] + [lengths[-1] + 1], [0] + lengths, [[total]]):
+        with pytest.raises(nn.DimensionError, match="lengths"):
+            nn.pack_sequences(bad, total)
 
 
 @pytest.mark.parametrize("tokens", [[[3]], [[1, 3, 0, 4, 3]], [[1, 3], [0], [4, 3, 2, 2], [0]]])
