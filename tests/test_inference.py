@@ -198,6 +198,55 @@ def test_one_pass_predictions_equal_per_dialog_predictions(domain, trained, pred
     assert min(len(d) for d in dialogs) == 1
 
 
+def _chunks(dialogs, turn_budget):
+    # consecutive whole dialogs, at most turn_budget turns a chunk unless
+    # one dialog is longer, each closed only when the next would not fit
+    chunks, chunk, size = [], [], 0
+    for dialog in dialogs:
+        if chunk and size + len(dialog) > turn_budget:
+            chunks.append(chunk)
+            chunk, size = [], 0
+        chunk.append(dialog)
+        size += len(dialog)
+    return chunks + [chunk]
+
+
+@pytest.mark.parametrize("variant", list(CONFIGS))
+@pytest.mark.parametrize("turn_budget", [256, 20], ids=str)
+def test_chunked_predictions_equal_per_dialog_predictions(domain, trained, predict_calls,
+                                                          encode_calls, variant, turn_budget):
+    """A corpus scored in chunks of whole dialogs predicts what it does whole.
+
+    A dialog's actions do not depend on the dialogs packed with it: chunks
+    of at most ``turn_budget`` turns, several dialogs each or one longer
+    dialog alone, give the per-dialog predictions, and each chunk is one
+    ``encode_turn`` call and one ``predict_dialog`` call over its turns.
+    """
+    model = trained[variant]
+    dialogs = _mixed_dialogs(domain)
+    per_dialog = [predict_dialogs(model, [d]) for d in dialogs]
+    whole = predict_dialogs(model, dialogs)
+    chunks = _chunks(dialogs, turn_budget)
+    del predict_calls[:]
+    del encode_calls[:]
+
+    chunked = [a for chunk in chunks for a in predict_dialogs(model, chunk)]
+    assert chunked == whole == [a for preds in per_dialog for a in preds]
+
+    assert len(encode_calls) == len(predict_calls) == len(chunks)
+    for chunk, call, (inputs, lengths, result) in zip(chunks, encode_calls, predict_calls):
+        turns = [f for d in chunk for f in d]
+        assert sorted(map(_key, call)) == sorted({_key(f) for f in turns})
+        assert list(lengths) == [len(d) for d in chunk] and len(result) == len(turns)
+        (token, token_of), (context, context_of) = inputs
+        rows = token[token_of] + context[context_of]
+        assert rows.tobytes() == _all_rows_inputs(model, turns).tobytes()
+    assert any(len(chunk) > 1 for chunk in chunks)
+    if turn_budget < max(len(d) for d in dialogs):
+        assert len(chunks) > 1
+        assert any(len(chunk) == 1 and len(chunk[0]) > turn_budget for chunk in chunks)
+
+
 @pytest.mark.parametrize("variant", list(CONFIGS))
 def test_batched_logits_match_per_dialog_logits(domain, trained, variant):
     model = trained[variant]
