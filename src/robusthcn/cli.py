@@ -9,6 +9,7 @@ so a rerun with the same configuration reproduces every output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -173,12 +174,7 @@ def cmd_train(args):
         model_config, train_config, train_feats, dev_feats, data.vocab, data.action_set,
         data.n_context, embedding_table=_embedding_table(config, data.vocab),
     )
-    extra = {
-        "train.seed": str(train_config.seed),
-        "train.turn_dropout_ratio": str(train_config.turn_dropout_ratio),
-        "train.word_dropout": str(train_config.word_dropout),
-        "train.learning_rate": str(train_config.learning_rate),
-    }
+    extra = {"train." + k: str(v) for k, v in dataclasses.asdict(train_config).items()}
     _write(lambda p: models.save_checkpoint(p, model, data.lexicon, extra=extra),
            args.out_checkpoint)
     if args.history_out:

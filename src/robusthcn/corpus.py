@@ -409,9 +409,9 @@ class ContextFeatures:
 class TurnFeatures:
     """Model input record for one turn.
 
-    ``bow_indices`` is the sorted set of distinct token indices in
-    ``f_turn`` (:func:`bow_indices`); ``Model.bow_rows`` materializes the
-    binary vectors.
+    ``bow_indices`` is the sorted set of the turn's distinct token indices
+    (:func:`bow_indices`), materialized by ``Model.bow_rows``.  Training's
+    word dropout replaces ``f_turn`` only, so the bag of words keeps them.
     ``f_mask`` is all ones; the models read it as an input feature and
     never apply it to the logits.
     """

@@ -72,9 +72,9 @@ DEFAULT_EMBEDDING_SIZE = {"HCN": 64, "HHCN": 128, "VHCN": 128}
 DEFAULT_LATENT_SIZE = 8
 
 # header scalars load_checkpoint reads
-_HEADER_SCALARS = ("variant", "n_context", "embedding_size", "latent_size",
-                   "dialog_hidden_size", "predictor_hidden_size", "fallback_action_id",
-                   "vocab_hash", "action_hash")
+_HEADER_SCALARS = ("variant", "vocab_size", "n_actions", "n_context", "embedding_size",
+                   "latent_size", "dialog_hidden_size", "predictor_hidden_size",
+                   "fallback_action_id", "vocab_hash", "action_hash")
 
 
 class HashMismatchError(ValueError):
@@ -568,9 +568,8 @@ def _header_lines(model, lexicon, extra):
 
 def save_checkpoint(path, model, lexicon, extra=None):
     """Versioned container: text header, then float32 little-endian arrays."""
-    extra = dict(extra or {})
     with open(path, "wb") as fh:
-        fh.write(("\n".join(_header_lines(model, lexicon, extra)) + "\n").encode("utf-8"))
+        fh.write(("\n".join(_header_lines(model, lexicon, extra or {})) + "\n").encode("utf-8"))
         for p in model.params.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
@@ -656,6 +655,9 @@ def load_checkpoint(path):
     vocab = Vocabulary(vocab_tokens)
     if tuple(vocab.itos) != tuple(vocab_tokens):
         raise CheckpointError("checkpoint vocabulary is not in canonical order")
+    for key, count in (("vocab_size", len(vocab_tokens)), ("n_actions", len(actions))):
+        if _header_int(scalars[key], key) != count:
+            raise CheckpointError("%s = %s, but the header lists %d" % (key, scalars[key], count))
     fallback_id = _header_int(scalars["fallback_action_id"], "fallback_action_id")
     if fallback_id >= len(actions):
         raise CheckpointError("fallback_action_id %d is outside the %d actions"

@@ -118,6 +118,8 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
     ``dev_turn_dropout`` is set, the dev set is perturbed once with
     deterministic turn dropout at the training ratio so selection also
     reflects fallback competence; the perturbation is fixed across epochs.
+    Word dropout replaces ``f_turn`` only: the bag of words that the dialog
+    level and VHCN's reconstruction read keeps the turn's own words.
     """
     if not train_dialogs:
         raise ValueError("empty training set")

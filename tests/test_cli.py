@@ -245,7 +245,7 @@ def test_train_evaluate_report_chain(toy_files, tmp_path):
         "--lexicon", str(toy_files / "lexicon.txt"),
         "--vocab-corpus", str(toy_files / "test.txt"),
         "--actions-corpus", str(toy_files / "test.txt"),
-        "--td-ratio", "0.0", "--max-epochs", "2", "--seed", "7",
+        "--td-ratio", "0.0", "--max-epochs", "2", "--seed", "7", "--patience", "7",
         "--out-checkpoint", str(ckpt), "--history-out", str(history),
     )
     assert code == 0
@@ -253,6 +253,12 @@ def test_train_evaluate_report_chain(toy_files, tmp_path):
     lines = history.read_text().split("\n")
     assert lines[0] == "epoch\ttrain_loss\tdev_acc\tkl_mean"
     assert len([l for l in lines if l and not l.startswith("#")]) == 3  # header + 2 epochs
+    # every resolved training value is recorded, under the TrainConfig field's name
+    assert [l for l in lines if l.startswith("# config.")] == [
+        "# config.train.dev_turn_dropout = True", "# config.train.learning_rate = 0.001",
+        "# config.train.max_epochs = 2", "# config.train.patience = 7",
+        "# config.train.seed = 7", "# config.train.turn_dropout_ratio = 0.0",
+        "# config.train.turn_dropout_unk_prob = 0.5", "# config.train.word_dropout = 0.2"]
 
     report = tmp_path / "report.txt"
     code = _run("evaluate", "--checkpoint", str(ckpt),
@@ -262,6 +268,8 @@ def test_train_evaluate_report_chain(toy_files, tmp_path):
     record = parse_report(report.read_text())
     assert record["model"] == "HCN"
     assert "plain.overall_acc" in record
+    assert "config.checkpoint.train.max_epochs = 2\n" in report.read_text()
+    assert "config.checkpoint.train.patience = 7\n" in report.read_text()
 
     table = tmp_path / "table.txt"
     csv = tmp_path / "table.csv"

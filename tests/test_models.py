@@ -677,6 +677,9 @@ def test_malformed_header_is_a_checkpoint_error(tmp_path, header):
     (b"fallback_action_id = 99", "outside"),
     (b"lexicon = no tab here", "lexicon"),
     (b"variant = XCN", "model configuration"),
+    (b"vocab_size = 3", "vocab_size = 3, but the header lists"),
+    (b"n_actions = 999", "n_actions = 999, but the header lists"),
+    (b"n_actions = -1", "n_actions is not a non-negative integer"),
 ])
 def test_bad_header_values_are_checkpoint_errors(tmp_path, toy_trained, line, message):
     domain, _, _, model, _ = toy_trained

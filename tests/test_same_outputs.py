@@ -1,7 +1,10 @@
 """tools/same_outputs.py compares two runs' files byte for byte."""
 
 import importlib.util
+import io
 import os
+import tarfile
+import tempfile
 
 import pytest
 
@@ -54,3 +57,38 @@ def test_a_missing_file_is_a_difference(same_outputs, tmp_path):
     assert n_files == 4
     assert found == [os.path.join("data", "train.txt") + ": only in the parent's run",
                      "extra.txt: only in the change's run"]
+
+
+def test_a_tarball_parent_runs_from_its_unpacked_tree(same_outputs, tmp_path, monkeypatch,
+                                                      capsys):
+    tarball = tmp_path / "parent.tar"
+    with tarfile.open(tarball, "w") as tar:
+        info = tarfile.TarInfo("src/marker.txt")
+        info.size = 7
+        tar.addfile(info, io.BytesIO(b"parent\n"))
+    change = tmp_path / "change"
+    change.mkdir()
+    trees = []
+
+    def run_pipeline(tree, config_path, out_dir):
+        trees.append(tree)
+        if tree != str(change):
+            with open(os.path.join(tree, "src", "marker.txt"), encoding="utf-8") as fh:
+                assert fh.read() == "parent\n"
+        os.makedirs(os.path.join(out_dir, "data"))
+        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+            fh.write("same\n")
+
+    monkeypatch.setattr(same_outputs, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert same_outputs.main([str(tarball), str(change)]) == 0
+    assert len(trees) == 2 * len(same_outputs.CONFIGS)
+    parents, changes = trees[::2], trees[1::2]
+    assert set(changes) == {str(change)}
+    # every parent run is from the unpacked archive, under the temporary directory
+    assert len(set(parents)) == 1
+    assert parents[0].startswith(str(tmp_path / "same-outputs-"))
+    assert capsys.readouterr().out.count("identical (1 files)") == len(same_outputs.CONFIGS)
+    # the temporary directory and the unpacked tree are removed afterwards
+    assert not os.path.exists(parents[0])
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("same-outputs-")]

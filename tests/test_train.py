@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robusthcn import nn, train
-from robusthcn.corpus import UNK_INDEX, prepare
+from robusthcn.corpus import UNK_INDEX, bow_indices, prepare
 from robusthcn.models import ModelConfig, predict_dialogs
 from robusthcn.seeding import stream
 from robusthcn.toy import generate_toy_domain
@@ -53,6 +53,34 @@ def test_word_dropout_does_not_mutate_input():
     tokens = np.array([3, 4, 5, 6])
     word_dropout(tokens, 0.9, stream(3, "wd"))
     np.testing.assert_array_equal(tokens, [3, 4, 5, 6])
+
+
+def test_word_dropout_reaches_the_turn_encoder_only(toy, monkeypatch):
+    # train_model replaces f_turn and keeps bow_indices, so the bag of words
+    # that the dialog level and VHCN's reconstruction read keeps the turn's
+    # own words; whether it should see word dropout is a modelling decision
+    domain, vocab, actions, nctx, train_f, dev_f = toy
+    seen = []
+    real_loss = train.dialog_loss
+
+    def spy_loss(model, dialog, rng=None):
+        seen.append(dialog)
+        return real_loss(model, dialog, rng)
+
+    monkeypatch.setattr(train, "dialog_loss", spy_loss)
+    tc = TrainConfig(word_dropout=0.9, turn_dropout_ratio=0.0, max_epochs=1, patience=1, seed=0)
+    train_model(ModelConfig("HCN", **SMALL), tc, train_f, dev_f, vocab, actions, nctx)
+    originals = {id(t.bow_indices): t for dialog in train_f for t in dialog}
+    turns = [t for dialog in seen for t in dialog]
+    assert len(turns) == len(originals)
+    dropped = 0
+    for turn in turns:
+        original = originals.pop(id(turn.bow_indices))
+        assert turn.f_turn is not original.f_turn
+        assert ((turn.f_turn == original.f_turn) | (turn.f_turn == UNK_INDEX)).all()
+        np.testing.assert_array_equal(turn.bow_indices, bow_indices(original.f_turn))
+        dropped += not np.array_equal(bow_indices(turn.f_turn), turn.bow_indices)
+    assert dropped > len(turns) // 2
 
 
 # -------------------------------------------------------------- train_model

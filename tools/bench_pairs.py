@@ -10,35 +10,48 @@ directory (a checkout, or a ``git archive`` of the parent unpacked) or a
 seed, ``perfbench/run.py`` runs once from each tree's own root; the side
 that runs first alternates by seed, the parent first on the first seed.
 Each side's result files go into its own new directory under the system's
-temporary directory, which is kept and printed.
+temporary directory, which is kept and printed.  Before each pair, a fresh
+interpreter times a fixed pure-Python loop that runs no code of either
+tree, so that host drift can be told from a slower change.
 
-The record is then built and written by ``tools/bench_record.py``'s own
-functions, into the root of the checkout this script sits in.  Its parent
-side names the parent's commit: ``git get-tar-commit-id`` reads it from a
-tarball, and ``git -C`` from a tree that has ``.git``.  The commit of any
-other parent tree is recorded as ``"unknown"``.
+The record is written as ``BENCH_<short-sha>.json`` into the root of the
+checkout this script sits in, named after the change side's commit, with
+``-dirty`` appended when the change ran on an uncommitted tree.  It holds
+both sides' commit and dirty flag and the change side's environment
+(the parent's too, as ``parent_env``, where it differs).  The parent's
+commit is read from a tarball with ``git get-tar-commit-id``, and from a
+tree that has ``.git`` with ``git -C``; any other tree's is ``"unknown"``.
+Untraced runs (``--trace 0``) give the end-to-end metrics under
+``workloads``, traced runs the per-layer metrics under ``traced``.  Each
+workload entry holds the seeds both sides ran, the loop's seconds per
+pair as ``host_probe_s``, the operations each side's runs failed, and per
+metric each side's median and quartiles, the change/parent ratio of each
+seed-matched pair, the median of those ratios (a pair whose parent value
+is 0 has no ratio and is left out of it), how many pairs the change won
+(ties count for neither) and, for every metric the benchmark bounds,
+``verdict``: the label ``perfbench/compare.py``'s ``judge`` gives it.
 
-Before each pair, a fresh interpreter times a fixed pure-Python loop that
-runs no code of either tree.  The record keeps its seconds per pair, as
-``host_probe_s`` beside each workload's ``seeds``, so a pair whose two
-sides both ran slow on a slow host can be told from a slower change.
+When the change's record already exists, each workload this run measured
+replaces its entry in its section and every other entry stays, so an
+untraced and a traced run of one change make one record.  A record of
+another parent, change or environment is refused and left as it was.
 """
 
 import argparse
-import importlib.util
+import glob
+import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_record", os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_record.py"))
-bench_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_record)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import compare  # noqa: E402  (perfbench/, put on the path by bench_record)
+import compare  # noqa: E402
 import spec  # noqa: E402
 
 
@@ -119,6 +132,110 @@ def run_pairs(trees, workloads, seeds, seconds, trace, out_dirs, run, probe):
     return probes
 
 
+def load_side(directory):
+    """``(git, env, {(section, workload): {seed: result}})`` of one side's result files."""
+    runs, envs = {}, set()
+    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            result = json.load(fh)
+        key = ("traced" if result["trace"] else "workloads", result["workload"])
+        if result["seed"] in runs.setdefault(key, {}):
+            raise ValueError("%s: a second %s run of seed %d" % (path, key[1], result["seed"]))
+        runs[key][result["seed"]] = result
+        envs.add(json.dumps({k: v for k, v in result["env"].items() if k != "seed"},
+                            sort_keys=True))
+    if not runs:
+        raise ValueError("no result files in %s" % directory)
+    if len(envs) > 1:
+        raise ValueError("the results in %s come from more than one commit or environment"
+                         % directory)
+    env = json.loads(envs.pop())
+    git = {"git_sha": env.pop("git_sha"), "git_dirty": env.pop("git_dirty")}
+    return git, env, runs
+
+
+def _side_summary(values):
+    med, q1, q3 = compare.summary(values)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def compare_runs(parent, change):
+    """Seeds, failed operations and per-metric summaries of one workload's runs."""
+    seeds = sorted(set(parent) & set(change))
+    if not seeds:
+        raise ValueError("no seed was run on both sides")
+    parent = [parent[s] for s in seeds]
+    change = [change[s] for s in seeds]
+    failed = {"parent": sum(r["failed"] for r in parent),
+              "change": sum(r["failed"] for r in change)}
+    metrics = {}
+    for name in sorted(set(parent[0]["metrics"]) & set(change[0]["metrics"])):
+        metric = spec.BY_NAME.get(name)
+        if metric is None:
+            continue
+        base = {s: r["metrics"][name]["value"] for s, r in zip(seeds, parent)}
+        new = {s: r["metrics"][name]["value"] for s, r in zip(seeds, change)}
+        pairs = [(base[s], new[s]) for s in seeds]
+        ratios = [c / p if p else None for p, c in pairs]
+        defined = [r for r in ratios if r is not None]
+        metrics[name] = {
+            "unit": metric.unit,
+            "better": metric.better,
+            "parent": _side_summary([p for p, _ in pairs]),
+            "change": _side_summary([c for _, c in pairs]),
+            "ratios": ratios,
+            "median_ratio": statistics.median(defined) if defined else None,
+            "wins": sum(1 for p, c in pairs if (c < p if metric.better == "lower" else c > p)),
+        }
+        if metric.bound is not None:
+            metrics[name]["verdict"] = compare.judge(base, new, metric, failed["parent"],
+                                                     failed["change"])
+    return {"seeds": seeds, "failed": failed, "metrics": metrics}
+
+
+def build_record(parent_dir, change_dir):
+    parent_git, parent_env, parent_runs = load_side(parent_dir)
+    change_git, change_env, change_runs = load_side(change_dir)
+    record = {"parent": parent_git, "change": change_git, "env": change_env,
+              "workloads": {}, "traced": {}}
+    if parent_env != change_env:
+        record["parent_env"] = parent_env
+    for (section, workload), runs in sorted(change_runs.items()):
+        if (section, workload) in parent_runs:
+            record[section][workload] = compare_runs(parent_runs[(section, workload)], runs)
+    if not record["workloads"] and not record["traced"]:
+        raise ValueError("the two sides share no workload")
+    return record
+
+
+def record_name(record):
+    change = record["change"]
+    if not change.get("git_sha"):
+        raise ValueError("the change runs record no git sha")
+    return "BENCH_%s%s.json" % (change["git_sha"][:7], "-dirty" if change.get("git_dirty") else "")
+
+
+def write_record(record, directory):
+    """Write ``record`` into ``directory`` under :func:`record_name`; returns its path.
+
+    An existing record of the same parent, change and environments keeps
+    every workload entry that ``record`` does not replace.
+    """
+    path = os.path.join(directory, record_name(record))
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
+        for key in ("parent", "change", "env", "parent_env"):
+            if old.get(key) != record.get(key):
+                raise ValueError("%s holds another %s: %s" % (path, key, json.dumps(old.get(key))))
+        for section in ("workloads", "traced"):
+            record[section] = dict(old.get(section, {}), **record[section])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_tree", help="a directory or a git archive tarball")
@@ -142,11 +259,11 @@ def main(argv=None):
             os.makedirs(directory)
         probes = run_pairs(trees, args.workloads.split(","), compare.parse_seeds(args.seeds),
                            args.seconds, args.trace, out_dirs, run_one, host_probe)
-        record = bench_record.build_record(out_dirs["parent"], out_dirs["change"])
+        record = build_record(out_dirs["parent"], out_dirs["change"])
         record["parent"] = parent
         for workload, entry in record["traced" if args.trace else "workloads"].items():
             entry["host_probe_s"] = [probes[workload][seed] for seed in entry["seeds"]]
-        path = bench_record.write_record(record, bench_record.ROOT)
+        path = write_record(record, ROOT)
     except (OSError, KeyError, ValueError, RuntimeError, subprocess.SubprocessError,
             tarfile.TarError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -3,8 +3,9 @@
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
-Each tree is a checkout of this repository (for the parent, a ``git
-archive`` of its commit unpacked into a directory).  For each of the
+CHANGE_TREE is a checkout of this repository.  PARENT_TREE is a checkout,
+an unpacked ``git archive`` of the parent's commit, or that archive's
+tarball, which is unpacked into the temporary directory.  For each of the
 comparison configs below, ``python -m robusthcn pipeline`` runs once from
 each tree's ``src/`` with ``OPENBLAS_NUM_THREADS=1``, and every file the
 two runs wrote is compared byte for byte, ``model.ckpt``, ``report.txt``
@@ -25,6 +26,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 _TOY_701 = ("run.seed = 701\ntoy.seed = 701\ntoy.n_dialogs = 200\ntoy.n_actions = 20\n"
@@ -102,13 +104,18 @@ def compare(parent_tree, change_tree, work):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent_tree")
+    p.add_argument("parent_tree", help="a directory or a git archive tarball")
     p.add_argument("change_tree")
     args = p.parse_args(argv)
     try:
         with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
-            return 0 if compare(args.parent_tree, args.change_tree, work) else 1
-    except (OSError, RuntimeError) as exc:
+            parent = args.parent_tree
+            if os.path.isfile(parent):
+                with tarfile.open(parent) as tar:
+                    tar.extractall(os.path.join(work, "parent-tree"), filter="data")
+                parent = os.path.join(work, "parent-tree")
+            return 0 if compare(parent, args.change_tree, work) else 1
+    except (OSError, RuntimeError, tarfile.TarError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 
