@@ -3,13 +3,16 @@
 Predictions are scored per user turn against gold action ids.  Subset
 accuracies are restricted by OOD label; the F1 treats a fallback
 prediction as a positive OOD call and a TURN_OOD gold label as a positive
-OOD turn, so it measures the model as a conventional OOD detector.
+OOD turn, so it measures the model as a conventional OOD detector.  The
+predictions and golds may be lists or integer arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import OodLabel
 from .models import check_compatible, predict_dialogs
@@ -53,6 +56,28 @@ class MetricsRow:
         return ["%s%s = %s" % (prefix, f.name, fmt(getattr(self, f.name))) for f in fields(self)]
 
 
+def _label_masks(labels):
+    """One boolean mask over ``labels`` per :class:`OodLabel`, from one pass."""
+    code = {label: i for i, label in enumerate(OodLabel)}
+    codes = np.fromiter(map(code.__getitem__, labels), dtype=np.int8, count=len(labels))
+    return {label: codes == i for label, i in code.items()}
+
+
+def _share(hits):
+    return int(np.count_nonzero(hits)) / hits.size if hits.size else None
+
+
+def _f1(pred_pos, gold_pos):
+    tp = int(np.count_nonzero(pred_pos & gold_pos))
+    fp = int(np.count_nonzero(pred_pos)) - tp
+    fn = int(np.count_nonzero(gold_pos)) - tp
+    degenerate = (tp + fp == 0) or (tp + fn == 0)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return OodF1(precision=precision, recall=recall, f1=f1, degenerate=degenerate)
+
+
 def per_utterance_accuracy(predictions, golds, labels=None, subset="all"):
     """Fraction of turns in the subset whose prediction matches gold.
 
@@ -61,15 +86,12 @@ def per_utterance_accuracy(predictions, golds, labels=None, subset="all"):
     """
     if len(predictions) != len(golds):
         raise ValueError("predictions and golds are not aligned")
+    hits = np.asarray(predictions, dtype=np.int64) == np.asarray(golds, dtype=np.int64)
     if subset != "all":
         if labels is None or len(labels) != len(golds):
             raise ValueError("subset accuracy needs aligned labels")
-        pairs = [(p, g) for p, g, lab in zip(predictions, golds, labels) if lab is subset]
-    else:
-        pairs = list(zip(predictions, golds))
-    if not pairs:
-        return None
-    return sum(int(p == g) for p, g in pairs) / len(pairs)
+        hits = hits[_label_masks(labels)[subset]]
+    return _share(hits)
 
 
 def ood_f1(predictions, labels, fallback_id):
@@ -81,38 +103,32 @@ def ood_f1(predictions, labels, fallback_id):
     """
     if len(predictions) != len(labels):
         raise ValueError("predictions and labels are not aligned")
-    tp = fp = fn = 0
-    for pred, label in zip(predictions, labels):
-        pred_pos = pred == fallback_id
-        gold_pos = label is OodLabel.TURN_OOD
-        if pred_pos and gold_pos:
-            tp += 1
-        elif pred_pos:
-            fp += 1
-        elif gold_pos:
-            fn += 1
-    degenerate = (tp + fp == 0) or (tp + fn == 0)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return OodF1(precision=precision, recall=recall, f1=f1, degenerate=degenerate)
+    return _f1(np.asarray(predictions, dtype=np.int64) == fallback_id,
+               _label_masks(labels)[OodLabel.TURN_OOD])
 
 
 def evaluate_predictions(predictions, golds, labels, fallback_id):
     """All metric fields from aligned flat prediction/gold/label vectors."""
-    f1 = ood_f1(predictions, labels, fallback_id)
+    if len(predictions) != len(labels):
+        raise ValueError("predictions and labels are not aligned")
+    if len(predictions) != len(golds):
+        raise ValueError("predictions and golds are not aligned")
+    preds = np.asarray(predictions, dtype=np.int64)
+    hits = preds == np.asarray(golds, dtype=np.int64)
+    masks = _label_masks(labels)
+    f1 = _f1(preds == fallback_id, masks[OodLabel.TURN_OOD])
     return MetricsRow(
-        overall_acc=per_utterance_accuracy(predictions, golds),
-        seg_ood_acc=per_utterance_accuracy(predictions, golds, labels, OodLabel.SEGMENT_OOD),
-        ood_acc=per_utterance_accuracy(predictions, golds, labels, OodLabel.TURN_OOD),
+        overall_acc=_share(hits),
+        seg_ood_acc=_share(hits[masks[OodLabel.SEGMENT_OOD]]),
+        ood_acc=_share(hits[masks[OodLabel.TURN_OOD]]),
         ood_precision=f1.precision,
         ood_recall=f1.recall,
         ood_f1=f1.f1,
         f1_degenerate=f1.degenerate,
         n_turns=len(golds),
-        n_ind=sum(1 for lab in labels if lab is OodLabel.IND),
-        n_segment=sum(1 for lab in labels if lab is OodLabel.SEGMENT_OOD),
-        n_ood=sum(1 for lab in labels if lab is OodLabel.TURN_OOD),
+        n_ind=int(np.count_nonzero(masks[OodLabel.IND])),
+        n_segment=int(np.count_nonzero(masks[OodLabel.SEGMENT_OOD])),
+        n_ood=int(np.count_nonzero(masks[OodLabel.TURN_OOD])),
     )
 
 

@@ -244,13 +244,19 @@ class Model:
         if lengths.min() < 1:
             raise ValueError("cannot encode an empty turn")
         if cfg.variant == "HCN":
-            tokens = np.concatenate([f.f_turn for f in featurized_dialog])
-            # np.add.at sums each turn's rows one at a time in token order,
-            # as x.mean(axis=0) does, so each row is that mean bit for bit
-            turn_of_token = np.repeat(np.arange(lengths.size), lengths)
-            sums = np.zeros((lengths.size, cfg.embedding_size), dtype=self.dtype)
-            np.add.at(sums, turn_of_token, self.embedding.data[tokens])
-            return nn.Tensor(sums / lengths.astype(self.dtype)[:, None]), None
+            # Longest first, the turns still running at token j lead the
+            # order, and step j adds token j's rows to their sums: the order
+            # x.mean(axis=0) adds in, so each row is that mean bit for bit.
+            order = np.argsort(-lengths, kind="stable")
+            lengths = lengths[order]
+            live = np.arange(lengths[0])[:, None] < lengths
+            tokens = np.zeros(live.shape, dtype=np.intp)
+            tokens.T[live.T] = np.concatenate([featurized_dialog[i].f_turn for i in order])
+            sums = self.embedding.data[tokens[0]]
+            for j, running in enumerate(np.count_nonzero(live, axis=1).tolist()[1:], 1):
+                sums[:running] += self.embedding.data[tokens[j, :running]]
+            means = sums / lengths.astype(self.dtype)[:, None]
+            return nn.Tensor(means[np.argsort(order)]), None
         if nn.grad_enabled():
             tokens = np.concatenate([f.f_turn for f in featurized_dialog])
             zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))

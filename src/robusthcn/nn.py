@@ -697,28 +697,31 @@ class Adam:
 
         The operations and their order are those of the textbook form
         ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
-        the same bit for bit without its temporaries.
+        the same bit for bit without its temporaries.  ``m / bc1`` is skipped
+        once ``bc1`` rounds to 1 in the buffer's dtype (float32: step 165 on).
         """
         self.step_count += 1
-        bc1 = 1.0 - self.BETA1 ** self.step_count
-        bc2 = 1.0 - self.BETA2 ** self.step_count
+        # cast once: numpy casts Python floats to the buffer's dtype on every call
+        beta1, beta2, rest1, rest2, eps, lr, bc1, bc2 = map(self.values.dtype.type, (
+            self.BETA1, self.BETA2, 1 - self.BETA1, 1 - self.BETA2, self.EPSILON,
+            self.learning_rate, 1 - self.BETA1 ** self.step_count,
+            1 - self.BETA2 ** self.step_count))
         for lo in range(0, self.values.size, self.BLOCK):
             hi = lo + self.BLOCK
             g, m, v = self.grads[lo:hi], self.first_moment[lo:hi], self.second_moment[lo:hi]
             a, s = (scratch[:g.size] for scratch in self.scratch)
-            m *= self.BETA1
-            np.multiply(1.0 - self.BETA1, g, out=a)
+            m *= beta1
+            np.multiply(rest1, g, out=a)
             m += a
-            v *= self.BETA2
+            v *= beta2
             np.multiply(g, g, out=a)
-            np.multiply(1.0 - self.BETA2, a, out=a)
+            np.multiply(rest2, a, out=a)
             v += a
-            np.divide(m, bc1, out=a)
             np.divide(v, bc2, out=s)
             np.sqrt(s, out=s)
-            np.add(s, self.EPSILON, out=s)
-            np.divide(a, s, out=a)
-            np.multiply(self.learning_rate, a, out=a)
+            np.add(s, eps, out=s)
+            np.divide(m if bc1 == 1 else np.divide(m, bc1, out=a), s, out=a)
+            np.multiply(lr, a, out=a)
             self.values[lo:hi] -= a
 
 

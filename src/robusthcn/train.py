@@ -150,7 +150,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
         ]
 
     history = TrainHistory()
-    best_values = None
+    best_values = np.empty_like(optimizer.values)
     start = time.perf_counter()
     for epoch in range(cfg.max_epochs):
         order = stream(seed, "shuffle", epoch).permutation(len(train_dialogs))
@@ -200,7 +200,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
         )
         if history.best_epoch < 0 or dev_acc > history.epochs[history.best_epoch].dev_acc:
             history.best_epoch = epoch
-            best_values = optimizer.values.copy()
+            np.copyto(best_values, optimizer.values)
         if epoch - history.best_epoch >= cfg.patience:
             break
     history.wall_time_s = time.perf_counter() - start

@@ -43,6 +43,8 @@ def test_accuracy_empty_subset_is_absent():
     preds, golds = [1, 2], [1, 2]
     labels = [OodLabel.IND, OodLabel.IND]
     assert per_utterance_accuracy(preds, golds, labels, OodLabel.TURN_OOD) is None
+    assert per_utterance_accuracy(np.array(preds), np.array(golds), labels,
+                                  OodLabel.TURN_OOD) is None
 
 
 def test_accuracy_matches_recount_oracle():
@@ -50,8 +52,13 @@ def test_accuracy_matches_recount_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 60))
         preds, golds, labels = _random_case(rng, n)
+        arrays = np.array(preds, dtype=np.int64), np.array(golds, dtype=np.int64)
+        row = evaluate_predictions(preds, golds, labels, fallback_id=0)
+        assert evaluate_predictions(*arrays, labels, fallback_id=0) == row
         for subset in ("all", OodLabel.IND, OodLabel.TURN_OOD, OodLabel.SEGMENT_OOD):
             got = per_utterance_accuracy(preds, golds, labels, subset)
+            assert per_utterance_accuracy(*arrays, labels, subset) == got
+            assert got is None or type(got) is float
             correct = 0
             total = 0
             for p, g, lab in zip(preds, golds, labels):
@@ -87,6 +94,7 @@ def test_f1_zero_when_fallback_never_predicted():
     labels = [OodLabel.TURN_OOD, OodLabel.IND, OodLabel.TURN_OOD]
     result = ood_f1(preds, labels, fallback_id=0)
     assert result == (0.0, 0.0, 0.0, True)
+    assert ood_f1(np.array(preds, dtype=np.int64), labels, fallback_id=0) == result
 
 
 def test_f1_matches_confusion_matrix_oracle():
@@ -95,6 +103,7 @@ def test_f1_matches_confusion_matrix_oracle():
         n = int(rng.integers(1, 80))
         preds, golds, labels = _random_case(rng, n)
         got = ood_f1(preds, labels, fallback_id=0)
+        assert ood_f1(np.array(preds, dtype=np.int64), labels, fallback_id=0) == got
         tp = sum(1 for p, lab in zip(preds, labels)
                  if p == 0 and lab is OodLabel.TURN_OOD)
         fp = sum(1 for p, lab in zip(preds, labels)
@@ -107,6 +116,8 @@ def test_f1_matches_confusion_matrix_oracle():
         assert got.precision == pytest.approx(prec)
         assert got.recall == pytest.approx(rec)
         assert got.f1 == pytest.approx(f1)
+        assert got.degenerate == (tp + fp == 0 or tp + fn == 0)
+        assert all(type(x) is float for x in got[:3])
 
 
 def test_f1_invariant_under_relabeling_non_fallback():

@@ -316,8 +316,14 @@ def test_hcn_encoding_equals_per_turn_mean(dtype):
                   data.n_context, rng=stream(5, "hcn-mean"), dtype=dtype)
     table = model.embedding.data
     repeated = [dc_replace(f, f_turn=np.full(5, f.f_turn[0])) for f in dialogs[0]]
-    for dialog in dialogs + [repeated]:
-        vecs, encoding = model.encode_turn(dialog)
+    # scoring's one call: every turn twice, shuffled so lengths are unsorted
+    turns = [f for dialog in dialogs for f in dialog]
+    scoring = [turns[i % len(turns)] for i in stream(6, "hcn-mean").permutation(2 * len(turns))]
+    lengths = [len(f.f_turn) for f in scoring]
+    assert lengths != sorted(lengths, reverse=True)
+    for dialog in dialogs + [repeated, scoring]:
+        with nn.no_grad() if dialog is scoring else contextlib.nullcontext():
+            vecs, encoding = model.encode_turn(dialog)
         expected = np.stack([table[f.f_turn].mean(axis=0) for f in dialog])
         assert vecs.dtype == dtype and not vecs.requires_grad and encoding is None
         np.testing.assert_array_equal(vecs.data, expected)
