@@ -244,9 +244,9 @@ class Model:
         if lengths.min() < 1:
             raise ValueError("cannot encode an empty turn")
         if cfg.variant == "HCN":
-            # Longest first, the turns still running at token j lead the
+            # longest first, the turns still running at token j lead the
             # order, and step j adds token j's rows to their sums: the order
-            # x.mean(axis=0) adds in, so each row is that mean bit for bit.
+            # x.mean(axis=0) adds in, so each row is that mean bit for bit
             order = np.argsort(-lengths, kind="stable")
             lengths = lengths[order]
             live = np.arange(lengths[0])[:, None] < lengths
