@@ -1,9 +1,11 @@
 """Command-line front end: toy / augment / train / gridsearch / evaluate / report / pipeline.
 
-Subcommands compose through files only.  Every record-style artifact
-(stats, history, reports) carries the resolved configuration, and all
-randomness flows from one root seed through named stream derivation,
-so a rerun with the same configuration reproduces every output.
+Subcommands compose through files only; ``pipeline`` runs the toy, augment
+and report stages through the subcommands' own functions, and a flag that
+sets a configuration key names it as its argparse ``dest``.  Every
+record-style artifact carries the resolved configuration, and all
+randomness flows from one root seed through named stream derivation, so a
+rerun with the same configuration reproduces every output.
 """
 
 from __future__ import annotations
@@ -72,22 +74,23 @@ def _load_lexicon(path, flag):
     return _read(lambda p: corpus.Lexicon.from_lines(_text(p).split("\n")), path, flag)
 
 
-def _write_toy_files(out, domain, foreign):
+def _write_toy_data(config, out):
+    """The ``toy.*`` keys' domain and foreign dialogs, written to the directory ``out``."""
+    seed = config.seed_for("toy")
+    domain = toy.generate_toy_domain(seed, config.get("toy.n_dialogs"), config.get("toy.n_actions"))
+    foreign = toy.generate_foreign_dialogs(derive_seed(seed, "foreign"))
     for name, dialogs in (("train", domain.train), ("dev", domain.dev),
                           ("test", domain.test), ("ood_pool", foreign)):
         _write_text(os.path.join(out, name + ".txt"), corpus.write_dialogs(dialogs))
     _write_text(os.path.join(out, "lexicon.txt"), "\n".join(domain.lexicon.to_lines()) + "\n")
     _write_text(os.path.join(out, "segment_pool.txt"), toy.segment_pool_text())
+    return domain, foreign
 
 
 def cmd_toy(args):
-    domain = toy.generate_toy_domain(args.seed, args.n_dialogs, args.n_actions)
-    foreign = toy.generate_foreign_dialogs(derive_seed(args.seed, "foreign"),
-                                           args.foreign_per_domain)
-    out = args.out_dir
-    _write_toy_files(out, domain, foreign)
+    domain, foreign = _write_toy_data(_load_config(args), args.out_dir)
     print("toy domain written to %s (train=%d dev=%d test=%d, pool dialogs=%d)"
-          % (out, len(domain.train), len(domain.dev), len(domain.test), len(foreign)))
+          % (args.out_dir, len(domain.train), len(domain.dev), len(domain.test), len(foreign)))
     return 0
 
 
@@ -103,29 +106,32 @@ def _load_ood_pool(paths, flag):
             aug.merge_ood_pools([pool for _, pool in loaded]))
 
 
+def _write_augmented(config, dialogs, pool, segment_pool, output, labels_out, stats_out=None):
+    """``dialogs`` augmented by the ``augment.*`` keys, written with their labels and stats."""
+    aug_config = aug.AugmentationConfig(
+        p_ood_start=config.get("augment.p_ood_start"),
+        p_ood_cont=config.get("augment.p_ood_cont"),
+        independent_segment_prob=config.get("augment.independent_segment_prob"),
+        seed=config.seed_for("augment"),
+    )
+    augmented, stats = aug.augment_corpus(dialogs, aug_config, pool, segment_pool,
+                                          fallback_utterance=config.get("corpus.fallback_template"))
+    _write_text(output, corpus.write_dialogs(augmented))
+    _write_text(labels_out, aug.labels_text(augmented))
+    if stats_out:
+        _write_text(stats_out, "\n".join(stats.to_lines() + config.echo_lines()) + "\n")
+    return augmented, stats
+
+
 def cmd_augment(args):
+    config = _load_config(args)
     dialogs = _load_dialogs(args.input, "--input")
     _, pool = _load_ood_pool(args.ood_pool, "--ood-pool")
     segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)), args.segment_pool,
                          "--segment-pool")
-    config = aug.AugmentationConfig(
-        p_ood_start=args.p_start,
-        p_ood_cont=args.p_cont,
-        seed=args.seed,
-        independent_segment_prob=args.independent_segment_prob,
-    )
-    augmented, stats = aug.augment_corpus(dialogs, config, pool, segment_pool,
-                                          fallback_utterance=args.fallback)
-    _write_text(args.output, corpus.write_dialogs(augmented))
-    _write_text(args.output + ".labels" if args.labels_out is None else args.labels_out,
-                aug.labels_text(augmented))
-    if args.stats_out:
-        lines = stats.to_lines()
-        lines.append("config.p_ood_start = %s" % args.p_start)
-        lines.append("config.p_ood_cont = %s" % args.p_cont)
-        lines.append("config.independent_segment_prob = %s" % args.independent_segment_prob)
-        lines.append("config.seed = %d" % args.seed)
-        _write_text(args.stats_out, "\n".join(lines) + "\n")
+    _, stats = _write_augmented(
+        config, dialogs, pool, segment_pool, args.output,
+        args.output + ".labels" if args.labels_out is None else args.labels_out, args.stats_out)
     print("augmented %d dialogs: %s" % (stats.dialogs,
           ", ".join(stats.to_lines()[2:6]).replace(" = ", "=")))
     return 0
@@ -137,8 +143,8 @@ def _load_config(args):
     A dotted argparse ``dest`` is a configuration key.  A flag left unset is
     None and keeps the file's value or the built-in default.
     """
-    config = (_read(lambda p: RunConfig.parse(_text(p)), args.config, "--config")
-              if args.config else RunConfig())
+    path = getattr(args, "config", None)
+    config = _read(lambda p: RunConfig.parse(_text(p)), path, "--config") if path else RunConfig()
     return config.with_overrides({k: v for k, v in vars(args).items() if "." in k})
 
 
@@ -266,27 +272,37 @@ def cmd_evaluate(args):
     return 0
 
 
+def _write_report_tables(records, table_out, csv_out):
+    """The records' table lines, written to ``table_out`` and as CSV to ``csv_out`` when given."""
+    table = evaluation.format_report_table(records)
+    if table_out:
+        _write_text(table_out, "\n".join(table) + "\n")
+    if csv_out:
+        _write_text(csv_out, "\n".join(evaluation.format_report_csv(records)) + "\n")
+    return table
+
+
 def cmd_report(args):
     records = [_read(lambda p: evaluation.parse_report(_text(p)), path, "report input")
                for path in args.reports]
-    table = evaluation.format_report_table(records)
-    if args.out:
-        _write_text(args.out, "\n".join(table) + "\n")
-    if args.csv_out:
-        _write_text(args.csv_out, "\n".join(evaluation.format_report_csv(records)) + "\n")
-    print("\n".join(table))
+    print("\n".join(_write_report_tables(records, args.out, args.csv_out)))
     return 0
 
 
 def run_pipeline(config, out_dir):
-    """augment -> train -> evaluate -> report on one configuration."""
+    """toy or ``data.*`` -> augment -> train -> evaluate -> report on one configuration."""
     stage = "setup"
     try:
-        fallback = config.get("corpus.fallback_template")
         model_config, train_config = resolve_training(config)
 
         stage = "data"
-        if config.get("data.train"):
+        from_files = bool(config.get("data.train"))
+        # the toy.* keys describe the data only without data.train, the data.* keys only with it
+        stray = sorted(k for k in config.values if k.startswith("toy." if from_files else "data."))
+        if stray:
+            raise CliError("%s do not apply when data.train is %s"
+                           % (", ".join(stray), "set" if from_files else "not set"))
+        if from_files:
             for key in ("data.dev", "data.test", "data.lexicon",
                         "data.ood_pool", "data.segment_pool"):
                 if not config.get(key):
@@ -300,33 +316,22 @@ def run_pipeline(config, out_dir):
             segment_pool = _read(lambda p: aug.load_segment_pool(_text(p)),
                                  config.get("data.segment_pool"), "data.segment_pool")
         else:
-            toy_seed = config.seed_for("toy")
-            domain = toy.generate_toy_domain(toy_seed, config.get("toy.n_dialogs"),
-                                             config.get("toy.n_actions"))
-            foreign = toy.generate_foreign_dialogs(derive_seed(toy_seed, "foreign"))
+            domain, foreign = _write_toy_data(config, os.path.join(out_dir, "data"))
             pool = aug.load_ood_pool(foreign, source="ood-pool")
             lexicon = domain.lexicon
             segment_pool = aug.load_segment_pool(toy.segment_pool_text())
-            _write_toy_files(os.path.join(out_dir, "data"), domain, foreign)
             train_dialogs, dev_dialogs, test_dialogs = domain.train, domain.dev, domain.test
 
         stage = "augment"
-        aug_config = aug.AugmentationConfig(
-            p_ood_start=config.get("augment.p_ood_start"),
-            p_ood_cont=config.get("augment.p_ood_cont"),
-            independent_segment_prob=config.get("augment.independent_segment_prob"),
-            seed=config.seed_for("augment"),
-        )
-        test_aug, stats = aug.augment_corpus(test_dialogs, aug_config, pool, segment_pool,
-                                             fallback_utterance=fallback)
-        _write_text(os.path.join(out_dir, "test_ood.txt"), corpus.write_dialogs(test_aug))
-        _write_text(os.path.join(out_dir, "test_ood.labels"), aug.labels_text(test_aug))
-        stats_lines = stats.to_lines() + config.echo_lines()
-        _write_text(os.path.join(out_dir, "augment_stats.txt"), "\n".join(stats_lines) + "\n")
+        test_aug, _ = _write_augmented(config, test_dialogs, pool, segment_pool,
+                                       os.path.join(out_dir, "test_ood.txt"),
+                                       os.path.join(out_dir, "test_ood.labels"),
+                                       os.path.join(out_dir, "augment_stats.txt"))
 
         stage = "featurize"
         data = corpus.prepare(lexicon, [train_dialogs, dev_dialogs, test_dialogs],
-                              [foreign, segment_pool.as_dialogs()], fallback=fallback)
+                              [foreign, segment_pool.as_dialogs()],
+                              fallback=config.get("corpus.fallback_template"))
         train_feats = data.featurize(train_dialogs)
         dev_feats = data.featurize(dev_dialogs)
 
@@ -347,15 +352,12 @@ def run_pipeline(config, out_dir):
         if config.get("pipeline.eval_plain"):
             lines.extend(_evaluate_to_record(model, data, test_dialogs, "plain"))
         lines.extend(config.echo_lines())
-        report_path = os.path.join(out_dir, "report.txt")
-        _write_text(report_path, "\n".join(lines) + "\n")
+        _write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
 
         stage = "report"
-        record = evaluation.parse_report("\n".join(lines))
-        _write_text(os.path.join(out_dir, "results_table.txt"),
-                    "\n".join(evaluation.format_report_table([record])) + "\n")
-        _write_text(os.path.join(out_dir, "results_table.csv"),
-                    "\n".join(evaluation.format_report_csv([record])) + "\n")
+        _write_report_tables([evaluation.parse_report("\n".join(lines))],
+                             os.path.join(out_dir, "results_table.txt"),
+                             os.path.join(out_dir, "results_table.csv"))
         _write_text(os.path.join(out_dir, "run_config.txt"),
                     "\n".join(config.echo_lines(prefix="")) + "\n")
     except (CliError, TrainingDiverged, ValueError, OSError) as exc:
@@ -365,9 +367,8 @@ def run_pipeline(config, out_dir):
 
 def cmd_pipeline(args):
     config = _load_config(args)
-    out_dir = config.get("pipeline.out_dir")
-    status = run_pipeline(config, out_dir)
-    print("pipeline finished; artifacts in %s" % out_dir)
+    status = run_pipeline(config, config.get("pipeline.out_dir"))
+    print("pipeline finished; artifacts in %s" % config.get("pipeline.out_dir"))
     return status
 
 
@@ -405,10 +406,9 @@ def build_parser():
 
     sub = subs.add_parser("toy", help="generate the synthetic restaurant mini-domain")
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--n-dialogs", type=int, default=200)
-    sub.add_argument("--n-actions", type=int, default=20)
-    sub.add_argument("--foreign-per-domain", type=int, default=40)
+    sub.add_argument("--seed", dest="toy.seed", type=int, help="default: derived from run.seed")
+    sub.add_argument("--n-dialogs", dest="toy.n_dialogs", type=int)
+    sub.add_argument("--n-actions", dest="toy.n_actions", type=int)
     sub.set_defaults(func=cmd_toy)
 
     sub = subs.add_parser("augment", help="insert OOD blocks and interjections")
@@ -417,15 +417,17 @@ def build_parser():
                      help="foreign-domain transcript (repeatable)")
     sub.add_argument("--segment-pool", required=True,
                      help="interjection file, one utterance per line")
-    sub.add_argument("--p-start", type=float, default=0.2)
-    sub.add_argument("--p-cont", type=float, default=0.4)
-    sub.add_argument("--independent-segment-prob", type=float, default=0.0)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--p-start", dest="augment.p_ood_start", type=float)
+    sub.add_argument("--p-cont", dest="augment.p_ood_cont", type=float)
+    sub.add_argument("--independent-segment-prob", dest="augment.independent_segment_prob",
+                     type=float)
+    sub.add_argument("--seed", dest="augment.seed", type=int, help="default: derived from run.seed")
     sub.add_argument("--output", required=True)
     sub.add_argument("--labels-out", default=None,
                      help="label sidecar path (default: <output>.labels)")
     sub.add_argument("--stats-out", default=None)
-    sub.add_argument("--fallback", default=corpus.DEFAULT_FALLBACK_TEMPLATE)
+    sub.add_argument("--fallback", dest="corpus.fallback_template",
+                     help="fallback system utterance")
     sub.set_defaults(func=cmd_augment)
 
     sub = subs.add_parser("train", help="train one model variant")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import nn
 from .corpus import UNK_INDEX
+from .evaluation import per_utterance_accuracy
 from .models import Model, ModelConfig, dialog_loss, predict_dialogs
 from .seeding import stream
 from .turndrop import TurnDropoutConfig, apply_turn_dropout, length_bounds_from
@@ -104,12 +105,6 @@ def word_dropout(tokens, p, rng):
     return out
 
 
-def _dev_accuracy(model, dev_dialogs):
-    preds = predict_dialogs(model, dev_dialogs)
-    targets = [features.target for dialog in dev_dialogs for features in dialog]
-    return sum(p == t for p, t in zip(preds, targets)) / len(targets) if targets else 0.0
-
-
 def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, action_set,
                 n_context, embedding_table=None):
     """Train one model; returns (model restored to its best dev epoch, history).
@@ -123,7 +118,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
     """
     if not train_dialogs:
         raise ValueError("empty training set")
-    if not dev_dialogs:
+    if not any(dev_dialogs):
         raise ValueError("empty dev set")
     cfg = train_config
     seed = cfg.seed
@@ -149,6 +144,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
             for i, d in enumerate(dev_dialogs)
         ]
 
+    dev_targets = [features.target for dialog in dev_selection for features in dialog]
     history = TrainHistory()
     best_values = np.empty_like(optimizer.values)
     start = time.perf_counter()
@@ -189,7 +185,7 @@ def train_model(model_config, train_config, train_dialogs, dev_dialogs, vocab, a
             kl_sum += breakdown["kl"] * len(dialog)
             turn_count += len(dialog)
 
-        dev_acc = _dev_accuracy(model, dev_selection)
+        dev_acc = per_utterance_accuracy(predict_dialogs(model, dev_selection), dev_targets)
         history.epochs.append(
             EpochRecord(
                 epoch=epoch,

@@ -22,7 +22,7 @@ def _run(*argv):
 def toy_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("toydata")
     code = _run("toy", "--out-dir", str(out), "--seed", "3", "--n-dialogs", "24",
-                "--n-actions", "8", "--foreign-per-domain", "10")
+                "--n-actions", "8")
     assert code == 0
     return out
 
@@ -100,7 +100,7 @@ def test_augment_cli_deterministic(toy_files, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a.txt.labels").read_bytes() == (tmp_path / "b.txt.labels").read_bytes()
     stats = (tmp_path / "a.stats").read_text()
-    assert "blocks = " in stats and "config.p_ood_start = 0.3" in stats
+    assert "blocks = " in stats and "config.augment.p_ood_start = 0.3" in stats
 
 
 def test_missing_input_names_the_flag(tmp_path, capsys):
@@ -404,6 +404,37 @@ def test_pipeline_and_rerun_identical(tmp_path):
     assert record["config.run.seed"] == "11"
 
 
+@pytest.mark.parametrize("toy_seed, augment_seed", [("3", "5"), (None, None)],
+                         ids=["seeds-set", "seeds-from-run-seed"])
+def test_toy_and_augment_write_what_the_pipeline_writes(tmp_path, toy_seed, augment_seed):
+    # the subcommands and the pipeline run one toy stage and one augment stage
+    seeds = {"toy.seed": toy_seed, "augment.seed": augment_seed}
+    config = tmp_path / "run.cfg"
+    config.write_text("toy.n_dialogs = 24\ntoy.n_actions = 8\naugment.p_ood_start = 0.3\n"
+                      "train.max_epochs = 1\n"
+                      + "".join("%s = %s\n" % kv for kv in seeds.items() if kv[1] is not None))
+    run, data = tmp_path / "run", tmp_path / "data"
+    assert _run("pipeline", "--config", str(config), "--out-dir", str(run)) == 0
+    assert _run("toy", "--out-dir", str(data), "--n-dialogs", "24", "--n-actions", "8",
+                *(["--seed", toy_seed] if toy_seed else [])) == 0
+    assert _run("augment", "--input", str(data / "test.txt"),
+                "--ood-pool", str(data / "ood_pool.txt"),
+                "--segment-pool", str(data / "segment_pool.txt"), "--p-start", "0.3",
+                *(["--seed", augment_seed] if augment_seed else []),
+                "--output", str(tmp_path / "test_ood.txt"),
+                "--labels-out", str(tmp_path / "test_ood.labels"),
+                "--stats-out", str(tmp_path / "augment_stats.txt")) == 0
+    assert sorted(os.listdir(data)) == sorted(os.listdir(run / "data"))
+    for name in os.listdir(data):
+        assert (data / name).read_bytes() == (run / "data" / name).read_bytes(), name
+    for name in ("test_ood.txt", "test_ood.labels"):
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+    # the stats agree; the configuration echoes that follow them do not
+    stats_a, stats_b = ([line for line in (path / "augment_stats.txt").read_text().splitlines()
+                         if not line.startswith("config.")] for path in (tmp_path, run))
+    assert stats_a == stats_b and stats_a[0] == "dialogs = 2"
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.parse("nonsense.key = 1\n")
@@ -493,13 +524,6 @@ def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(toy_files
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_toy_rejects_a_negative_foreign_count(tmp_path, capsys):
-    code = _run("toy", "--out-dir", str(tmp_path / "toy"), "--foreign-per-domain", "-1")
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "toy").exists()
-
-
 @pytest.mark.parametrize("flag, grid, message", [
     ("--stage1-grid", "8,abc", "--stage1-grid item 'abc' is not EMBEDDING or "
                                "EMBEDDING:LATENT in integers"),
@@ -560,6 +584,29 @@ def test_pipeline_rejects_latent_size_outside_vhcn(tmp_path, capsys):
     assert "error: stage setup: latent_size is only valid for VHCN" in capsys.readouterr().err
 
 
+def test_pipeline_rejects_toy_keys_with_data_files(toy_files, tmp_path, capsys):
+    # generate_toy_domain itself would reject 7 dialogs; here no toy domain is made
+    config = tmp_path / "run.cfg"
+    config.write_text(_data_keys(toy_files) + "toy.n_dialogs = 7\ntoy.seed = 4\n"
+                      "train.max_epochs = 1\n")
+    code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: stage data: toy.n_dialogs, toy.seed do not apply "
+                                       "when data.train is set\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_rejects_data_keys_without_data_train(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("data.dev = %s\ndata.lexicon = lex.txt\ntoy.n_dialogs = 24\n"
+                      "toy.n_actions = 8\ntrain.max_epochs = 1\n" % (tmp_path / "nonexistent.txt"))
+    code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: stage data: data.dev, data.lexicon do not apply "
+                                       "when data.train is not set\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_loads_hcn_embeddings(toy_files, tmp_path):
     emb = tmp_path / "emb.txt"
     emb.write_text("2 6\n<unk> 1 2 3 4 5 6\nzzz-not-in-vocab 0 0 0 0 0 0\n")
@@ -617,16 +664,20 @@ def test_plain_dev_selection_flag_maps_to_the_config_key(toy_files, tmp_path, mo
     assert [c.dev_turn_dropout for c in seen] == [True, False]
 
 
-# the flags of train, gridsearch and pipeline that set no configuration key
+# the flags of toy, augment, train, gridsearch and pipeline that set no configuration key
 _NOT_KEYS = {"help", "config", "train", "dev", "lexicon", "vocab_corpus", "actions_corpus",
-             "out_checkpoint", "history_out", "stage1_grid", "stage2_grid", "jobs", "results_out"}
+             "out_checkpoint", "history_out", "stage1_grid", "stage2_grid", "jobs", "results_out",
+             "out_dir", "input", "ood_pool", "segment_pool", "output", "labels_out", "stats_out"}
 
 
 def test_every_key_flag_sets_its_key():
     # a flag that sets a configuration key names the key as its dest; no training runs
     subs = next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
-    required = {"train": ["--train", "t", "--dev", "d", "--lexicon", "l", "--out-checkpoint", "c"],
+    required = {"toy": ["--out-dir", "o"],
+                "augment": ["--input", "i", "--ood-pool", "p", "--segment-pool", "s",
+                            "--output", "o"],
+                "train": ["--train", "t", "--dev", "d", "--lexicon", "l", "--out-checkpoint", "c"],
                 "gridsearch": ["--train", "t", "--dev", "d", "--lexicon", "l",
                                "--stage1-grid", "4", "--results-out", "r"],
                 "pipeline": []}
@@ -646,7 +697,8 @@ def test_every_key_flag_sets_its_key():
             expected[action.dest] = (action.type or str)(text)
         config = cli._load_config(cli.build_parser().parse_args([command] + argv))
         assert {key: config.get(key) for key in expected} == expected, command
-        assert len(expected) == {"train": 12, "gridsearch": 9, "pipeline": 5}[command]
+        assert len(expected) == {"toy": 3, "augment": 5, "train": 12, "gridsearch": 9,
+                                 "pipeline": 5}[command]
 
 
 def test_gridsearch_reads_model_sizes_from_config(toy_files, tmp_path, monkeypatch):
@@ -714,13 +766,19 @@ def test_train_divergence_is_an_error(toy_files, tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_pipeline_divergence_names_the_stage(toy_files, tmp_path, capsys):
-    emb = _overflowing_embeddings(toy_files, tmp_path / "big.emb")
-    config = tmp_path / "run.cfg"
-    config.write_text("".join("data.%s = %s\n" % (key, toy_files / name) for key, name in (
+def _data_keys(toy_files):
+    # configuration lines that read every pipeline input from the toy files
+    return "".join("data.%s = %s\n" % (key, toy_files / name) for key, name in (
         ("train", "train.txt"), ("dev", "dev.txt"), ("test", "test.txt"),
         ("lexicon", "lexicon.txt"), ("ood_pool", "ood_pool.txt"),
         ("segment_pool", "segment_pool.txt")))
+
+
+def test_pipeline_divergence_names_the_stage(toy_files, tmp_path, capsys):
+    emb = _overflowing_embeddings(toy_files, tmp_path / "big.emb")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        _data_keys(toy_files)
         + "model.variant = HCN\nmodel.embedding_size = 6\nmodel.embedding_file = %s\n"
           "train.max_epochs = 1\n" % emb)
     code = _run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run"))

@@ -190,8 +190,9 @@ def test_empty_sets_rejected(toy):
     tc = TrainConfig()
     with pytest.raises(ValueError):
         train_model(config, tc, [], dev_f, vocab, actions, nctx)
-    with pytest.raises(ValueError):
-        train_model(config, tc, train_f, [], vocab, actions, nctx)
+    for dev in ([], [[], []]):  # no dialogs, or dialogs without a turn
+        with pytest.raises(ValueError, match="empty dev set"):
+            train_model(config, tc, train_f, dev, vocab, actions, nctx)
 
 
 def test_turn_dropout_mechanism_witness(toy):
