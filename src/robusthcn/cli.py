@@ -174,19 +174,23 @@ def _embedding_table(config, vocab):
                  path, "--embeddings / model.embedding_file")
 
 
+def _train_record(train_config):
+    """Every resolved TrainConfig field as ``train.<field>``: a dict, and its ``# config.`` lines."""
+    extra = {"train." + k: str(v) for k, v in dataclasses.asdict(train_config).items()}
+    return extra, ["# config.%s = %s" % item for item in sorted(extra.items())]
+
+
 def cmd_train(args):
     config, data, model_config, train_config, train_feats, dev_feats = _training_setup(args)
     model, history = train_model(
         model_config, train_config, train_feats, dev_feats, data.vocab, data.action_set,
         data.n_context, embedding_table=_embedding_table(config, data.vocab),
     )
-    extra = {"train." + k: str(v) for k, v in dataclasses.asdict(train_config).items()}
+    extra, echo = _train_record(train_config)
     _write(lambda p: models.save_checkpoint(p, model, data.lexicon, extra=extra),
            args.out_checkpoint)
     if args.history_out:
-        lines = history.to_lines()
-        lines.extend("# config.%s = %s" % (k, v) for k, v in sorted(extra.items()))
-        _write_text(args.history_out, "\n".join(lines) + "\n")
+        _write_text(args.history_out, "\n".join(history.to_lines() + echo) + "\n")
     print("trained %s: best dev acc %.4f at epoch %d (%d epochs, %.1fs)"
           % (model_config.variant, history.best_dev_acc, history.best_epoch,
              len(history.epochs), history.wall_time_s))
@@ -234,9 +238,8 @@ def cmd_gridsearch(args):
         data.action_set, n_context=data.n_context, base_model_config=model_config,
         base_train_config=base_train, jobs=args.jobs,
     )
-    lines = result.to_lines()
-    lines.append("# config.seed = %d" % base_train.seed)
-    _write_text(args.results_out, "\n".join(lines) + "\n")
+    _write_text(args.results_out,
+                "\n".join(result.to_lines() + _train_record(result.train_config)[1]) + "\n")
     print("grid search done: embedding=%d latent=%s td_ratio=%.2f"
           % (result.model_config.embedding_size, result.model_config.latent_size,
              result.train_config.turn_dropout_ratio))

@@ -136,10 +136,12 @@ def evaluate_model(model, featurized_dialogs, vocab=None, action_set=None):
     """Run the model over featurized dialogs and score every user turn.
 
     Deterministic: repeated evaluation of one checkpoint is bit-identical.
-    Pass the vocabulary/action set used for featurization to enforce the
-    checkpoint hash check.
+    Pass the vocabulary and action set used for featurization to enforce
+    the checkpoint hash check; passing only one raises ``ValueError``.
     """
-    if vocab is not None and action_set is not None:
+    if (vocab is None) != (action_set is None):
+        raise ValueError("the hash check needs both vocab and action_set, or neither")
+    if vocab is not None:
         check_compatible(model, vocab, action_set)
     predictions = predict_dialogs(model, featurized_dialogs)
     turns = [t for dialog in featurized_dialogs for t in dialog]
@@ -158,13 +160,21 @@ _TABLE_COLUMNS = (
 
 
 def parse_report(text):
+    """A report's ``key = value`` lines as a dict, blank and ``#`` lines skipped.
+
+    ``ValueError`` for a line without `` = ``, naming its 1-based number, and
+    for a text with no ``key = value`` line.
+    """
     record = {}
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip() or line.strip().startswith("#"):
             continue
-        key, _, value = line.partition(" = ")
-        record[key] = value
+        key, equals, value = line.partition(" = ")
+        if not equals:
+            raise ValueError("line %d: expected 'key = value', got %r" % (number, line.strip()))
+        record[key.strip()] = value.strip()
+    if not record:
+        raise ValueError("no 'key = value' line")
     return record
 
 

@@ -28,25 +28,22 @@ every step's hidden state, and the predictor and the loss see (T, .)
 matrices.
 
 Training takes one dialog per step.  Dialogs are scored by
-``predict_dialogs`` (evaluation and the per-epoch dev accuracy), which
-encodes every distinct turn of the call once, in one ``encode_turn``
-call: without a graph a turn's vector depends on its tokens alone (HCN's
-frozen mean, HHCN's last LSTM state, VHCN's posterior mean), and user
-turns repeat heavily.  User turns also share prefixes ("i want a ...",
-"no thanks"), so for HHCN and VHCN that call walks the turn LSTM over the
-prefix trie of the distinct turns: one wide step per level over the
-distinct prefixes of that length, each distinct prefix computed once and
-each distinct token projected once, as radix-tree prefix caching does in
-LLM serving (Zheng et al. 2023, arXiv:2312.07104).  It projects the token
-half once per distinct turn and the context half once per distinct
-(context, previous action, mask) row.  One ``predict_dialog`` call then
-runs the dialog LSTM over all the dialogs of the call as packed
-sequences, longest first, each step gathering its turns' rows from the
-two tables and adding them in the order training does, so the rows of all
-turns are never built at once; then the predictor and argmax.  The
-predictions equal those of one dialog at a time, though the logits may
-differ in the last bits: a product over other rows need not round the
-same.
+``predict_dialogs`` (evaluation and the per-epoch dev accuracy).  Without
+a graph a turn's vector depends on its tokens alone (HCN's frozen mean,
+HHCN's last LSTM state, VHCN's posterior mean), and user turns repeat
+heavily, so one ``encode_turn`` call encodes each distinct turn of the
+call once.  User turns also share prefixes ("i want a ...", "no thanks"),
+so for HHCN and VHCN that call walks the turn LSTM over the prefix trie of
+the distinct turns, each distinct prefix computed once and each distinct
+token projected once, as radix-tree prefix caching does in LLM serving
+(Zheng et al. 2023, arXiv:2312.07104).  The token half is projected once
+per distinct turn and the context half once per distinct (context,
+previous action, mask) row.  One ``predict_dialog`` call then runs the
+dialog LSTM, the ``nn.lstm`` that training runs, over all the dialogs of
+the call packed longest first, each step gathering its turns' rows from
+the two tables; then the predictor and argmax.  The predictions equal
+those of one dialog at a time, though the logits may differ in the last
+bits: a product over other rows need not round the same.
 """
 
 from __future__ import annotations
@@ -244,19 +241,19 @@ class Model:
         if lengths.min() < 1:
             raise ValueError("cannot encode an empty turn")
         if cfg.variant == "HCN":
-            # longest first, the turns still running at token j lead the
-            # order, and step j adds token j's rows to their sums: the order
-            # x.mean(axis=0) adds in, so each row is that mean bit for bit
-            order = np.argsort(-lengths, kind="stable")
-            lengths = lengths[order]
-            live = np.arange(lengths[0])[:, None] < lengths
-            tokens = np.zeros(live.shape, dtype=np.intp)
-            tokens.T[live.T] = np.concatenate([featurized_dialog[i].f_turn for i in order])
-            sums = self.embedding.data[tokens[0]]
-            for j, running in enumerate(np.count_nonzero(live, axis=1).tolist()[1:], 1):
-                sums[:running] += self.embedding.data[tokens[j, :running]]
-            means = sums / lengths.astype(self.dtype)[:, None]
-            return nn.Tensor(means[np.argsort(order)]), None
+            # the embedding rows packed longest first: step j's rows, token j
+            # of the turns still running, are added to the first sums, the
+            # order x.mean(axis=0) adds in, so each row is that mean bit for bit
+            tokens = np.concatenate([f.f_turn for f in featurized_dialog])
+            rows, _, sizes = nn.pack_sequences(lengths, len(tokens))
+            x = self.embedding.data[tokens[rows]]
+            sums = x[:sizes[0]]
+            for k, start in zip(sizes[1:], np.cumsum(sizes).tolist()):
+                sums[:k] += x[start:start + k]
+            turn = np.repeat(np.arange(lengths.size), lengths)[rows[:sizes[0]]]
+            means = np.empty_like(sums)
+            means[turn] = sums / lengths[turn].astype(self.dtype)[:, None]
+            return nn.Tensor(means), None
         if nn.grad_enabled():
             tokens = np.concatenate([f.f_turn for f in featurized_dialog])
             zx = nn.matvec(self.turn_w_input, nn.gather_rows(self.embedding, tokens))
@@ -272,7 +269,7 @@ class Model:
             if distinct.size == 1:
                 distinct, inverse = tokens, np.arange(tokens.size)
             zx = self.embedding.data[distinct] @ self.turn_w_input.data
-            hs = nn.lstm_trie([(zx, inverse)], parents, level_sizes, self.turn_u, self.turn_b)
+            hs = nn.lstm_trie(zx, inverse, parents, level_sizes, self.turn_u, self.turn_b)
             h = nn.Tensor(hs[last])
         if cfg.variant == "HHCN":
             return h, None
@@ -313,35 +310,15 @@ class Model:
         """The dialog level over one or more dialogs: (T, |A|) action logits.
 
         ``inputs`` holds the dialog-level input rows of the dialogs' T
-        turns, concatenated (:meth:`dialog_inputs`); ``lengths`` gives each
-        dialog's turn count (None: one dialog).  No input depends on the
-        LSTM state, so the recurrence runs the dialogs as packed sequences
-        over rows projected beforehand.
-
-        Without a graph, ``inputs`` may instead be the list of ``(table,
-        rows)`` pairs of :func:`_infer_inputs`, with ``lengths`` given:
-        turn t's input row is the sum of ``table[rows[t]]`` over the pairs.
-        The packed sequences then run as a trie with no shared nodes
-        (:func:`nn.pack_sequences`, :func:`nn.lstm_trie`) whose every step
-        gathers its rows from the tables, so the (T, 4H) rows are never
-        built.  Index arrays that do not split ``sum(lengths)`` raise
-        ``DimensionError``.
+        turns, concatenated (:meth:`dialog_inputs`), or, without a graph,
+        the ``(table, rows)`` pairs of :func:`_infer_inputs` that they are
+        the sums of; ``lengths`` gives each dialog's turn count (None: one
+        dialog).  No input depends on the LSTM state, so training and
+        scoring alike run one :func:`nn.lstm` over the dialogs packed, on
+        rows projected beforehand, then the predictor.
         """
-        if not isinstance(inputs, list):
-            h = nn.lstm(inputs, [inputs.shape[0]] if lengths is None else lengths,
-                        self.dlg_u, self.dlg_b)
-            return self.pred_out(nn.relu(self.pred_hidden(h)))
-        rows, parents, sizes = nn.pack_sequences(lengths, len(inputs[0][1]))
-        if any(len(of) != len(rows) for _, of in inputs):
-            raise nn.DimensionError("index arrays do not all have %d rows" % len(rows))
-        h = nn.lstm_trie([(table, np.asarray(of)[rows]) for table, of in inputs],
-                         parents, sizes, self.dlg_u, self.dlg_b)
-        # the predictor reads the packed states, so only the (T, |A|) logits
-        # are put back in input order, not the (T, H) states
-        packed = self.pred_out(nn.relu(self.pred_hidden(h))).data
-        logits = np.empty_like(packed)
-        logits[rows] = packed
-        return nn.Tensor(logits)
+        h = nn.lstm(inputs, lengths, self.dlg_u, self.dlg_b)
+        return self.pred_out(nn.relu(self.pred_hidden(h)))
 
     def bow_rows(self, featurized_dialog):
         """The binary bag-of-words vectors of a dialog's turns, as rows."""
@@ -463,10 +440,8 @@ def _infer_turn_vectors(model, turns):
     ``rows[r]``, in order of first occurrence.  Without a graph a turn's
     vector depends on its tokens alone (HCN's frozen mean, HHCN's last LSTM
     state, VHCN's posterior mean), so the distinct turns are encoded once,
-    in one :meth:`Model.encode_turn` call.  Its trie walk holds state for
-    every distinct prefix at once, of the same order as the (distinct
-    turns, V) bag-of-words rows and (distinct turns, 4H) token table that
-    :func:`_infer_inputs` builds from the same turns.
+    in one :meth:`Model.encode_turn` call, whose trie walk holds a state
+    row per distinct prefix.
     """
     distinct, inverse = _distinct(turns, _token_key)
     with nn.no_grad():
@@ -507,10 +482,10 @@ def predict_dialog(model, inputs, lengths):
 
     ``inputs`` and ``lengths`` are as in :meth:`Model.dialog_step`: the
     rows the dialog LSTM reads, one per turn, or the ``(table, rows)``
-    pairs they are summed from, and each dialog's turn count.  Only the
-    dialog LSTM, the predictor and argmax run here; the result is one
-    action id per turn, a flat list in input order.  Argmax ties resolve
-    to the lowest action id.  Index arrays that do not split
+    pairs they are summed from, and each dialog's turn count.  Only
+    ``dialog_step``, as in training, and argmax run here; the result is
+    one action id per turn, a flat list in input order.  Argmax ties
+    resolve to the lowest action id.  Index arrays that do not split
     ``sum(lengths)`` raise ``DimensionError``.  To score featurized
     dialogs, call :func:`predict_dialogs`.
     """

@@ -3,15 +3,15 @@
 This is not a general autodiff system: it supports exactly the shapes the
 models need (vector activations, per-token and per-turn row matrices, 2-D
 weights stored (in, out) so that every forward product is ``rows @ W``,
-scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`)
-serves every recurrence with a graph: it runs a batch of variable-length
-sequences, packed row after row, as one graph node with one time loop,
-returns every row's hidden state and has a hand-written backward pass.
-Without a graph, :func:`lstm_trie` walks the prefix trie of token
-sequences instead, one step per level; packed sequences are a trie with
-no shared nodes (:func:`pack_sequences`).  Both run one level loop,
-:func:`_lstm_levels`, which writes every step into preallocated buffers
-and gathers each step's input rows from one or more tables.
+scalar losses) and a fixed op set.  One LSTM op (:func:`lstm`) runs
+every batch of variable-length sequences, in training and in scoring: one
+time loop over the packed layout of :func:`pack_sequences`, every row's
+hidden state returned, and with a graph one node with a hand-written
+backward pass.  Without a graph its input rows may be sums of rows of
+several tables, gathered one step at a time.  :func:`lstm_trie` walks the
+prefix trie of token sequences instead, one step per level, without a
+graph.  Both run one level loop, :func:`_lstm_levels`, which writes every
+step into preallocated buffers and gathers each step's input rows.
 Graphs are built eagerly; ``backward`` on a scalar loss accumulates
 gradients into every reachable trainable :class:`Parameter`.  Values no
 gradient can reach, such as HCN's frozen turn means, are computed in plain
@@ -317,7 +317,6 @@ def _check_lstm_shapes(zx, w_recurrent, bias):
         or bias.shape != (4 * hidden,)
     ):
         raise DimensionError("inconsistent LSTM shapes")
-    return hidden
 
 
 def pack_sequences(lengths, total):
@@ -326,11 +325,10 @@ def pack_sequences(lengths, total):
     That is the layout of Appleyard et al. (2016): the sequences sorted by
     length, longest first and stable, so the ones still running at step t
     are a prefix of that order and step t runs ``level_sizes[t]`` of them.
-    It is returned as :func:`lstm_trie` reads a trie with no shared nodes,
-    ``(rows, parents, level_sizes)``: packed position n, level by level,
-    holds row ``rows[n]`` of the sequences' rows concatenated in order, and
-    a position below step 0 continues the one at the same rank a step
-    earlier, position ``parents[n - level_sizes[0]]``.  Raises
+    It is returned as ``(rows, parents, level_sizes)``: packed position n,
+    step by step, holds row ``rows[n]`` of the sequences' rows concatenated
+    in order, and a position below step 0 continues the one at the same
+    rank a step earlier, position ``parents[n - level_sizes[0]]``.  Raises
     ``DimensionError`` unless the lengths (each at least 1) sum to
     ``total``.
     """
@@ -347,16 +345,36 @@ def pack_sequences(lengths, total):
     return rows, parents, sizes.tolist()
 
 
+def _input_tables(inputs, n, u, b):
+    """The ``(table, rows)`` pairs as arrays, each an (m, 4H) table and ``n`` indices into it."""
+    if not inputs:
+        raise DimensionError("no input table")
+    pairs = []
+    for table, rows in inputs:
+        table, rows = as_tensor(table).data, np.asarray(rows, dtype=np.intp)
+        _check_lstm_shapes(table, u, b)
+        if len(rows) != n:
+            raise DimensionError("%d input rows where %d are needed" % (len(rows), n))
+        if n and (rows.min() < 0 or rows.max() >= len(table)):
+            raise DimensionError("input rows outside the %d rows of a table" % len(table))
+        pairs.append((table, rows))
+    return pairs
+
+
 def lstm(zx, lengths, w_recurrent, bias):
     """An LSTM over packed variable-length sequences, as one graph node.
 
     ``zx`` holds x_t W for every step of every sequence, the sequences'
     rows concatenated in order, shape (N, 4H); ``lengths`` gives their
-    step counts (each at least 1, summing to N).  Every sequence starts
-    from a zero [h; c], and a step adds h_{t-1} U for the (H, 4H)
-    ``w_recurrent`` U; the op returns every row's hidden state, shape
-    (N, H), in input order.  Gate order along the 4H axis: input, forget,
-    candidate, output.
+    step counts (each at least 1, summing to N; None: one sequence).
+    Without a graph, ``zx`` may instead be a list of ``(table, rows)``
+    pairs, row t's x W the sum of ``table[rows[t]]`` over them in list
+    order, gathered one step at a time so that the (N, 4H) rows are never
+    built; index arrays of unequal lengths or outside their table raise
+    ``DimensionError``.  Every sequence starts from a zero [h; c], and a
+    step adds h_{t-1} U for the (H, 4H) ``w_recurrent`` U; the op returns
+    every row's hidden state, shape (N, H), in input order.  Gate order
+    along the 4H axis: input, forget, candidate, output.
 
     The sequences run in the packed layout of :func:`pack_sequences`, so
     one time loop of max(lengths) steps serves them all, each step one
@@ -368,25 +386,33 @@ def lstm(zx, lengths, w_recurrent, bias):
     gradient is one product H_prev^T dZ over all steps and rows.  Without a
     graph to record, no gate history is kept.
     """
-    zx, w_recurrent, bias = as_tensor(zx), as_tensor(w_recurrent), as_tensor(bias)
-    hidden = _check_lstm_shapes(zx.data, w_recurrent.data, bias.data)
-    total = zx.data.shape[0]
-    rows, parents, active = pack_sequences(lengths, total)
+    w_recurrent, bias = as_tensor(w_recurrent), as_tensor(bias)
+    u, b = w_recurrent.data, bias.data
+    if isinstance(zx, list):
+        if _grad_enabled:
+            raise ValueError("(table, rows) inputs run only without a graph")
+        tables = _input_tables(zx, len(zx[0][1]) if zx else 0, u, b)
+        total = len(tables[0][1])
+    else:
+        zx = as_tensor(zx)
+        _check_lstm_shapes(zx.data, u, b)
+        tables, total = [(zx.data, None)], zx.data.shape[0]
+    record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
+    rows, parents, active = pack_sequences([total] if lengths is None else lengths, total)
 
     # The history arrays hs and cs lead with n_seq zero rows, the state
     # before step 0, so packed position r is row n_seq + r, step 0 reads
     # the zero rows and step t reads the first active[t] rows of step t - 1.
-    n_seq = active[0]
+    hidden, n_seq = u.shape[0], active[0]
     offsets = np.cumsum([0] + active).tolist()
-    u, b = w_recurrent.data, bias.data
-    dtype = _float_dtype(zx.data, u, b)
-    record = _grad_enabled and (zx.requires_grad or w_recurrent.requires_grad or bias.requires_grad)
+    dtype = _float_dtype(*(table for table, _ in tables), u, b)
     hs = np.zeros((n_seq + total, hidden), dtype=dtype)
     cs = np.zeros((n_seq + total, hidden), dtype=dtype)
     gates = np.empty((total, 4 * hidden), dtype=dtype) if record else None
     tanh_c = np.empty((total, hidden), dtype=dtype) if record else None
     levels = [(n_seq, 0)] + [(k, n_seq + lo) for k, lo in zip(active[1:], offsets)]
-    _lstm_levels([(zx.data, rows)], u, b, levels, hs, cs, gates=gates, tanh_c=tanh_c)
+    inputs = [(table, rows if of is None else of[rows]) for table, of in tables]
+    _lstm_levels(inputs, u, b, levels, hs, cs, gates=gates, tanh_c=tanh_c)
     out = np.empty((total, hidden), dtype=dtype)
     out[rows] = hs[n_seq:]
 
@@ -438,42 +464,30 @@ def lstm(zx, lengths, w_recurrent, bias):
     return _node(out, (zx, w_recurrent, bias), backward_fn)
 
 
-def lstm_trie(inputs, parents, level_sizes, w_recurrent, bias):
+def lstm_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
     """The hidden states of an LSTM walked over a prefix trie, without a graph.
 
-    Node n of the trie is one token prefix.  Its input x W (that of its
-    last token) is the sum, in list order, of row ``rows[n]`` of each
-    ``(zx, rows)`` pair of ``inputs``, so each distinct token's projection
-    can be one row of a ``zx``, and rows that are sums of two tables'
-    rows are gathered and added one level at a time.  The nodes are
-    numbered level by level: level d holds ``level_sizes[d]`` nodes, the
-    distinct prefixes of d + 1 tokens.  A level-0 node starts from a zero
-    [h; c]; node n of a deeper level continues the state of node
-    ``parents[n - level_sizes[0]]``.  One step of :func:`_lstm_levels` runs
-    per level over all of its nodes, so each distinct prefix is computed
-    once; the result is every node's hidden state, (N, H), a plain array.
-    A node takes the steps of its row in :func:`lstm` over any sequence
-    with this prefix, in the same order; only the row counts of the
-    products differ, which BLAS may round differently in the last bits.
-    Packed sequences (:func:`pack_sequences`) are a trie with no shared
-    nodes.
+    Node n of the trie is one token prefix, and its input x W (that of its
+    last token) is row ``rows[n]`` of ``zx``, so each distinct token's
+    projection can be one row.  The nodes are numbered level by level:
+    level d holds ``level_sizes[d]`` nodes, the distinct prefixes of d + 1
+    tokens.  A level-0 node starts from a zero [h; c]; node n of a deeper
+    level continues the state of node ``parents[n - level_sizes[0]]``.  One
+    step of :func:`_lstm_levels` runs per level over all of its nodes, so
+    each distinct prefix is computed once; the result is every node's
+    hidden state, (N, H), a plain array.  A node takes the steps of its row
+    in :func:`lstm` over any sequence with this prefix, in the same order;
+    only the row counts of the products differ, which BLAS may round
+    differently in the last bits.
     """
     u, b = as_tensor(w_recurrent).data, as_tensor(bias).data
     sizes = [int(k) for k in level_sizes]
     parents = np.asarray(parents, dtype=np.intp)
     n = sum(sizes)
-    if not inputs or not sizes or min(sizes) < 1 or len(parents) != n - sizes[0]:
+    if not sizes or min(sizes) < 1 or len(parents) != n - sizes[0]:
         raise DimensionError("level sizes %s and %d parents do not fit %d nodes"
                              % (sizes, len(parents), n))
-    pairs = []
-    for zx, rows in inputs:
-        zs, rows = as_tensor(zx).data, np.asarray(rows, dtype=np.intp)
-        hidden = _check_lstm_shapes(zs, u, b)
-        if len(rows) != n:
-            raise DimensionError("%d input rows for %d nodes" % (len(rows), n))
-        if rows.min() < 0 or rows.max() >= len(zs):
-            raise DimensionError("input rows outside the %d rows of zx" % len(zs))
-        pairs.append((zs, rows))
+    (zs, rows), = _input_tables([(zx, rows)], n, u, b)
     offsets = np.cumsum([0] + sizes)
     level = np.repeat(np.arange(1, len(sizes)), sizes[1:])
     if np.any((parents < offsets[level - 1]) | (parents >= offsets[level])):
@@ -483,12 +497,10 @@ def lstm_trie(inputs, parents, level_sizes, w_recurrent, bias):
     # reads its parent's row
     prev = np.split(parents + sizes[0], np.cumsum(sizes[1:-1]))
     levels = [(sizes[0], 0)] + list(zip(sizes[1:], prev))
-    dtype = _float_dtype(*(zs for zs, _ in pairs), u, b)
-    hs = np.empty((sizes[0] + n, hidden), dtype=dtype)
-    cs = np.empty_like(hs)
-    hs[:sizes[0]] = 0
-    cs[:sizes[0]] = 0
-    _lstm_levels(pairs, u, b, levels, hs, cs)
+    dtype = _float_dtype(zs, u, b)
+    hs = np.zeros((sizes[0] + n, u.shape[0]), dtype=dtype)
+    cs = np.zeros_like(hs)
+    _lstm_levels([(zs, rows)], u, b, levels, hs, cs)
     return hs[sizes[0]:]
 
 

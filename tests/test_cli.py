@@ -141,7 +141,7 @@ _MALFORMED = {
     "evaluate --labels": ("0\t0\n", "line 1: expected 3 tab-separated fields"),
     "evaluate --checkpoint": ("hello\n", "missing end_header marker"),
     "train --embeddings": _NAN_EMBEDDING,
-    "report input": None,
+    "report input": ("model = m\nmodel\n", "line 2: expected 'key = value', got 'model'"),
     "pipeline data.train": _BAD_TRANSCRIPT,
     "pipeline data.lexicon": _BAD_LEXICON,
     "pipeline data.ood_pool": _SILENT_POOL,
@@ -278,6 +278,21 @@ def test_train_evaluate_report_chain(toy_files, tmp_path):
     assert csv.read_text().startswith("model,")
 
 
+def test_report_rejects_a_file_that_is_not_a_report(toy_files, tmp_path, capsys):
+    # a transcript has no `key = value` line, and a file of comments alone no record
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# best_epoch = 2\n\n")
+    first = (toy_files / "train.txt").read_text().split("\n")[0]
+    for path, message in [
+            (toy_files / "train.txt", "line 1: expected 'key = value', got %r" % first.strip()),
+            (comments, "no 'key = value' line")]:
+        capsys.readouterr()
+        assert _run("report", str(path), "--out", str(tmp_path / "table.txt")) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: report input file %r: %s\n" % (str(path), message)
+        assert out == "" and not (tmp_path / "table.txt").exists()
+
+
 def test_evaluate_requires_some_test(toy_files, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     _run("train", "--variant", "HCN",
@@ -375,7 +390,15 @@ def test_gridsearch_pool_writes_the_serial_result_file(toy_files, tmp_path, caps
         outputs.append((_without_seconds(results), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     lines = outputs[0][0]
-    assert len(lines) == 1 + 4 + 4  # header, two cells per stage, three best_* lines and seed
+    # header, two cells per stage, three best_* lines and the best cell's eight training values
+    assert len(lines) == 1 + 4 + 3 + 8
+    best_ratio = float(lines[-9].split(" = ")[1])
+    assert lines[-9].startswith("# best_turn_dropout_ratio = ") and best_ratio in (0.2, 0.4)
+    assert lines[-8:] == [
+        "# config.train.dev_turn_dropout = True", "# config.train.learning_rate = 0.001",
+        "# config.train.max_epochs = 2", "# config.train.patience = 20",
+        "# config.train.seed = 4", "# config.train.turn_dropout_ratio = %s" % best_ratio,
+        "# config.train.turn_dropout_unk_prob = 0.5", "# config.train.word_dropout = 0.2"]
     assert [line.split("\t")[0] for line in lines[1:5]] == ["1", "1", "2", "2"]
 
 

@@ -12,6 +12,7 @@ from robusthcn.evaluation import (
     parse_report,
     per_utterance_accuracy,
 )
+from robusthcn.models import HashMismatchError
 from robusthcn.seeding import stream
 
 from util import tiny_actions, tiny_model, tiny_turn, tiny_vocab
@@ -167,6 +168,18 @@ def test_evaluate_model_is_deterministic():
     assert a.n_turns == 2
 
 
+def test_evaluate_model_checks_hashes_with_both_or_neither():
+    vocab, actions = tiny_vocab(8), tiny_actions(4, fallback=1)
+    model = tiny_model("HCN", vocab, actions, dtype=np.float32)
+    dialogs = [[tiny_turn(vocab, actions, [2, 3], 0)]]
+    assert evaluate_model(model, dialogs, vocab, actions) == evaluate_model(model, dialogs)
+    for given in ({"vocab": vocab}, {"action_set": actions}):
+        with pytest.raises(ValueError, match="both vocab and action_set"):
+            evaluate_model(model, dialogs, **given)
+    with pytest.raises(HashMismatchError):  # the check runs with both
+        evaluate_model(model, dialogs, tiny_vocab(9), actions)
+
+
 # ------------------------------------------------------------------ reports
 
 def test_report_round_trip_and_table():
@@ -189,6 +202,16 @@ def test_report_round_trip_and_table():
     csv = format_report_csv([record])
     assert csv[1].split(",")[0] == "TD-HCN"
     assert "0.754000" in csv[1]
+
+
+def test_parse_report_rejects_text_that_is_not_a_report():
+    # comments, blank lines and surrounding spaces are skipped, as before
+    assert parse_report("# c = 1\n\n  model = m  \nx = a = b\n") == {"model": "m", "x": "a = b"}
+    for text, message in [("model = m\n\n1 hello\tapi_call\n", "line 3: expected 'key = value'"),
+                          ("model=m\n", "line 1: expected"),
+                          ("", "no 'key = value' line"), ("# a = 1\n  \n", "no 'key = value'")]:
+        with pytest.raises(ValueError, match=message):
+            parse_report(text)
 
 
 def test_report_absent_subset_round_trips():

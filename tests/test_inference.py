@@ -379,7 +379,7 @@ def test_predict_dialog_rejects_inputs_of_another_row_count(domain, trained):
 
 
 def _lstm_inputs(monkeypatch):
-    """Records every ``nn.lstm`` call's zx and every ``nn.lstm_trie`` call's (zx, rows) pairs."""
+    """Records every ``nn.lstm`` call's zx and every ``nn.lstm_trie`` call's (zx, rows)."""
     lstm, trie = nn.lstm, nn.lstm_trie
     seen, walked = [], []
 
@@ -387,9 +387,9 @@ def _lstm_inputs(monkeypatch):
         seen.append(zx)
         return lstm(zx, lengths, w_recurrent, bias)
 
-    def recording_trie(inputs, parents, level_sizes, w_recurrent, bias):
-        walked.append(inputs)
-        return trie(inputs, parents, level_sizes, w_recurrent, bias)
+    def recording_trie(zx, rows, parents, level_sizes, w_recurrent, bias):
+        walked.append((zx, rows))
+        return trie(zx, rows, parents, level_sizes, w_recurrent, bias)
 
     monkeypatch.setattr(nn, "lstm", recording)
     monkeypatch.setattr(nn, "lstm_trie", recording_trie)
@@ -417,7 +417,7 @@ def test_no_grad_projects_each_distinct_token_once(domain, trained, monkeypatch,
         # the trie walk reads one product row per distinct token (every
         # node's token where there is one distinct token), and each node's
         # row is its token's row of the per-token product bit for bit
-        ((zx, rows),), = walked
+        (zx, rows), = walked
         assert seen == []
         node_tokens = models._prefix_trie([f.f_turn for f in turns])[0]
         n_distinct = len(np.unique(tokens))
